@@ -12,6 +12,15 @@ The stable class of slope ``p/q`` (lowest terms, ``q > 0``) has rank ``q``
 and degree ``p``; rank and degree of a general bundle are the
 multiplicity-weighted sums over its summands.
 
+A bundle's identity is an integer key, one ``(p, q, multiplicity)`` triple
+per summand, built and hashed once when the value is made; equality and
+hashing compare that key and never touch a ``Fraction``.  ``dual()`` is
+memoized on the instance, with a back-link, so ``v.dual().dual() is v``.
+Only outside input is validated: the public constructor, :func:`stable`,
+:func:`canonicalize`, :func:`parse_bundle` and :func:`bundle_from_json`
+check and reject, while the library's own operations, whose results are
+canonical by construction, build their values without re-checking them.
+
 Bundles also have a bit-exact text form used by the CLI and by all JSON
 reports::
 
@@ -111,7 +120,7 @@ _COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HNBundle:
     """A bundle class in canonical form: ((slope, multiplicity), ...).
 
@@ -135,7 +144,17 @@ class HNBundle:
                 raise ValueError("summand slopes must be strictly descending")
             previous = lam
             cleaned.append((lam, mult))
-        object.__setattr__(self, "summands", tuple(cleaned))
+        _settle(self, tuple(cleaned))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not HNBundle:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # basic invariants
@@ -189,11 +208,35 @@ class HNBundle:
     # algebra
 
     def dual(self) -> "HNBundle":
-        """Slopewise negation; an involution preserving rank, negating degree."""
-        return HNBundle(tuple((-lam, m) for lam, m in reversed(self.summands)))
+        """Slopewise negation; an involution preserving rank, negating degree.
+
+        Computed once per instance: the dual links back, so
+        ``v.dual().dual() is v``.
+        """
+        dual = self._dual
+        if dual is None:
+            dual = _trusted(tuple((-lam, m) for lam, m in reversed(self.summands)))
+            dual.__dict__["_dual"] = self
+            self.__dict__["_dual"] = dual
+        return dual
 
     def direct_sum(self, other: "HNBundle") -> "HNBundle":
-        return canonicalize(self.summands + other.summands)
+        mine, theirs = self.summands, other.summands
+        merged: list[tuple[Fraction, int]] = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (a, ma), (b, mb) = mine[i], theirs[j]
+            if a == b:
+                merged.append((a, ma + mb))
+                i += 1
+                j += 1
+            elif a > b:
+                merged.append(mine[i])
+                i += 1
+            else:
+                merged.append(theirs[j])
+                j += 1
+        return _trusted(tuple(merged) + mine[i:] + theirs[j:])
 
     __add__ = direct_sum
 
@@ -208,7 +251,7 @@ class HNBundle:
         except KeyError:
             raise ValueError(f"mode must be one of {sorted(_COMPARATORS)}, got {mode!r}")
         mu = _as_slope(mu)
-        return HNBundle(tuple((lam, m) for lam, m in self.summands if keep(lam, mu)))
+        return _trusted(tuple((lam, m) for lam, m in self.summands if keep(lam, mu)))
 
     def twist(self, amount: SlopeLike) -> "HNBundle":
         """Shift every slope by an integer; rank preserved, degree shifts by amount*rank.
@@ -222,7 +265,7 @@ class HNBundle:
         if amount.denominator != 1:
             raise PreconditionError(f"twist requires an integer amount, got {amount}")
         n = amount.numerator
-        return HNBundle(tuple((lam + n, m) for lam, m in self.summands))
+        return _trusted(tuple((lam + n, m) for lam, m in self.summands))
 
     def vertical_stretch(self, factor: int) -> "HNBundle":
         """Scale the HN polygon vertically by a positive integer factor.
@@ -244,7 +287,7 @@ class HNBundle:
                     f"segment width {width} not divisible by stretched denominator {new.denominator}"
                 )
             out.append((new, width // new.denominator))
-        return HNBundle(tuple(out))
+        return _trusted(tuple(out))
 
     def tensor(self, other: "HNBundle") -> "HNBundle":
         """Tensor product, summand pair by summand pair.
@@ -330,6 +373,27 @@ class HNBundle:
         return f"HNBundle({format_bundle(self)!r})"
 
 
+def _settle(bundle: HNBundle, summands: tuple[tuple[Fraction, int], ...]) -> None:
+    """Store canonical summands with their integer key and its hash."""
+    key = tuple([(lam.numerator, lam.denominator, m) for lam, m in summands])
+    state = bundle.__dict__
+    state["summands"] = summands
+    state["_key"] = key
+    state["_hash"] = hash(key)
+    state["_dual"] = None
+
+
+def _trusted(summands: tuple[tuple[Fraction, int], ...]) -> HNBundle:
+    """Bundle from summands that are canonical by construction; nothing is re-checked.
+
+    Callers guarantee reduced ``Fraction`` slopes in strictly descending
+    order and multiplicities >= 1.
+    """
+    bundle = object.__new__(HNBundle)
+    _settle(bundle, summands)
+    return bundle
+
+
 ZERO = HNBundle(())
 
 
@@ -347,21 +411,27 @@ def canonicalize(pairs: Iterable[tuple[SlopeLike, int]]) -> HNBundle:
             raise ValueError(f"multiplicity must be a nonnegative integer, got {mult!r}")
         if mult:
             tally[lam] = tally.get(lam, 0) + mult
-    return HNBundle(tuple((lam, tally[lam]) for lam in sorted(tally, reverse=True)))
+    return _trusted(tuple((lam, tally[lam]) for lam in sorted(tally, reverse=True)))
 
 
 def summand_difference(whole: HNBundle, part: HNBundle) -> HNBundle:
     """Multiset difference ``whole - part``; ``part`` must embed summand-wise."""
     remaining: list[tuple[Fraction, int]] = []
+    theirs = part.summands
+    j = 0
     for lam, m in whole.summands:
-        used = part.multiplicity(lam)
+        used = 0
+        if j < len(theirs) and theirs[j][0] == lam:
+            used = theirs[j][1]
+            j += 1
         if used > m:
             raise ValueError(f"{part} is not a summand-wise part of {whole}")
         if m - used:
             remaining.append((lam, m - used))
-    if part.rank + sum(m * lam.denominator for lam, m in remaining) != whole.rank:
+    # Both sides descend, so a slope of part missing from whole stops the walk early.
+    if j < len(theirs):
         raise ValueError(f"{part} is not a summand-wise part of {whole}")
-    return HNBundle(tuple(remaining))
+    return _trusted(tuple(remaining))
 
 
 # ----------------------------------------------------------------------

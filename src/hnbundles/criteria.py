@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundle import HNBundle, PreconditionError, summand_difference
+from .bundle import HNBundle, PreconditionError, _trusted, summand_difference
 
 __all__ = [
     "rank_condition",
@@ -59,7 +59,27 @@ def slopewise_dominates(f: HNBundle, e: HNBundle) -> bool:
         return True
     if e.rank > f.rank:
         return False
-    return all(a <= b for a, b in zip(e.unit_slopes, f.unit_slopes))
+    # Both polygons are linear between vertices, so it suffices to compare the
+    # two segment slopes on each stretch where neither polygon has a vertex:
+    # O(number of summands), whatever the ranks.
+    e_segs, f_segs = e.segment_vectors, f.segment_vectors
+    i = j = 0
+    e_left, f_left = e_segs[0].rank, f_segs[0].rank
+    while True:
+        (er, ed), (fr, fd) = e_segs[i], f_segs[j]
+        if ed * fr > fd * er:
+            return False
+        step = min(e_left, f_left)
+        e_left -= step
+        f_left -= step
+        if not e_left:
+            i += 1
+            if i == len(e_segs):
+                return True
+            e_left = e_segs[i].rank
+        if not f_left:
+            j += 1
+            f_left = f_segs[j].rank
 
 
 def is_subbundle(e: HNBundle, f: HNBundle) -> bool:
@@ -105,7 +125,7 @@ def hn_common_prefix(a: HNBundle, b: HNBundle) -> HNBundle:
         shared.append((sa, min(ma, mb)))
         if ma != mb:
             break
-    return HNBundle(tuple(shared))
+    return _trusted(tuple(shared))
 
 
 @dataclass(frozen=True)

@@ -196,13 +196,17 @@ def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:
     return triple
 
 
+def _next_member(triple: DecompositionTriple) -> HNBundle:
+    """dual(M + max_slope_reduction(S, R)) for the decomposition of a member other than Q."""
+    reduced = max_slope_reduction(triple.e_complement, triple.q_complement)
+    return triple.common.direct_sum(reduced).dual()
+
+
 def degeneration_step(e_i: HNBundle, q: HNBundle) -> HNBundle:
     """One chain step: dual(M + max_slope_reduction(S, R)); fixes q."""
     if e_i == q:
         return q
-    triple = decompose_mrs(e_i, q)
-    reduced = max_slope_reduction(triple.e_complement, triple.q_complement)
-    return triple.common.direct_sum(reduced).dual()
+    return _next_member(decompose_mrs(e_i, q))
 
 
 # ----------------------------------------------------------------------
@@ -219,15 +223,19 @@ def degeneration_trace(e: HNBundle, f: HNBundle, q: HNBundle) -> DegenerationTra
     """
     _require(reduced_violations(e, f, q))
     chain: list[HNBundle] = [e, build_e1(e)]
-    while chain[-1] != q:
-        if len(chain) - 1 >= q.rank + 2:
+    steps: list[DecompositionTriple] = []
+    while True:
+        member = chain[-1]
+        if member != q and len(chain) - 1 >= q.rank + 2:
             raise InternalConsistencyError(
                 f"chain for E={e}, F={f}, Q={q} exceeded {q.rank + 2} steps"
             )
-        chain.append(degeneration_step(chain[-1], q))
-    steps = tuple(decompose_mrs(member, q) for member in chain[1:])
+        steps.append(decompose_mrs(member, q))
+        if member == q:
+            break
+        chain.append(_next_member(steps[-1]))
     c_values = tuple(c_value(member, f, q) for member in chain)
-    return DegenerationTrace(tuple(chain), steps, c_values, len(chain) - 1)
+    return DegenerationTrace(tuple(chain), tuple(steps), c_values, len(chain) - 1)
 
 
 @dataclass(frozen=True)

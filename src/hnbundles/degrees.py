@@ -49,8 +49,11 @@ def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
     total = 0
     for a in v.segment_vectors:
         for b in w.segment_vectors:
-            if a.slope <= b.slope:
-                total += a.cross(b)
+            # Ranks are positive, so the cross product is >= 0 exactly when
+            # slope(a) <= slope(b); equal slopes contribute 0 either way.
+            cross = a.cross(b)
+            if cross > 0:
+                total += cross
     return total
 
 

@@ -150,9 +150,9 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
 
 
 def _candidates(e: HNBundle, f: HNBundle, pool: Iterable[HNBundle]) -> Iterator[HNBundle]:
-    e_dual = e.dual()
     for q in pool:
-        if q.rank <= e.rank and slopewise_dominates(e_dual, q.dual()) and slopewise_dominates(f, q):
+        if (q.rank <= e.rank and slopewise_dominates(e.dual(), q.dual())
+                and slopewise_dominates(f, q)):
             yield q
 
 
@@ -254,8 +254,6 @@ def _admissible_triples(
     rank(E) - 1, integer slopes, and mu_max(E) = 0.
     """
     bundles = list(enumerate_bundles(spec))
-    duals = {b: b.dual() for b in bundles}
-    duals[ZERO] = ZERO
     by_rank: dict[int, list[HNBundle]] = {0: [ZERO]}
     for b in bundles:
         by_rank.setdefault(b.rank, []).append(b)
@@ -264,7 +262,6 @@ def _admissible_triples(
         if equal_rank_gap and (e.mu_max != 0 or not e.has_integer_slopes()):
             continue
         e_slopes = set(e.slopes())
-        e_dual = duals[e]
         q_ranks = [e.rank - 1] if equal_rank_gap else list(range(e.rank))
         for f in bundles:
             if e_slopes & set(f.slopes()):
@@ -277,7 +274,7 @@ def _admissible_triples(
                 for q in by_rank.get(r, ()):
                     if equal_rank_gap and not q.has_integer_slopes():
                         continue
-                    if not slopewise_dominates(e_dual, duals[q]):
+                    if not slopewise_dominates(e.dual(), q.dual()):
                         continue
                     if not slopewise_dominates(f, q):
                         continue

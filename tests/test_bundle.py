@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hnbundles import (
     canonicalize,
     enumerate_bundles,
     format_bundle,
+    hn_common_prefix,
     parse_bundle,
     stable,
     summand_difference,
@@ -311,3 +313,66 @@ def test_bundles_are_hashable_values():
     assert B("1,-1") == B("-1,1")
     assert len({B("1,-1"), B("-1,1"), B("2,-1")}) == 2
     assert hash(B("1,-1")) == hash(B("-1,1"))
+
+
+# ----------------------------------------------------------------------
+# identity: integer key, hash, memoized dual
+
+def test_equal_values_by_every_route_hash_equal():
+    v = B("3/2:2,0,-1/2")
+    routes = [
+        HNBundle(((Fraction(3, 2), 2), (Fraction(0), 1), (Fraction(-1, 2), 1))),
+        HNBundle((("3/2", 2), (0, 1), ("-1/2", 1))),
+        canonicalize([(0, 1), ("-1/2", 1), (Fraction(3, 2), 1), ("3/2", 1)]),
+        parse_bundle("-1/2,3/2:2,0"),
+        bundle_from_json(bundle_to_json(v)),
+        v.dual().dual(),
+        B("-3/2:2,0,1/2").dual(),
+        v.twist(0),
+        v.vertical_stretch(1),
+        stable("3/2") + stable("3/2") + stable(0) + stable("-1/2"),
+    ]
+    for other in routes:
+        assert other == v
+        assert hash(other) == hash(v)
+
+
+def test_dual_is_memoized_involution():
+    for v in small_universe():
+        assert v.dual() is v.dual()
+        assert v.dual().dual() is v
+
+
+def test_deepcopy_keeps_value_and_hash():
+    for v in (ZERO, B("3/2:2,-1"), B("1,-1").dual()):
+        clone = copy.deepcopy(v)
+        assert clone == v
+        assert hash(clone) == hash(v)
+        assert clone.dual().dual() is clone
+
+
+def test_bundle_never_equals_tuple_or_str():
+    for v in (ZERO, stable(1), B("3/2:2,-1")):
+        assert v != v.summands
+        assert v != format_bundle(v)
+        assert v != ()
+        assert not v == str(v)
+
+
+def test_library_results_are_canonical():
+    """Every operation that skips validation returns exactly what validation would build."""
+    spec = UniverseSpec(max_rank=4, max_denominator=2)
+    universe = list(enumerate_bundles(spec, include_zero=True))
+    fixed = B("3/2,0:2,-1")
+    slopes = sorted({lam for v in universe for lam in v.slopes()})
+    for v in universe:
+        results = [v.dual(), v.twist(1), v.twist(-1), v.vertical_stretch(2),
+                   v.direct_sum(fixed), fixed.direct_sum(v),
+                   summand_difference(v.direct_sum(fixed), fixed),
+                   summand_difference(v, hn_common_prefix(v, fixed)),
+                   hn_common_prefix(v, fixed)]
+        results += [v.filter(mu, mode) for mu in slopes for mode in (">=", ">", "<=", "<")]
+        for r in results:
+            assert HNBundle(r.summands) == r
+            assert canonicalize(r.summands) == r
+            assert parse_bundle(format_bundle(r)) == r

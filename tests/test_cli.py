@@ -20,6 +20,12 @@ def test_check_sub_true_false(capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+def test_check_sub_at_huge_rank(capsys):
+    n = 10**12 + 1
+    assert run(["check-sub", f"1/{n},-1:{n}", f"3/{n},0:{n}"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_check_sub_json(capsys):
     assert run(["check-sub", "0:1", "1,-1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"result": True}

@@ -57,6 +57,22 @@ def test_zero_bundle_conventions():
             assert not slopewise_dominates(ZERO, v)
 
 
+def test_dominance_does_not_expand_unit_slopes():
+    e, f = B("1/7:2,-2:5"), B("3/7:2,0:7")
+    slopewise_dominates.cache_clear()
+    assert slopewise_dominates(f, e) == rank_condition(e, f)
+    assert "unit_slopes" not in e.__dict__
+    assert "unit_slopes" not in f.__dict__
+
+
+def test_dominance_at_huge_rank():
+    n = 10**12 + 1
+    assert slopewise_dominates(B(f"3/{n},0:{n}"), B(f"1/{n},-1:{n}"))
+    # Only the last of the 10**12 unit intervals fails.
+    assert not slopewise_dominates(B(f"1:{n - 1},-1"), B(f"0:{n}"))
+    assert slopewise_dominates(B(f"1:{n - 1},0"), B(f"0:{n}"))
+
+
 def test_rank_mismatch_forces_false():
     assert not slopewise_dominates(stable(1), B("1:2"))
     assert not rank_condition(B("1:2"), stable(1))

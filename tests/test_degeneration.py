@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from hnbundles import degeneration
 from hnbundles import (
     PreconditionError,
     ZERO,
@@ -124,6 +125,20 @@ def test_trace_with_zero_image():
     trace = degeneration_trace(B("0:1"), B("1"), ZERO)
     assert trace.chain == (B("0:1"), ZERO)
     assert trace.c_values == (1, 0)
+
+
+def test_trace_decomposes_each_member_once(monkeypatch):
+    calls = []
+    original = degeneration.decompose_mrs
+
+    def counting(e_i, q):
+        calls.append(e_i)
+        return original(e_i, q)
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", counting)
+    trace = degeneration_trace(*WORKED)
+    assert calls == list(trace.chain[1:])
+    assert trace.steps == tuple(original(member, WORKED[2]) for member in trace.chain[1:])
 
 
 def test_trace_first_step_accounting():
