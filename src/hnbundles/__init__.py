@@ -26,11 +26,9 @@ from .bundle import (
     summand_difference,
 )
 from .criteria import (
-    CommonFactorDecomposition,
     hn_common_prefix,
     is_quotient,
     is_subbundle,
-    max_common_factor,
     rank_condition,
     slopewise_dominates,
     strip_common_slopes,

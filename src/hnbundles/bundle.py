@@ -204,6 +204,11 @@ class HNBundle:
     def has_integer_slopes(self) -> bool:
         return all(lam.denominator == 1 for lam, _ in self.summands)
 
+    @cached_property
+    def slope_pairs(self) -> frozenset[tuple[int, int]]:
+        """The slopes as reduced ``(numerator, denominator)`` pairs, read off the key."""
+        return frozenset([(p, q) for p, q, _ in self._key])
+
     # ------------------------------------------------------------------
     # algebra
 
@@ -332,36 +337,6 @@ class HNBundle:
             y += seg.degree
             vertices.append(PolygonVertex(x, y))
         return tuple(vertices)
-
-    @cached_property
-    def unit_slopes(self) -> tuple[Fraction, ...]:
-        """Slope of the HN polygon over [i-1, i] for i = 1..rank.
-
-        Vertices sit at integer x-coordinates, so the polygon is linear on
-        every unit interval; convexity makes this sequence non-increasing.
-        """
-        out: list[Fraction] = []
-        for lam, m in self.summands:
-            out.extend([lam] * (m * lam.denominator))
-        return tuple(out)
-
-    def polygon_value(self, x: SlopeLike) -> Fraction:
-        """Piecewise-linear value of the HN polygon at ``0 <= x <= rank``."""
-        x = _as_slope(x)
-        if x < 0 or x > self.rank:
-            raise PreconditionError(f"polygon argument {x} outside [0, {self.rank}]")
-        vertices = self.polygon
-        for left, right in zip(vertices, vertices[1:]):
-            if x <= right.x:
-                seg_slope = Fraction(right.y - left.y, right.x - left.x)
-                return left.y + (x - left.x) * seg_slope
-        return Fraction(vertices[-1].y)
-
-    def unit_slope(self, i: int) -> Fraction:
-        """polygon_value(i) - polygon_value(i-1) for 1 <= i <= rank."""
-        if not isinstance(i, int) or i < 1 or i > self.rank:
-            raise PreconditionError(f"unit interval index {i!r} outside 1..{self.rank}")
-        return self.unit_slopes[i - 1]
 
     # ------------------------------------------------------------------
     # presentation

@@ -19,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .bundle import (
@@ -66,34 +67,26 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_universe_flags(parser: argparse.ArgumentParser) -> None:
+    # Each dest is the UniverseSpec field the flag sets.
     parser.add_argument("--max-rank", type=int, default=None, metavar="N",
                         help="largest bundle rank in the universe")
     parser.add_argument("--slope-min", type=_fraction, default=None, metavar="Q",
                         help="smallest admissible slope")
     parser.add_argument("--slope-max", type=_fraction, default=None, metavar="Q",
                         help="largest admissible slope")
-    parser.add_argument("--max-den", type=int, default=None, metavar="N",
-                        help="largest slope denominator")
-    parser.add_argument("--samples", type=int, default=None, metavar="N",
+    parser.add_argument("--max-den", dest="max_denominator", type=int, default=None,
+                        metavar="N", help="largest slope denominator")
+    parser.add_argument("--samples", dest="sample_limit", type=int, default=None, metavar="N",
                         help="sample N instances instead of exhausting the universe")
     parser.add_argument("--seed", type=int, default=None, metavar="S",
                         help="seed for sampled instances (default 0)")
 
 
 def _universe_from_flags(args: argparse.Namespace) -> UniverseSpec | None:
-    """Spec built from flags, or None when no universe flag was given."""
-    flags = (args.max_rank, args.slope_min, args.slope_max, args.max_den,
-             args.samples, args.seed)
-    if all(value is None for value in flags):
-        return None
-    return UniverseSpec(
-        max_rank=args.max_rank if args.max_rank is not None else 4,
-        slope_min=args.slope_min if args.slope_min is not None else Fraction(-2),
-        slope_max=args.slope_max if args.slope_max is not None else Fraction(2),
-        max_denominator=args.max_den if args.max_den is not None else 2,
-        sample_limit=args.samples,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    """Spec built from the given flags, or None when no universe flag was given."""
+    given = {field.name: getattr(args, field.name) for field in fields(UniverseSpec)
+             if getattr(args, field.name) is not None}
+    return UniverseSpec(**given) if given else None
 
 
 def build_parser() -> argparse.ArgumentParser:

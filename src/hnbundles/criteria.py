@@ -19,10 +19,9 @@ whenever rank(E) > rank(F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundle import HNBundle, PreconditionError, _trusted, summand_difference
+from .bundle import HNBundle, _trusted, summand_difference
 
 __all__ = [
     "rank_condition",
@@ -31,8 +30,6 @@ __all__ = [
     "is_quotient",
     "strip_common_slopes",
     "hn_common_prefix",
-    "CommonFactorDecomposition",
-    "max_common_factor",
 ]
 
 
@@ -126,32 +123,3 @@ def hn_common_prefix(a: HNBundle, b: HNBundle) -> HNBundle:
         if ma != mb:
             break
     return _trusted(tuple(shared))
-
-
-@dataclass(frozen=True)
-class CommonFactorDecomposition:
-    """e = common + e_complement and f = common + f_complement.
-
-    When f slopewise dominates e: f_complement dominates e_complement; if
-    e_complement is nonzero, mu_max(f_complement) > mu_max(e_complement);
-    and if additionally common is nonzero, mu_min(common) >=
-    mu_max(f_complement).
-    """
-
-    common: HNBundle
-    e_complement: HNBundle
-    f_complement: HNBundle
-
-
-def max_common_factor(e: HNBundle, f: HNBundle) -> CommonFactorDecomposition:
-    """Peel the common HN polygon prefix off a dominating pair.
-
-    Requires f to slopewise dominate e.  The common factor is the largest
-    bundle whose polygon is an initial run of both polygons.
-    """
-    if not slopewise_dominates(f, e):
-        raise PreconditionError(f"{f} does not slopewise dominate {e}")
-    common = hn_common_prefix(e, f)
-    return CommonFactorDecomposition(
-        common, summand_difference(e, common), summand_difference(f, common)
-    )

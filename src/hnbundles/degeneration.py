@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable, NamedTuple
 
 from .bundle import (
     HNBundle,
@@ -45,6 +46,12 @@ __all__ = [
     "DegenerationTrace",
     "NormalizationStep",
     "NormalizedTriple",
+    "Condition",
+    "ConditionSet",
+    "GENERAL_CONDITIONS",
+    "REDUCED_CONDITIONS",
+    "PAIR_CONDITIONS",
+    "IMAGE_CONDITIONS",
     "general_violations",
     "reduced_violations",
     "max_slope_reduction",
@@ -103,34 +110,72 @@ class DegenerationTrace:
 
 # ----------------------------------------------------------------------
 # named admissibility conditions
+#
+# Each condition is stated once, as a (name, requirement, test) entry.  The
+# entries are grouped by the bundles their test reads, so an enumeration can
+# test each group in the outermost loop that already holds those bundles.
+# Within a group the cheap tests come first.  The tests look dominance up as
+# a module global at call time, so a tracer that rebinds it sees every call.
+
+class Condition(NamedTuple):
+    name: str
+    requirement: str
+    test: Callable[..., bool]
+
+
+class ConditionSet(NamedTuple):
+    """Conditions on E alone, on the pair (E, F), and on the triple (E, F, Q)."""
+
+    on_e: tuple[Condition, ...]
+    on_pair: tuple[Condition, ...]
+    on_triple: tuple[Condition, ...]
+
+    def violations(self, e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
+        """The failing conditions as (name, requirement) pairs, sorted by name."""
+        failed = [c for c in self.on_e if not c.test(e)]
+        failed += [c for c in self.on_pair if not c.test(e, f)]
+        failed += [c for c in self.on_triple if not c.test(e, f, q)]
+        return tuple(sorted((c.name, c.requirement) for c in failed))
+
+
+_TOP_SLOPE_ZERO = Condition(
+    "(vii)", "mu_max(E) must be 0", lambda e: not e.is_zero and e.mu_max == 0)
+
+PAIR_CONDITIONS = (
+    Condition("(iv)", "E and F must have no common slopes",
+              lambda e, f: e.slope_pairs.isdisjoint(f.slope_pairs)),
+    Condition("(i)", "F must slopewise dominate E", lambda e, f: slopewise_dominates(f, e)),
+)
+
+# Necessary for Q to be the image of a map E -> F: Q is a quotient of E and a subbundle of F.
+IMAGE_CONDITIONS = (
+    Condition("(ii)", "dual(E) must slopewise dominate dual(Q)",
+              lambda e, f, q: slopewise_dominates(e.dual(), q.dual())),
+    Condition("(iii)", "F must slopewise dominate Q", lambda e, f, q: slopewise_dominates(f, q)),
+)
+
+GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
+    Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, f, q: q.rank < e.rank),
+    *IMAGE_CONDITIONS,
+))
+
+REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO,), PAIR_CONDITIONS, (
+    Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, f, q: q.rank == e.rank - 1),
+    Condition("(vi)", "all slopes of E, F and Q must be integers",
+              lambda e, f, q: (e.has_integer_slopes() and f.has_integer_slopes()
+                               and q.has_integer_slopes())),
+    *IMAGE_CONDITIONS,
+))
+
 
 def general_violations(e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
     """Violated conditions among the five general ones, as (name, text) pairs."""
-    bad: list[tuple[str, str]] = []
-    if not slopewise_dominates(f, e):
-        bad.append(("(i)", "F must slopewise dominate E"))
-    if not slopewise_dominates(e.dual(), q.dual()):
-        bad.append(("(ii)", "dual(E) must slopewise dominate dual(Q)"))
-    if not slopewise_dominates(f, q):
-        bad.append(("(iii)", "F must slopewise dominate Q"))
-    if set(e.slopes()) & set(f.slopes()):
-        bad.append(("(iv)", "E and F must have no common slopes"))
-    if not q.rank < e.rank:
-        bad.append(("(v)", "rank(Q) must be smaller than rank(E)"))
-    return tuple(bad)
+    return GENERAL_CONDITIONS.violations(e, f, q)
 
 
 def reduced_violations(e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
     """Violated conditions among the seven reduced ones, as (name, text) pairs."""
-    bad = [v for v in general_violations(e, f, q) if v[0] != "(v)"]
-    if q.rank != e.rank - 1:
-        bad.append(("(v)", "rank(Q) must equal rank(E) - 1"))
-    if not (e.has_integer_slopes() and f.has_integer_slopes() and q.has_integer_slopes()):
-        bad.append(("(vi)", "all slopes of E, F and Q must be integers"))
-    if e.is_zero or e.mu_max != 0:
-        bad.append(("(vii)", "mu_max(E) must be 0"))
-    bad.sort()
-    return tuple(bad)
+    return REDUCED_CONDITIONS.violations(e, f, q)
 
 
 def _require(violations: tuple[tuple[str, str], ...]) -> None:
@@ -166,7 +211,7 @@ def build_e1(e: HNBundle) -> HNBundle:
     Which copy is immaterial: the bundle is a canonical multiset, so there
     is exactly one result.
     """
-    if e.is_zero or e.mu_max != 0:
+    if not _TOP_SLOPE_ZERO.test(e):
         raise PreconditionError("peeling requires mu_max(E) = 0 (a trivial summand present)")
     return summand_difference(e, canonicalize([(Fraction(0), 1)]))
 

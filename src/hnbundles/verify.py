@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -39,7 +40,15 @@ from typing import Iterable, Iterator
 
 from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
 from .criteria import rank_condition, slopewise_dominates
-from .degeneration import DegenerationTrace, degeneration_trace
+from .degeneration import (
+    GENERAL_CONDITIONS,
+    IMAGE_CONDITIONS,
+    PAIR_CONDITIONS,
+    REDUCED_CONDITIONS,
+    ConditionSet,
+    DegenerationTrace,
+    degeneration_trace,
+)
 from .degrees import c_value, deg_nonneg, deg_nonneg_oracle, dim_hom, stratum_dim
 
 __all__ = [
@@ -50,6 +59,7 @@ __all__ = [
     "admissible_slopes",
     "enumerate_bundles",
     "enumerate_candidate_images",
+    "CANDIDATE_POOL_LIMIT",
     "verify_equivalence",
     "verify_oracles",
     "verify_key_inequality",
@@ -137,22 +147,38 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
             yield HNBundle(combo)
 
 
+# Largest universe enumerate_candidate_images scans.  The default ``hnb images``
+# pool roughly doubles with every +1 of rank(E): 394 bundles at rank 6, 1,701
+# at rank 8, 6,576 at rank 10; the cap stops it at rank 10 instead of never.
+CANDIDATE_POOL_LIMIT = 5_000
+
+
 def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> Iterator[HNBundle]:
     """Universe members satisfying the necessary conditions for a nonempty stratum.
 
     Yields every Q in the universe (zero included) that is a candidate
     image of a map e -> f: Q is a quotient of e (dual dominance) and a
     subbundle of f, forcing rank(Q) <= rank(e).  Necessary-only: candidacy
-    does not certify that the stratum is nonempty.
+    does not certify that the stratum is nonempty.  A universe of more
+    than :data:`CANDIDATE_POOL_LIMIT` bundles raises
+    :class:`PreconditionError` before any candidate is yielded.
     """
-    pool = enumerate_bundles(spec, include_zero=True)
+    pool = list(itertools.islice(enumerate_bundles(spec, include_zero=True),
+                                 CANDIDATE_POOL_LIMIT + 1))
+    if len(pool) > CANDIDATE_POOL_LIMIT:
+        raise PreconditionError(f"candidate pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
     yield from _candidates(e, f, pool)
 
 
 def _candidates(e: HNBundle, f: HNBundle, pool: Iterable[HNBundle]) -> Iterator[HNBundle]:
     for q in pool:
-        if (q.rank <= e.rank and slopewise_dominates(e.dual(), q.dual())
-                and slopewise_dominates(f, q)):
+        # Only a prune: (ii) already forces rank(Q) <= rank(E).
+        if q.rank > e.rank:
+            continue
+        for c in IMAGE_CONDITIONS:
+            if not c.test(e, f, q):
+                break
+        else:
             yield q
 
 
@@ -246,45 +272,39 @@ def verify_oracles(spec: UniverseSpec) -> VerificationReport:
 
 
 def _admissible_triples(
-    spec: UniverseSpec, equal_rank_gap: bool
+    spec: UniverseSpec, conditions: ConditionSet
 ) -> Iterator[tuple[HNBundle, HNBundle, HNBundle]]:
-    """Triples meeting the five general conditions; optionally the reduced seven.
+    """Triples of the universe meeting every condition of ``conditions``, in a fixed order.
 
-    With ``equal_rank_gap`` the stream is restricted to rank(Q) =
-    rank(E) - 1, integer slopes, and mu_max(E) = 0.
+    E and F run over the universe in enumeration order, Q over the universe
+    with zero, stably sorted by rank.  Each group of conditions is tested in
+    the outermost loop that holds its bundles.
     """
     bundles = list(enumerate_bundles(spec))
-    by_rank: dict[int, list[HNBundle]] = {0: [ZERO]}
-    for b in bundles:
-        by_rank.setdefault(b.rank, []).append(b)
+    images = [ZERO] + sorted(bundles, key=lambda b: b.rank)
+    ranks = [q.rank for q in images]
 
     for e in bundles:
-        if equal_rank_gap and (e.mu_max != 0 or not e.has_integer_slopes()):
+        if not all(c.test(e) for c in conditions.on_e):
             continue
-        e_slopes = set(e.slopes())
-        q_ranks = [e.rank - 1] if equal_rank_gap else list(range(e.rank))
+        # Only a prune: both forms of (v) require rank(Q) < rank(E).
+        below = images[:bisect_left(ranks, e.rank)]
         for f in bundles:
-            if e_slopes & set(f.slopes()):
+            if not all(c.test(e, f) for c in conditions.on_pair):
                 continue
-            if equal_rank_gap and not f.has_integer_slopes():
-                continue
-            if not slopewise_dominates(f, e):
-                continue
-            for r in q_ranks:
-                for q in by_rank.get(r, ()):
-                    if equal_rank_gap and not q.has_integer_slopes():
-                        continue
-                    if not slopewise_dominates(e.dual(), q.dual()):
-                        continue
-                    if not slopewise_dominates(f, q):
-                        continue
+            for q in below:
+                # A for/else, not all(): no generator object per candidate triple.
+                for c in conditions.on_triple:
+                    if not c.test(e, f, q):
+                        break
+                else:
                     yield e, f, q
 
 
 def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     """c_value > 0 on every triple satisfying the five general conditions."""
     started = time.perf_counter()
-    stream = _admissible_triples(spec, equal_rank_gap=False)
+    stream = _admissible_triples(spec, GENERAL_CONDITIONS)
     if spec.sample_limit is not None:
         stream = itertools.islice(stream, spec.sample_limit)
     cex: list[str] = []
@@ -361,7 +381,7 @@ def _trace_problems(
 def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     """Trace every reduced triple and re-check all chain invariants."""
     started = time.perf_counter()
-    stream = _admissible_triples(spec, equal_rank_gap=True)
+    stream = _admissible_triples(spec, REDUCED_CONDITIONS)
     if spec.sample_limit is not None:
         stream = itertools.islice(stream, spec.sample_limit)
     cex: list[str] = []
@@ -394,11 +414,8 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     cex: list[str] = []
     count = 0
     for e in pool:
-        e_slopes = set(e.slopes())
         for f in pool:
-            if e_slopes & set(f.slopes()):
-                continue
-            if not slopewise_dominates(f, e):
+            if not all(c.test(e, f) for c in PAIR_CONDITIONS):
                 continue
             count += 1
             prefix = f"E={e} F={f}"

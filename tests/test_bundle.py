@@ -208,28 +208,6 @@ def test_tensor_bilinear_commutative_associative():
 
 def test_polygon_examples():
     assert [tuple(p) for p in B("1,-1").polygon] == [(0, 0), (1, 1), (2, 0)]
-    v = stable(Fraction(3, 2))
-    assert v.unit_slope(1) == v.unit_slope(2) == Fraction(3, 2)
-    assert B("2,-2").polygon_value(1) == 2
-
-
-def test_polygon_value_interpolates():
-    v = stable(Fraction(3, 2))
-    assert v.polygon_value(Fraction(1, 2)) == Fraction(3, 4)
-    assert v.polygon_value(0) == 0
-    assert v.polygon_value(2) == 3
-
-
-def test_unit_slope_matches_polygon_difference():
-    for v in small_universe(include_zero=False):
-        for i in range(1, v.rank + 1):
-            assert v.unit_slope(i) == v.polygon_value(i) - v.polygon_value(i - 1)
-
-
-def test_polygon_convexity():
-    for v in small_universe(include_zero=False):
-        slopes = v.unit_slopes
-        assert all(a >= b for a, b in zip(slopes, slopes[1:]))
 
 
 def test_polygon_reconstruction():
@@ -243,15 +221,9 @@ def test_polygon_reconstruction():
         assert HNBundle(tuple(rebuilt)) == v
 
 
-def test_polygon_range_errors():
-    with pytest.raises(PreconditionError):
-        B("1").polygon_value(2)
-    with pytest.raises(PreconditionError):
-        B("1").polygon_value(-1)
-    with pytest.raises(PreconditionError):
-        B("1").unit_slope(0)
-    with pytest.raises(PreconditionError):
-        B("1").unit_slope(2)
+def test_slope_pairs_are_the_reduced_slopes():
+    for v in small_universe():
+        assert v.slope_pairs == {(lam.numerator, lam.denominator) for lam in v.slopes()}
 
 
 # ----------------------------------------------------------------------

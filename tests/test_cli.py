@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from hnbundles import parse_bundle, render_svg
 from hnbundles.bundle import PreconditionError
 from hnbundles.cli import run
+from hnbundles.verify import CANDIDATE_POOL_LIMIT
 
 B = parse_bundle
 
@@ -104,6 +106,18 @@ def test_images_default_pool(capsys):
     assert by_image["0"]["stratum_dim"] == 0
     assert rows[0]["stratum_dim"] == 5  # sorted, top stratum first
     assert all(row["c"] + row["stratum_dim"] == 5 for row in rows)
+
+
+def test_images_default_pool_at_rank_six(capsys):
+    assert run(["images", "0:6", "2:6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 394
+
+
+def test_images_over_the_pool_cap_exits_3_quickly(capsys):
+    started = time.perf_counter()
+    assert run(["images", "0:30", "2:30"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert str(CANDIDATE_POOL_LIMIT) in capsys.readouterr().err
 
 
 def test_images_zero_source(capsys):

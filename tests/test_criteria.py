@@ -1,20 +1,17 @@
-"""Decision procedures: rank condition, dominance, subbundle/quotient, decompositions."""
+"""Decision procedures: rank condition, dominance, subbundle/quotient, common prefixes."""
 
 from __future__ import annotations
 
 import itertools
 
-import pytest
-
 from hnbundles import (
-    PreconditionError,
     UniverseSpec,
     ZERO,
+    decompose_mrs,
     enumerate_bundles,
     hn_common_prefix,
     is_quotient,
     is_subbundle,
-    max_common_factor,
     parse_bundle,
     rank_condition,
     slopewise_dominates,
@@ -55,14 +52,6 @@ def test_zero_bundle_conventions():
         assert is_quotient(ZERO, v)
         if not v.is_zero:
             assert not slopewise_dominates(ZERO, v)
-
-
-def test_dominance_does_not_expand_unit_slopes():
-    e, f = B("1/7:2,-2:5"), B("3/7:2,0:7")
-    slopewise_dominates.cache_clear()
-    assert slopewise_dominates(f, e) == rank_condition(e, f)
-    assert "unit_slopes" not in e.__dict__
-    assert "unit_slopes" not in f.__dict__
 
 
 def test_dominance_at_huge_rank():
@@ -156,7 +145,7 @@ def test_strip_common_slopes_properties():
 
 
 # ----------------------------------------------------------------------
-# max_common_factor
+# the common HN polygon prefix
 
 def test_hn_common_prefix():
     assert hn_common_prefix(B("2,0,-1"), B("2,1,-1")) == B("2")
@@ -166,37 +155,20 @@ def test_hn_common_prefix():
     assert hn_common_prefix(ZERO, B("1")) == ZERO
 
 
-def test_max_common_factor_example():
-    decomp = max_common_factor(B("2,0,-1"), B("2,1,-1"))
-    assert decomp.common == B("2")
-    assert decomp.e_complement == B("0,-1")
-    assert decomp.f_complement == B("1,-1")
-
-
-def test_max_common_factor_trivial_cases():
-    e = B("1,0")
-    decomp = max_common_factor(e, e)
-    assert (decomp.common, decomp.e_complement, decomp.f_complement) == (e, ZERO, ZERO)
-    decomp = max_common_factor(B("0,-2"), B("1,-1"))
-    assert decomp.common == ZERO
-    assert (decomp.e_complement, decomp.f_complement) == (B("0,-2"), B("1,-1"))
-
-
-def test_max_common_factor_requires_dominance():
-    with pytest.raises(PreconditionError):
-        max_common_factor(stable(1), stable(0))
-
-
-def test_max_common_factor_invariants_on_dominating_pairs():
+def test_decompose_mrs_invariants_on_dominating_pairs():
     pool = small_universe()
-    for e, f in itertools.product(pool, repeat=2):
-        if not slopewise_dominates(f, e):
+    checked = 0
+    for e_i, q in itertools.product(pool, repeat=2):
+        if e_i.rank != q.rank or not slopewise_dominates(e_i.dual(), q.dual()):
             continue
-        decomp = max_common_factor(e, f)
-        d, e2, f2 = decomp.common, decomp.e_complement, decomp.f_complement
-        assert d + e2 == e and d + f2 == f
-        assert slopewise_dominates(f2, e2)
-        if not e2.is_zero:
-            assert f2.mu_max > e2.mu_max
-            if not d.is_zero:
-                assert d.mu_min >= f2.mu_max
+        checked += 1
+        triple = decompose_mrs(e_i, q)
+        m, r, s = triple.common, triple.q_complement, triple.e_complement
+        assert m + r == q.dual() and m + s == e_i.dual()
+        assert slopewise_dominates(s, r)
+        assert (e_i == q) == s.is_zero == r.is_zero
+        if not s.is_zero:
+            assert s.mu_max > r.mu_max
+            if not m.is_zero:
+                assert m.mu_min >= s.mu_max
+    assert checked > len(pool)

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from hnbundles import (
+    PreconditionError,
     UniverseSpec,
     ZERO,
     admissible_slopes,
     enumerate_bundles,
     enumerate_candidate_images,
+    is_quotient,
+    is_subbundle,
     parse_bundle,
     run_checks,
     stable,
@@ -22,6 +26,13 @@ from hnbundles import (
     verify_oracles,
     verify_stratification_dimension,
 )
+from hnbundles.degeneration import (
+    GENERAL_CONDITIONS,
+    REDUCED_CONDITIONS,
+    general_violations,
+    reduced_violations,
+)
+from hnbundles.verify import CANDIDATE_POOL_LIMIT, _admissible_triples
 
 B = parse_bundle
 
@@ -114,6 +125,50 @@ def test_candidate_images_empty_universe_edge():
     narrow = UniverseSpec(max_rank=1, slope_min=0, slope_max=0, max_denominator=1)
     candidates = list(enumerate_candidate_images(B("1"), B("2"), narrow))
     assert candidates == [ZERO]  # the only universe member that qualifies
+
+
+def test_candidate_pool_over_the_cap_raises_before_scanning():
+    wide = UniverseSpec(max_rank=30, slope_min=0, slope_max=2, max_denominator=30)
+    with pytest.raises(PreconditionError, match=str(CANDIDATE_POOL_LIMIT)):
+        next(enumerate_candidate_images(B("0:30"), B("2:30"), wide))
+
+
+# ----------------------------------------------------------------------
+# every enumeration agrees with the one statement of the conditions
+
+AGREE = UniverseSpec(max_rank=3, slope_min=-1, slope_max=1, max_denominator=2)
+
+
+def _brute_force_triples(violations):
+    bundles = list(enumerate_bundles(AGREE))
+    images = sorted(enumerate_bundles(AGREE, include_zero=True), key=lambda b: b.rank)
+    return [
+        (e, f, q)
+        for e in bundles
+        for f in bundles
+        for q in images
+        if q.rank < e.rank and violations(e, f, q) == ()
+    ]
+
+
+def test_general_triples_agree_with_general_violations():
+    assert len(list(enumerate_bundles(AGREE, include_zero=True))) == 28
+    expected = _brute_force_triples(general_violations)
+    assert len(expected) == 377
+    assert list(_admissible_triples(AGREE, GENERAL_CONDITIONS)) == expected
+
+
+def test_reduced_triples_agree_with_reduced_violations():
+    expected = _brute_force_triples(reduced_violations)
+    assert len(expected) == 32
+    assert list(_admissible_triples(AGREE, REDUCED_CONDITIONS)) == expected
+
+
+def test_candidate_images_agree_with_quotient_and_subbundle():
+    pool = list(enumerate_bundles(AGREE, include_zero=True))
+    for e, f in itertools.product(pool, repeat=2):
+        expected = [q for q in pool if is_quotient(q, e) and is_subbundle(q, f)]
+        assert list(enumerate_candidate_images(e, f, AGREE)) == expected
 
 
 # ----------------------------------------------------------------------
