@@ -40,6 +40,7 @@ from .degeneration import (
     NormalizedTriple,
     build_e1,
     decompose_mrs,
+    degeneration_chain,
     degeneration_step,
     degeneration_trace,
     max_slope_reduction,

@@ -51,13 +51,15 @@ __all__ = [
     "GENERAL_CONDITIONS",
     "REDUCED_CONDITIONS",
     "PAIR_CONDITIONS",
-    "IMAGE_CONDITIONS",
+    "QUOTIENT_CONDITIONS",
+    "SUBBUNDLE_CONDITIONS",
     "general_violations",
     "reduced_violations",
     "max_slope_reduction",
     "build_e1",
     "decompose_mrs",
     "degeneration_step",
+    "degeneration_chain",
     "degeneration_trace",
     "normalize_triple",
 ]
@@ -124,16 +126,18 @@ class Condition(NamedTuple):
 
 
 class ConditionSet(NamedTuple):
-    """Conditions on E alone, on the pair (E, F), and on the triple (E, F, Q)."""
+    """Conditions on E alone, on the pair (E, F), on (E, Q), and on the triple (E, F, Q)."""
 
     on_e: tuple[Condition, ...]
     on_pair: tuple[Condition, ...]
+    on_quotient: tuple[Condition, ...]
     on_triple: tuple[Condition, ...]
 
     def violations(self, e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
         """The failing conditions as (name, requirement) pairs, sorted by name."""
         failed = [c for c in self.on_e if not c.test(e)]
         failed += [c for c in self.on_pair if not c.test(e, f)]
+        failed += [c for c in self.on_quotient if not c.test(e, q)]
         failed += [c for c in self.on_triple if not c.test(e, f, q)]
         return tuple(sorted((c.name, c.requirement) for c in failed))
 
@@ -147,24 +151,29 @@ PAIR_CONDITIONS = (
     Condition("(i)", "F must slopewise dominate E", lambda e, f: slopewise_dominates(f, e)),
 )
 
-# Necessary for Q to be the image of a map E -> F: Q is a quotient of E and a subbundle of F.
-IMAGE_CONDITIONS = (
+# Necessary for Q to be the image of a map E -> F: Q is a quotient of E ...
+QUOTIENT_CONDITIONS = (
     Condition("(ii)", "dual(E) must slopewise dominate dual(Q)",
-              lambda e, f, q: slopewise_dominates(e.dual(), q.dual())),
+              lambda e, q: slopewise_dominates(e.dual(), q.dual())),
+)
+# ... and a subbundle of F.
+SUBBUNDLE_CONDITIONS = (
     Condition("(iii)", "F must slopewise dominate Q", lambda e, f, q: slopewise_dominates(f, q)),
 )
 
 GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
-    Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, f, q: q.rank < e.rank),
-    *IMAGE_CONDITIONS,
-))
+    Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank),
+    *QUOTIENT_CONDITIONS,
+), SUBBUNDLE_CONDITIONS)
 
 REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO,), PAIR_CONDITIONS, (
-    Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, f, q: q.rank == e.rank - 1),
+    Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1),
+    *QUOTIENT_CONDITIONS,
+), (
     Condition("(vi)", "all slopes of E, F and Q must be integers",
               lambda e, f, q: (e.has_integer_slopes() and f.has_integer_slopes()
                                and q.has_integer_slopes())),
-    *IMAGE_CONDITIONS,
+    *SUBBUNDLE_CONDITIONS,
 ))
 
 
@@ -257,30 +266,43 @@ def degeneration_step(e_i: HNBundle, q: HNBundle) -> HNBundle:
 # ----------------------------------------------------------------------
 # full pipeline
 
-def degeneration_trace(e: HNBundle, f: HNBundle, q: HNBundle) -> DegenerationTrace:
-    """Build the full chain from a reduced triple, with decompositions and codimensions.
+def degeneration_chain(
+    e: HNBundle, q: HNBundle
+) -> tuple[tuple[HNBundle, ...], tuple[DecompositionTriple, ...]]:
+    """The chain E = E_0, ..., E_r = Q and the (M, R, S) decomposition of each E_i, i >= 1.
 
-    Raises a named :class:`PreconditionError` when any of the seven reduced
-    conditions fails, and an :class:`InternalConsistencyError` if the chain
-    fails to reach Q within rank(Q) + 2 steps (impossible for admissible
-    input: the rank of the shared prefix grows strictly at every
+    F plays no part in the chain, so one chain serves every F of a reduced
+    triple (E, F, Q); :func:`degeneration_trace` checks the named
+    conditions first.  Raises an :class:`InternalConsistencyError` if the
+    chain fails to reach Q within rank(Q) + 2 steps (impossible for
+    admissible input: the rank of the shared prefix grows strictly at every
     non-terminal step and is bounded by rank(Q)).
     """
-    _require(reduced_violations(e, f, q))
     chain: list[HNBundle] = [e, build_e1(e)]
     steps: list[DecompositionTriple] = []
     while True:
         member = chain[-1]
         if member != q and len(chain) - 1 >= q.rank + 2:
             raise InternalConsistencyError(
-                f"chain for E={e}, F={f}, Q={q} exceeded {q.rank + 2} steps"
+                f"chain for E={e}, Q={q} exceeded {q.rank + 2} steps"
             )
         steps.append(decompose_mrs(member, q))
         if member == q:
             break
         chain.append(_next_member(steps[-1]))
+    return tuple(chain), tuple(steps)
+
+
+def degeneration_trace(e: HNBundle, f: HNBundle, q: HNBundle) -> DegenerationTrace:
+    """Build the full chain from a reduced triple, with decompositions and codimensions.
+
+    Raises a named :class:`PreconditionError` when any of the seven reduced
+    conditions fails, and otherwise whatever :func:`degeneration_chain` raises.
+    """
+    _require(reduced_violations(e, f, q))
+    chain, steps = degeneration_chain(e, q)
     c_values = tuple(c_value(member, f, q) for member in chain)
-    return DegenerationTrace(tuple(chain), tuple(steps), c_values, len(chain) - 1)
+    return DegenerationTrace(chain, steps, c_values, len(chain) - 1)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,17 @@ Checks:
 Candidate images are an over-approximation by design: only the necessary
 conditions (quotient of E, subbundle of F) are checked, which cannot create
 false failures because extra candidates can only carry smaller strata.
+
+The triple checks do the work that does not read F outside their F loops,
+with memos local to one call:
+
+* once per E    - the (E, Q) conditions ((v) and (ii)) filter the Q list of
+                  the triple stream, and stratification lists the quotient
+                  candidates of E (the rank prune and (ii));
+* once per (E, Q) - degeneration builds the chain and checks its F-free
+                  invariants; only the codimensions are computed per triple.
+
+Each is built at E's first admissible F, so an E without one costs nothing.
 """
 
 from __future__ import annotations
@@ -38,16 +49,17 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Iterator
 
-from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
+from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO, _trusted
 from .criteria import rank_condition, slopewise_dominates
 from .degeneration import (
     GENERAL_CONDITIONS,
-    IMAGE_CONDITIONS,
     PAIR_CONDITIONS,
+    QUOTIENT_CONDITIONS,
     REDUCED_CONDITIONS,
+    SUBBUNDLE_CONDITIONS,
     ConditionSet,
-    DegenerationTrace,
-    degeneration_trace,
+    DecompositionTriple,
+    degeneration_chain,
 )
 from .degrees import c_value, deg_nonneg, deg_nonneg_oracle, dim_hom, stratum_dim
 
@@ -128,11 +140,12 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
     verification runs draw instances from it.
     """
     slopes = admissible_slopes(spec)
+    widths = [lam.denominator for lam in slopes]
 
     def rec(start: int, budget: int) -> Iterator[tuple[tuple[Fraction, int], ...]]:
         yield ()
         for idx in range(start, len(slopes)):
-            width = slopes[idx].denominator
+            width = widths[idx]
             if width > budget:
                 continue
             for mult in range(1, budget // width + 1):
@@ -144,7 +157,8 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
         yield ZERO
     for combo in rec(0, spec.max_rank):
         if combo:
-            yield HNBundle(combo)
+            # Canonical by construction: reduced slopes, descending, multiplicities >= 1.
+            yield _trusted(combo)
 
 
 # Largest universe enumerate_candidate_images scans.  The default ``hnb images``
@@ -167,15 +181,20 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
                                  CANDIDATE_POOL_LIMIT + 1))
     if len(pool) > CANDIDATE_POOL_LIMIT:
         raise PreconditionError(f"candidate pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
-    yield from _candidates(e, f, pool)
+    yield from _candidates(e, f, _quotient_candidates(e, pool))
 
 
-def _candidates(e: HNBundle, f: HNBundle, pool: Iterable[HNBundle]) -> Iterator[HNBundle]:
-    for q in pool:
-        # Only a prune: (ii) already forces rank(Q) <= rank(E).
-        if q.rank > e.rank:
-            continue
-        for c in IMAGE_CONDITIONS:
+def _quotient_candidates(e: HNBundle, pool: Iterable[HNBundle]) -> list[HNBundle]:
+    """The members of ``pool`` that may be quotients of E, in pool order; F plays no part."""
+    # Only a prune: (ii) already forces rank(Q) <= rank(E).
+    return [q for q in pool
+            if q.rank <= e.rank and all(c.test(e, q) for c in QUOTIENT_CONDITIONS)]
+
+
+def _candidates(e: HNBundle, f: HNBundle, quotients: Iterable[HNBundle]) -> Iterator[HNBundle]:
+    """The quotient candidates of E that may also be subbundles of F."""
+    for q in quotients:
+        for c in SUBBUNDLE_CONDITIONS:
             if not c.test(e, f, q):
                 break
         else:
@@ -278,7 +297,9 @@ def _admissible_triples(
 
     E and F run over the universe in enumeration order, Q over the universe
     with zero, stably sorted by rank.  Each group of conditions is tested in
-    the outermost loop that holds its bundles.
+    the outermost loop that holds its bundles: the (E, Q) group filters the
+    Q list once per E, at E's first admissible F, so an E without one tests
+    no Q.
     """
     bundles = list(enumerate_bundles(spec))
     images = [ZERO] + sorted(bundles, key=lambda b: b.rank)
@@ -287,12 +308,15 @@ def _admissible_triples(
     for e in bundles:
         if not all(c.test(e) for c in conditions.on_e):
             continue
-        # Only a prune: both forms of (v) require rank(Q) < rank(E).
-        below = images[:bisect_left(ranks, e.rank)]
+        quotients = None
         for f in bundles:
             if not all(c.test(e, f) for c in conditions.on_pair):
                 continue
-            for q in below:
+            if quotients is None:
+                # Only a prune: both forms of (v) require rank(Q) < rank(E).
+                quotients = [q for q in images[:bisect_left(ranks, e.rank)]
+                             if all(c.test(e, q) for c in conditions.on_quotient)]
+            for q in quotients:
                 # A for/else, not all(): no generator object per candidate triple.
                 for c in conditions.on_triple:
                     if not c.test(e, f, q):
@@ -317,37 +341,30 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     return _report("key-inequality", count, cex, started)
 
 
-def _trace_problems(
-    e: HNBundle, f: HNBundle, q: HNBundle, trace: DegenerationTrace
-) -> tuple[list[str], list[str]]:
-    """Re-check every claimed chain invariant; returns (violations, findings)."""
+def _chain_problems(
+    e: HNBundle, q: HNBundle
+) -> tuple[tuple[HNBundle, ...] | None, tuple[DecompositionTriple, ...], list[str], list[str]]:
+    """Build the chain of (E, Q) and re-check every invariant that does not read F.
+
+    Returns (chain, steps, violations, findings); the chain is None when it
+    could not be built, and the violations then say why.
+    """
+    try:
+        chain, steps = degeneration_chain(e, q)
+    except (PreconditionError, InternalConsistencyError) as exc:
+        return None, (), [f"trace failed: {exc}"], []
     bad: list[str] = []
     notes: list[str] = []
-    chain, steps, c = trace.chain, trace.steps, trace.c_values
-    r = trace.terminated_at
+    r = len(chain) - 1
 
     if chain[0] != e or chain[-1] != q:
         bad.append("chain endpoints wrong")
-    if r != len(chain) - 1 or len(steps) != r or len(c) != r + 1:
+    if len(steps) != r:
         bad.append("trace lengths inconsistent")
     if r > q.rank + 2:
         bad.append(f"chain length {r} exceeds rank bound {q.rank + 2}")
     if any(member.rank != q.rank for member in chain[1:]):
         bad.append("rank plateau broken")
-    if any(c[i] != c_value(chain[i], f, q) for i in range(len(chain))):
-        bad.append("recorded codimensions disagree with recomputation")
-    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
-        bad.append(f"codimension increased along the chain: {list(c)}")
-    if c[-1] != 0:
-        bad.append(f"endpoint codimension {c[-1]} != 0")
-    if r >= 2 and not c[0] > c[2]:
-        bad.append(f"no strict drop across the first two steps: {list(c)}")
-    if c[0] <= 0:
-        bad.append(f"initial codimension {c[0]} not positive")
-
-    first_drop = f.filter(0, ">=").degree - q.filter(0, ">=").degree
-    if c[0] - c[1] != first_drop:
-        bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
 
     q_dual = q.dual()
     for i in range(1, r + 1):
@@ -366,20 +383,50 @@ def _trace_problems(
         if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
             bad.append(f"{label}: mu_min(M) < mu_max(S)")
 
+    for i in range(r):
+        if not slopewise_dominates(chain[i].dual(), chain[i + 1].dual()):
+            notes.append(f"dual chain not degenerating at step {i}")
+    return chain, steps, bad, notes
+
+
+def _codimension_problems(
+    f: HNBundle, q: HNBundle, chain: tuple[HNBundle, ...],
+    steps: tuple[DecompositionTriple, ...], c: tuple[int, ...],
+) -> list[str]:
+    """Re-check the codimensions ``c`` of the triple (chain[0], F, Q) along its chain."""
+    bad: list[str] = []
+    r = len(chain) - 1
+    if any(c[i] != c_value(chain[i], f, q) for i in range(len(chain))):
+        bad.append("recorded codimensions disagree with recomputation")
+    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
+        bad.append(f"codimension increased along the chain: {list(c)}")
+    if c[-1] != 0:
+        bad.append(f"endpoint codimension {c[-1]} != 0")
+    if r >= 2 and not c[0] > c[2]:
+        bad.append(f"no strict drop across the first two steps: {list(c)}")
+    if c[0] <= 0:
+        bad.append(f"initial codimension {c[0]} not positive")
+
+    first_drop = f.filter(0, ">=").degree - q.filter(0, ">=").degree
+    if c[0] - c[1] != first_drop:
+        bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
+
     for i in range(1, r):
         if c[i] == c[i + 1] and chain[i] != q:
             s_dual = steps[i - 1].e_complement.dual()
             if s_dual.rank != f.filter(s_dual.mu_min, ">").rank:
                 bad.append(f"step {i}: codimension stalled without the rank equality")
-
-    for i in range(r):
-        if not slopewise_dominates(chain[i].dual(), chain[i + 1].dual()):
-            notes.append(f"dual chain not degenerating at step {i}")
-    return bad, notes
+    return bad
 
 
 def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
-    """Trace every reduced triple and re-check all chain invariants."""
+    """Trace every reduced triple and re-check all chain invariants.
+
+    The chain of a triple (E, F, Q) does not read F, so it is built and
+    checked once per (E, Q); only the codimensions are computed and checked
+    per triple.  E is the stream's outermost loop, so the chains of one E
+    are dropped when the next E starts.
+    """
     started = time.perf_counter()
     stream = _admissible_triples(spec, REDUCED_CONDITIONS)
     if spec.sample_limit is not None:
@@ -387,17 +434,24 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     cex: list[str] = []
     findings: list[str] = []
     count = 0
+    chains: dict[tuple[HNBundle, HNBundle], tuple] = {}
+    current = None
     for e, f, q in stream:
         count += 1
-        prefix = f"E={e} F={f} Q={q}"
-        try:
-            trace = degeneration_trace(e, f, q)
-        except (PreconditionError, InternalConsistencyError) as exc:
-            cex.append(f"{prefix}: trace failed: {exc}")
-            continue
-        bad, notes = _trace_problems(e, f, q, trace)
-        cex.extend(f"{prefix}: {item}" for item in bad)
-        findings.extend(f"{prefix}: {item}" for item in notes)
+        if e != current:
+            chains.clear()
+            current = e
+        checked = chains.get((e, q))
+        if checked is None:
+            checked = chains[e, q] = _chain_problems(e, q)
+        chain, steps, bad, notes = checked
+        if chain is not None:
+            c = tuple(c_value(member, f, q) for member in chain)
+            bad = bad + _codimension_problems(f, q, chain, steps, c)
+        if bad or notes:
+            prefix = f"E={e} F={f} Q={q}"
+            cex.extend(f"{prefix}: {item}" for item in bad)
+            findings.extend(f"{prefix}: {item}" for item in notes)
     return _report("degeneration", count, cex, started, findings)
 
 
@@ -407,33 +461,38 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     For every pair with no common slopes where F dominates E: the stratum
     at Q = E has the full Hom dimension, no candidate exceeds it, and
     (the key inequality in its stratum form) no candidate of strictly
-    smaller rank attains it.
+    smaller rank attains it.  The quotient candidates of E (the rank prune
+    and (ii)) do not read F, so they are listed once per E, at its first
+    admissible F; only (iii) is tested per pair.
     """
     started = time.perf_counter()
     pool = list(enumerate_bundles(spec, include_zero=True))
     cex: list[str] = []
     count = 0
     for e in pool:
+        quotients = None
         for f in pool:
             if not all(c.test(e, f) for c in PAIR_CONDITIONS):
                 continue
             count += 1
-            prefix = f"E={e} F={f}"
+            if quotients is None:
+                quotients = _quotient_candidates(e, pool)
             full = dim_hom(e, f)
             best = None
-            for q in _candidates(e, f, pool):
+            for q in _candidates(e, f, quotients):
                 try:
                     dim = stratum_dim(e, f, q)
                 except InternalConsistencyError as exc:
-                    cex.append(f"{prefix} Q={q}: {exc}")
+                    cex.append(f"E={e} F={f} Q={q}: {exc}")
                     continue
                 best = dim if best is None else max(best, dim)
                 if q == e and dim != full:
-                    cex.append(f"{prefix}: stratum at Q=E is {dim}, dim hom is {full}")
+                    cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
                 if q.rank < e.rank and dim >= full:
-                    cex.append(f"{prefix} Q={q}: smaller-rank stratum {dim} reaches dim hom {full}")
+                    cex.append(f"E={e} F={f} Q={q}: smaller-rank stratum {dim} "
+                               f"reaches dim hom {full}")
             if best != full:
-                cex.append(f"{prefix}: top stratum {best} != dim hom {full}")
+                cex.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
     return _report("stratification", count, cex, started)
 
 

@@ -11,6 +11,7 @@ from hnbundles import (
     build_e1,
     c_value,
     decompose_mrs,
+    degeneration_chain,
     degeneration_step,
     degeneration_trace,
     max_slope_reduction,
@@ -125,6 +126,14 @@ def test_trace_with_zero_image():
     trace = degeneration_trace(B("0:1"), B("1"), ZERO)
     assert trace.chain == (B("0:1"), ZERO)
     assert trace.c_values == (1, 0)
+
+
+def test_one_chain_serves_every_f():
+    e, _, q = WORKED
+    chain, steps = degeneration_chain(e, q)
+    for f in (B("1,-1"), B("2,-1"), B("1:2")):
+        trace = degeneration_trace(e, f, q)
+        assert (trace.chain, trace.steps) == (chain, steps)
 
 
 def test_trace_decomposes_each_member_once(monkeypatch):

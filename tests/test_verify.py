@@ -3,22 +3,30 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hnbundles import (
+    HNBundle,
+    InternalConsistencyError,
     PreconditionError,
     UniverseSpec,
     ZERO,
     admissible_slopes,
+    c_value,
+    degeneration_trace,
+    dim_hom,
     enumerate_bundles,
     enumerate_candidate_images,
     is_quotient,
     is_subbundle,
     parse_bundle,
     run_checks,
+    slopewise_dominates,
     stable,
+    stratum_dim,
     verify_degeneration,
     verify_equivalence,
     verify_invariance,
@@ -26,6 +34,7 @@ from hnbundles import (
     verify_oracles,
     verify_stratification_dimension,
 )
+from hnbundles import degeneration
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     REDUCED_CONDITIONS,
@@ -110,6 +119,15 @@ def test_enumerate_respects_bounds_and_is_deterministic():
     assert half in bundles and half.rank == 2
 
 
+def test_enumerated_bundles_pass_the_validating_constructor():
+    spec = UniverseSpec(max_rank=4, slope_min=-1, slope_max=1, max_denominator=3)
+    bundles = list(enumerate_bundles(spec, include_zero=True))
+    assert any(lam.denominator == 3 for v in bundles for lam in v.slopes())
+    rebuilt = [HNBundle(v.summands) for v in bundles]
+    assert rebuilt == bundles
+    assert [v.summands for v in rebuilt] == [v.summands for v in bundles]
+
+
 def test_candidate_images_example():
     e, f = stable(0), B("1,-1")
     candidates = set(enumerate_candidate_images(e, f, TINY))
@@ -139,9 +157,9 @@ def test_candidate_pool_over_the_cap_raises_before_scanning():
 AGREE = UniverseSpec(max_rank=3, slope_min=-1, slope_max=1, max_denominator=2)
 
 
-def _brute_force_triples(violations):
-    bundles = list(enumerate_bundles(AGREE))
-    images = sorted(enumerate_bundles(AGREE, include_zero=True), key=lambda b: b.rank)
+def _brute_force_triples(violations, spec=AGREE):
+    bundles = list(enumerate_bundles(spec))
+    images = sorted(enumerate_bundles(spec, include_zero=True), key=lambda b: b.rank)
     return [
         (e, f, q)
         for e in bundles
@@ -262,3 +280,161 @@ def test_counterexamples_would_be_replayable():
     line = f"E={B('0,-2')} F={B('1,-1')}"
     fields = dict(part.split("=") for part in line.split())
     assert B(fields["E"]) == B("0,-2") and B(fields["F"]) == B("1,-1")
+
+
+# ----------------------------------------------------------------------
+# the checks that share work across triples report what per-triple checks report
+
+def _reference_trace_problems(e, f, q, trace):
+    """Every chain invariant of one trace, re-checked from scratch."""
+    bad, notes = [], []
+    chain, steps, c = trace.chain, trace.steps, trace.c_values
+    r = trace.terminated_at
+    if chain[0] != e or chain[-1] != q:
+        bad.append("chain endpoints wrong")
+    if r != len(chain) - 1 or len(steps) != r or len(c) != r + 1:
+        bad.append("trace lengths inconsistent")
+    if r > q.rank + 2:
+        bad.append(f"chain length {r} exceeds rank bound {q.rank + 2}")
+    if any(member.rank != q.rank for member in chain[1:]):
+        bad.append("rank plateau broken")
+    if any(c[i] != c_value(chain[i], f, q) for i in range(len(chain))):
+        bad.append("recorded codimensions disagree with recomputation")
+    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
+        bad.append(f"codimension increased along the chain: {list(c)}")
+    if c[-1] != 0:
+        bad.append(f"endpoint codimension {c[-1]} != 0")
+    if r >= 2 and not c[0] > c[2]:
+        bad.append(f"no strict drop across the first two steps: {list(c)}")
+    if c[0] <= 0:
+        bad.append(f"initial codimension {c[0]} not positive")
+    first_drop = f.filter(0, ">=").degree - q.filter(0, ">=").degree
+    if c[0] - c[1] != first_drop:
+        bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
+    for i in range(1, r + 1):
+        member = chain[i]
+        m, rr, s = steps[i - 1].common, steps[i - 1].q_complement, steps[i - 1].e_complement
+        label = f"step {i}"
+        if m.direct_sum(rr) != q.dual() or m.direct_sum(s) != member.dual():
+            bad.append(f"{label}: decomposition does not reassemble the duals")
+            continue
+        if not slopewise_dominates(s, rr):
+            bad.append(f"{label}: S={s} does not dominate R={rr}")
+        if s.is_zero != rr.is_zero or s.is_zero != (member == q):
+            bad.append(f"{label}: complement vanishing inconsistent")
+        if not s.is_zero and not s.mu_max > rr.mu_max:
+            bad.append(f"{label}: mu_max(S) <= mu_max(R)")
+        if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
+            bad.append(f"{label}: mu_min(M) < mu_max(S)")
+    for i in range(1, r):
+        if c[i] == c[i + 1] and chain[i] != q:
+            s_dual = steps[i - 1].e_complement.dual()
+            if s_dual.rank != f.filter(s_dual.mu_min, ">").rank:
+                bad.append(f"step {i}: codimension stalled without the rank equality")
+    for i in range(r):
+        if not slopewise_dominates(chain[i].dual(), chain[i + 1].dual()):
+            notes.append(f"dual chain not degenerating at step {i}")
+    return bad, notes
+
+
+def _reference_degeneration(spec):
+    """verify_degeneration's (instances, counterexamples, findings), one trace per triple."""
+    triples = _brute_force_triples(reduced_violations, spec)
+    cex, findings = [], []
+    for e, f, q in triples:
+        prefix = f"E={e} F={f} Q={q}"
+        try:
+            trace = degeneration_trace(e, f, q)
+        except (PreconditionError, InternalConsistencyError) as exc:
+            cex.append(f"{prefix}: trace failed: {exc}")
+            continue
+        bad, notes = _reference_trace_problems(e, f, q, trace)
+        cex += [f"{prefix}: {item}" for item in bad]
+        findings += [f"{prefix}: {item}" for item in notes]
+    return len(triples), tuple(sorted(cex)), tuple(sorted(findings))
+
+
+def _reference_stratification(spec):
+    """verify_stratification_dimension's (instances, counterexamples), one pool scan per pair."""
+    pool = list(enumerate_bundles(spec, include_zero=True))
+    cex = []
+    count = 0
+    for e, f in itertools.product(pool, repeat=2):
+        if set(e.slopes()) & set(f.slopes()) or not is_subbundle(e, f):
+            continue
+        count += 1
+        full = dim_hom(e, f)
+        dims = {q: stratum_dim(e, f, q) for q in pool if is_quotient(q, e) and is_subbundle(q, f)}
+        if dims.get(e) != full:
+            cex.append(f"E={e} F={f}: stratum at Q=E is {dims.get(e)}, dim hom is {full}")
+        cex += [f"E={e} F={f} Q={q}: smaller-rank stratum {dim} reaches dim hom {full}"
+                for q, dim in dims.items() if q.rank < e.rank and dim >= full]
+        if max(dims.values(), default=None) != full:
+            cex.append(f"E={e} F={f}: top stratum {max(dims.values(), default=None)} "
+                       f"!= dim hom {full}")
+    return count, tuple(sorted(cex))
+
+
+def _degeneration_outcome(report):
+    return report.instances_checked, report.counterexamples, report.findings
+
+
+def test_degeneration_check_matches_one_trace_per_triple():
+    outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    assert outcome == _reference_degeneration(SMALL_INT)
+    assert outcome[0] > 0
+
+
+def test_stratification_check_matches_one_pool_scan_per_pair():
+    report = verify_stratification_dimension(SMALL_INT)
+    expected = _reference_stratification(SMALL_INT)
+    assert (report.instances_checked, report.counterexamples) == expected
+    assert expected[0] > 0
+
+
+def test_a_broken_chain_is_reported_for_each_of_its_triples(monkeypatch):
+    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
+
+    def visited_elsewhere(e, q, member):
+        return any(member in chain[1:] for (e2, q2), chain in chains.items()
+                   if q2 == q and e2 != e)
+
+    # An (E, Q) whose first proper step starts from a member no other chain to Q visits.
+    e, q = next((e, q) for (e, q), chain in chains.items()
+                if len(chain) > 2 and not visited_elsewhere(e, q, chain[1]))
+    targets = {f"E={e} F={f} Q={q2}" for e2, f, q2 in triples if (e2, q2) == (e, q)}
+    assert 1 < len(targets) < len(triples)
+
+    stuck = degeneration.decompose_mrs(chains[e, q][1], q)
+    original = degeneration._next_member
+
+    def broken(step):
+        # Makes no progress from the chosen member, so that chain runs into its step bound.
+        return chains[e, q][1] if step == stuck else original(step)
+
+    monkeypatch.setattr(degeneration, "_next_member", broken)
+    outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    assert outcome == _reference_degeneration(SMALL_INT)
+    assert {line.split(": ", 1)[0] for line in outcome[1]} == targets
+    assert all("exceeded" in line for line in outcome[1])
+
+
+def test_degeneration_check_decomposes_each_member_once_per_e_and_q(monkeypatch):
+    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    first_f = {(e, q): f for e, f, q in reversed(triples)}
+    expected = Counter()
+    for (e, q), f in first_f.items():
+        expected.update((member, q) for member in degeneration_trace(e, f, q).chain[1:])
+    assert len(first_f) < len(triples)
+
+    calls = Counter()
+    original = degeneration.decompose_mrs
+
+    def counting(e_i, q):
+        calls[e_i, q] += 1
+        return original(e_i, q)
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", counting)
+    assert verify_degeneration(SMALL_INT).passed
+    assert calls == expected
