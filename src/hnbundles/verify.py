@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Iterator
 
-from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO, _trusted
+from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
 from .criteria import rank_condition, slopewise_dominates
 from .degeneration import (
     GENERAL_CONDITIONS,
@@ -157,8 +157,7 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
         yield ZERO
     for combo in rec(0, spec.max_rank):
         if combo:
-            # Canonical by construction: reduced slopes, descending, multiplicities >= 1.
-            yield _trusted(combo)
+            yield HNBundle(combo)
 
 
 # Largest universe enumerate_candidate_images scans.  The default ``hnb images``
@@ -341,9 +340,11 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     return _report("key-inequality", count, cex, started)
 
 
-def _chain_problems(
-    e: HNBundle, q: HNBundle
-) -> tuple[tuple[HNBundle, ...] | None, tuple[DecompositionTriple, ...], list[str], list[str]]:
+# (chain, steps, violations, findings) of one (E, Q), as _chain_problems returns it.
+ChainCheck = tuple[tuple[HNBundle, ...] | None, tuple[DecompositionTriple, ...], list[str], list[str]]
+
+
+def _chain_problems(e: HNBundle, q: HNBundle) -> ChainCheck:
     """Build the chain of (E, Q) and re-check every invariant that does not read F.
 
     Returns (chain, steps, violations, findings); the chain is None when it
@@ -391,13 +392,12 @@ def _chain_problems(
 
 def _codimension_problems(
     f: HNBundle, q: HNBundle, chain: tuple[HNBundle, ...],
-    steps: tuple[DecompositionTriple, ...], c: tuple[int, ...],
+    steps: tuple[DecompositionTriple, ...],
 ) -> list[str]:
-    """Re-check the codimensions ``c`` of the triple (chain[0], F, Q) along its chain."""
+    """Compute and re-check the codimensions of the triple (chain[0], F, Q) along its chain."""
     bad: list[str] = []
     r = len(chain) - 1
-    if any(c[i] != c_value(chain[i], f, q) for i in range(len(chain))):
-        bad.append("recorded codimensions disagree with recomputation")
+    c = tuple(c_value(member, f, q) for member in chain)
     if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
         bad.append(f"codimension increased along the chain: {list(c)}")
     if c[-1] != 0:
@@ -434,20 +434,20 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-    chains: dict[tuple[HNBundle, HNBundle], tuple] = {}
+    # The checked chains of the current E, by Q.
+    chains: dict[HNBundle, ChainCheck] = {}
     current = None
     for e, f, q in stream:
         count += 1
         if e != current:
             chains.clear()
             current = e
-        checked = chains.get((e, q))
+        checked = chains.get(q)
         if checked is None:
-            checked = chains[e, q] = _chain_problems(e, q)
+            checked = chains[q] = _chain_problems(e, q)
         chain, steps, bad, notes = checked
         if chain is not None:
-            c = tuple(c_value(member, f, q) for member in chain)
-            bad = bad + _codimension_problems(f, q, chain, steps, c)
+            bad = bad + _codimension_problems(f, q, chain, steps)
         if bad or notes:
             prefix = f"E={e} F={f} Q={q}"
             cex.extend(f"{prefix}: {item}" for item in bad)
