@@ -52,6 +52,7 @@ from .degrees import (
     deg_nonneg,
     deg_nonneg_oracle,
     dim_hom,
+    image_term,
     stratum_dim,
     stratum_report,
 )

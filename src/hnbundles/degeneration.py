@@ -38,7 +38,7 @@ from .bundle import (
     format_bundle,
     summand_difference,
 )
-from .criteria import hn_common_prefix, slopewise_dominates
+from .criteria import hn_common_prefix, is_quotient, slopewise_dominates
 from .degrees import c_value
 
 __all__ = [
@@ -116,8 +116,9 @@ class DegenerationTrace:
 # Each condition is stated once, as a (name, requirement, test) entry.  The
 # entries are grouped by the bundles their test reads, so an enumeration can
 # test each group in the outermost loop that already holds those bundles.
-# Within a group the cheap tests come first.  The tests look dominance up as
-# a module global at call time, so a tracer that rebinds it sees every call.
+# Within a group the cheap tests come first.  The tests look dominance (and
+# is_quotient) up as module globals at call time, so a tracer that rebinds
+# them sees every call.
 
 class Condition(NamedTuple):
     name: str
@@ -153,8 +154,7 @@ PAIR_CONDITIONS = (
 
 # Necessary for Q to be the image of a map E -> F: Q is a quotient of E ...
 QUOTIENT_CONDITIONS = (
-    Condition("(ii)", "dual(E) must slopewise dominate dual(Q)",
-              lambda e, q: slopewise_dominates(e.dual(), q.dual())),
+    Condition("(ii)", "dual(E) must slopewise dominate dual(Q)", lambda e, q: is_quotient(q, e)),
 )
 # ... and a subbundle of F.
 SUBBUNDLE_CONDITIONS = (

@@ -23,6 +23,15 @@ Derived quantities:
 * ``c_value(E, F, Q)`` = dim_hom(E, F) - stratum_dim(E, F, Q), the
   codimension of the Q-stratum.  It is total in all three arguments so the
   harness can probe boundary behavior.
+
+Both stratum formulas split into a part that reads F and one that does not:
+``image_term(E, Q)`` = deg_nonneg(Q, Q) - deg_nonneg(E, Q), and then
+stratum_dim = deg_nonneg(Q, F) - image_term and c_value = deg_nonneg(E, F)
++ image_term - deg_nonneg(Q, F).  A caller that evaluates many F against
+one (E, Q) computes the term once and passes it as ``term=``; each call then
+looks up only the F-dependent degrees.  The codimensions along a
+degeneration chain share Q and F, so their caller also passes
+deg_nonneg(Q, F) once as ``qf_degree``.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ __all__ = [
     "deg_nonneg",
     "deg_nonneg_oracle",
     "dim_hom",
+    "image_term",
     "stratum_dim",
     "c_value",
     "StratumReport",
@@ -67,14 +77,22 @@ def dim_hom(e: HNBundle, f: HNBundle) -> int:
     return deg_nonneg(e, f)
 
 
-def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle) -> int:
+def image_term(e: HNBundle, q: HNBundle) -> int:
+    """deg_nonneg(q, q) - deg_nonneg(e, q), the part of both stratum formulas without F."""
+    return deg_nonneg(q, q) - deg_nonneg(e, q)
+
+
+def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None) -> int:
     """Dimension of the stratum of maps e -> f with image q.
 
     Pure arithmetic in all three arguments; the caller decides whether the
     stratum is nonempty (see the criteria module).  A negative value cannot
     arise for an admissible q and is reported as an internal error.
+    ``term``, when given, must be ``image_term(e, q)``.
     """
-    value = deg_nonneg(e, q) + deg_nonneg(q, f) - deg_nonneg(q, q)
+    if term is None:
+        term = image_term(e, q)
+    value = deg_nonneg(q, f) - term
     if value < 0:
         raise InternalConsistencyError(
             f"stratum dimension formula gave {value} < 0 for E={e}, F={f}, Q={q}"
@@ -82,14 +100,18 @@ def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle) -> int:
     return value
 
 
-def c_value(e: HNBundle, f: HNBundle, q: HNBundle) -> int:
-    """Codimension of the q-stratum inside Hom(e, f); total in all arguments."""
-    return (
-        deg_nonneg(e, f)
-        + deg_nonneg(q, q)
-        - deg_nonneg(e, q)
-        - deg_nonneg(q, f)
-    )
+def c_value(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None,
+            qf_degree: int | None = None) -> int:
+    """Codimension of the q-stratum inside Hom(e, f); total in all arguments.
+
+    ``term`` and ``qf_degree``, when given, must be ``image_term(e, q)``
+    and ``deg_nonneg(q, f)``; a caller that already holds them passes them.
+    """
+    if term is None:
+        term = image_term(e, q)
+    if qf_degree is None:
+        qf_degree = deg_nonneg(q, f)
+    return deg_nonneg(e, f) + term - qf_degree
 
 
 @dataclass(frozen=True)

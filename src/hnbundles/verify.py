@@ -32,10 +32,20 @@ with memos local to one call:
 * once per E    - the (E, Q) conditions ((v) and (ii)) filter the Q list of
                   the triple stream, and stratification lists the quotient
                   candidates of E (the rank prune and (ii));
-* once per (E, Q) - degeneration builds the chain and checks its F-free
-                  invariants; only the codimensions are computed per triple.
+* once per (E, Q) - the F-free codimension term image_term(E, Q) =
+                  deg_nonneg(Q, Q) - deg_nonneg(E, Q), in all three checks;
+                  degeneration also builds the chain, checks its F-free
+                  invariants and keeps one term per chain member;
+* once per F    - degeneration's deg(F^{>=0}) for the first-drop rule (and
+                  deg(Q^{>=0}) once per Q);
+* per triple    - only the lookups that read F: deg_nonneg(E, F) and
+                  deg_nonneg(Q, F) (stratification: dim_hom once per pair
+                  and deg_nonneg(Q, F) per candidate; degeneration:
+                  deg_nonneg(Q, F) once and deg_nonneg(E_i, F) per member).
 
-Each is built at E's first admissible F, so an E without one costs nothing.
+Each is built at its first use, so an E without an admissible F costs
+nothing and no deg_nonneg pair is computed that a per-triple check would
+not compute.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
 from .criteria import rank_condition, slopewise_dominates
@@ -61,7 +71,7 @@ from .degeneration import (
     DecompositionTriple,
     degeneration_chain,
 )
-from .degrees import c_value, deg_nonneg, deg_nonneg_oracle, dim_hom, stratum_dim
+from .degrees import c_value, deg_nonneg, deg_nonneg_oracle, dim_hom, image_term, stratum_dim
 
 __all__ = [
     "UniverseSpec",
@@ -325,35 +335,55 @@ def _admissible_triples(
 
 
 def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
-    """c_value > 0 on every triple satisfying the five general conditions."""
+    """c_value > 0 on every triple satisfying the five general conditions.
+
+    The F-free part of c_value, image_term(E, Q), is computed once per
+    (E, Q); E is the stream's outermost loop, so the terms of one E are
+    dropped when the next E starts.
+    """
     started = time.perf_counter()
     stream = _admissible_triples(spec, GENERAL_CONDITIONS)
     if spec.sample_limit is not None:
         stream = itertools.islice(stream, spec.sample_limit)
     cex: list[str] = []
     count = 0
+    # image_term(E, Q) of the current E, by Q.
+    terms: dict[HNBundle, int] = {}
+    current = None
     for e, f, q in stream:
         count += 1
-        c = c_value(e, f, q)
+        if e is not current:
+            terms.clear()
+            current = e
+        term = terms.get(q)
+        if term is None:
+            term = terms[q] = image_term(e, q)
+        c = c_value(e, f, q, term=term)
         if c <= 0:
             cex.append(f"E={e} F={f} Q={q}: c={c}")
     return _report("key-inequality", count, cex, started)
 
 
-# (chain, steps, violations, findings) of one (E, Q), as _chain_problems returns it.
-ChainCheck = tuple[tuple[HNBundle, ...] | None, tuple[DecompositionTriple, ...], list[str], list[str]]
+class ChainCheck(NamedTuple):
+    """The chain of one (E, Q) and everything about it that does not read F.
+
+    ``terms[i]`` is image_term(chain[i], Q).  ``chain`` is None when the
+    chain could not be built, and ``violations`` then says why.
+    """
+
+    chain: tuple[HNBundle, ...] | None
+    steps: tuple[DecompositionTriple, ...]
+    terms: tuple[int, ...]
+    violations: list[str]
+    findings: list[str]
 
 
 def _chain_problems(e: HNBundle, q: HNBundle) -> ChainCheck:
-    """Build the chain of (E, Q) and re-check every invariant that does not read F.
-
-    Returns (chain, steps, violations, findings); the chain is None when it
-    could not be built, and the violations then say why.
-    """
+    """Build the chain of (E, Q) and its codimension terms, and re-check every F-free invariant."""
     try:
         chain, steps = degeneration_chain(e, q)
     except (PreconditionError, InternalConsistencyError) as exc:
-        return None, (), [f"trace failed: {exc}"], []
+        return ChainCheck(None, (), (), [f"trace failed: {exc}"], [])
     bad: list[str] = []
     notes: list[str] = []
     r = len(chain) - 1
@@ -387,17 +417,28 @@ def _chain_problems(e: HNBundle, q: HNBundle) -> ChainCheck:
     for i in range(r):
         if not slopewise_dominates(chain[i].dual(), chain[i + 1].dual()):
             notes.append(f"dual chain not degenerating at step {i}")
-    return chain, steps, bad, notes
+    terms = tuple(image_term(member, q) for member in chain)
+    return ChainCheck(chain, steps, terms, bad, notes)
+
+
+class _NonnegDegrees(dict):
+    """deg(V^{>=0}) by bundle V, computed on first lookup."""
+
+    def __missing__(self, v: HNBundle) -> int:
+        value = self[v] = v.filter(0, ">=").degree
+        return value
 
 
 def _codimension_problems(
-    f: HNBundle, q: HNBundle, chain: tuple[HNBundle, ...],
-    steps: tuple[DecompositionTriple, ...],
+    f: HNBundle, q: HNBundle, checked: ChainCheck, nonneg_degrees: _NonnegDegrees,
 ) -> list[str]:
     """Compute and re-check the codimensions of the triple (chain[0], F, Q) along its chain."""
     bad: list[str] = []
+    chain, steps = checked.chain, checked.steps
     r = len(chain) - 1
-    c = tuple(c_value(member, f, q) for member in chain)
+    qf_degree = deg_nonneg(q, f)
+    c = tuple(c_value(member, f, q, term=term, qf_degree=qf_degree)
+              for member, term in zip(chain, checked.terms))
     if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
         bad.append(f"codimension increased along the chain: {list(c)}")
     if c[-1] != 0:
@@ -407,7 +448,7 @@ def _codimension_problems(
     if c[0] <= 0:
         bad.append(f"initial codimension {c[0]} not positive")
 
-    first_drop = f.filter(0, ">=").degree - q.filter(0, ">=").degree
+    first_drop = nonneg_degrees[f] - nonneg_degrees[q]
     if c[0] - c[1] != first_drop:
         bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
 
@@ -423,9 +464,11 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     """Trace every reduced triple and re-check all chain invariants.
 
     The chain of a triple (E, F, Q) does not read F, so it is built and
-    checked once per (E, Q); only the codimensions are computed and checked
-    per triple.  E is the stream's outermost loop, so the chains of one E
-    are dropped when the next E starts.
+    checked, and the F-free term of each member's codimension computed,
+    once per (E, Q); per triple only the F-dependent degrees are looked up
+    and the codimensions checked.  E is the stream's outermost loop, so the
+    chains of one E are dropped when the next E starts.  deg(V^{>=0}) of
+    the first-drop rule is computed once per bundle.
     """
     started = time.perf_counter()
     stream = _admissible_triples(spec, REDUCED_CONDITIONS)
@@ -436,18 +479,19 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     count = 0
     # The checked chains of the current E, by Q.
     chains: dict[HNBundle, ChainCheck] = {}
+    nonneg_degrees = _NonnegDegrees()
     current = None
     for e, f, q in stream:
         count += 1
-        if e != current:
+        if e is not current:
             chains.clear()
             current = e
         checked = chains.get(q)
         if checked is None:
             checked = chains[q] = _chain_problems(e, q)
-        chain, steps, bad, notes = checked
-        if chain is not None:
-            bad = bad + _codimension_problems(f, q, chain, steps)
+        bad, notes = checked.violations, checked.findings
+        if checked.chain is not None:
+            bad = bad + _codimension_problems(f, q, checked, nonneg_degrees)
         if bad or notes:
             prefix = f"E={e} F={f} Q={q}"
             cex.extend(f"{prefix}: {item}" for item in bad)
@@ -463,7 +507,9 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     (the key inequality in its stratum form) no candidate of strictly
     smaller rank attains it.  The quotient candidates of E (the rank prune
     and (ii)) do not read F, so they are listed once per E, at its first
-    admissible F; only (iii) is tested per pair.
+    admissible F; only (iii) is tested per pair.  The F-free term of each
+    candidate's stratum dimension is computed once per (E, Q), when (iii)
+    first admits Q.
     """
     started = time.perf_counter()
     pool = list(enumerate_bundles(spec, include_zero=True))
@@ -471,6 +517,8 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     count = 0
     for e in pool:
         quotients = None
+        # image_term(E, Q) by candidate Q, filled as (iii) first admits Q.
+        terms: dict[HNBundle, int] = {}
         for f in pool:
             if not all(c.test(e, f) for c in PAIR_CONDITIONS):
                 continue
@@ -480,8 +528,11 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
             full = dim_hom(e, f)
             best = None
             for q in _candidates(e, f, quotients):
+                term = terms.get(q)
+                if term is None:
+                    term = terms[q] = image_term(e, q)
                 try:
-                    dim = stratum_dim(e, f, q)
+                    dim = stratum_dim(e, f, q, term=term)
                 except InternalConsistencyError as exc:
                     cex.append(f"E={e} F={f} Q={q}: {exc}")
                     continue

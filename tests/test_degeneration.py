@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from hnbundles import degeneration
@@ -19,7 +21,8 @@ from hnbundles import (
     parse_bundle,
     slopewise_dominates,
 )
-from hnbundles.degeneration import general_violations, reduced_violations
+from hnbundles.degeneration import GENERAL_CONDITIONS, general_violations, reduced_violations
+from hnbundles.verify import UniverseSpec, _admissible_triples
 
 B = parse_bundle
 
@@ -233,9 +236,10 @@ def test_normalize_deep_gap_and_fractions():
     assert result.transcript[-1].c_after == c_value(result.e, result.f, result.q)
 
 
-def test_normalize_transcript_relations():
-    e, f, q = B("-1/2,-3/2"), B("1:2,1/2:2"), B("-1")
+def _assert_transcript_laws(e, f, q):
+    """Normalize (E, F, Q), trace the result, and check the transcript against both ends."""
     result = normalize_triple(e, f, q)
+    assert result.initial_c == c_value(e, f, q)
     previous = result.initial_c
     for step in result.transcript:
         if step.op == "stretch":
@@ -246,8 +250,24 @@ def test_normalize_transcript_relations():
             assert step.op == "peel"
             assert step.c_after <= previous
         previous = step.c_after
-    assert previous > 0
+    trace = degeneration_trace(result.e, result.f, result.q)
+    assert previous == trace.c_values[0] > 0
     assert result.initial_c > 0
+    return result
+
+
+def test_normalize_transcript_relations():
+    _assert_transcript_laws(B("-1/2,-3/2"), B("1:2,1/2:2"), B("-1"))
+
+
+def test_normalize_then_trace_on_every_general_triple():
+    spec = UniverseSpec(max_rank=3, slope_min=-1, slope_max=1, max_denominator=2)
+    triples = list(_admissible_triples(spec, GENERAL_CONDITIONS))
+    assert len(triples) == 377
+    ops = Counter()
+    for e, f, q in triples:
+        ops.update(step.op for step in _assert_transcript_laws(e, f, q).transcript)
+    assert ops["stretch"] and ops["twist"] and ops["peel"]
 
 
 def test_normalize_named_general_violations():

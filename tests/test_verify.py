@@ -34,7 +34,7 @@ from hnbundles import (
     verify_oracles,
     verify_stratification_dimension,
 )
-from hnbundles import degeneration
+from hnbundles import degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     REDUCED_CONDITIONS,
@@ -354,17 +354,28 @@ def _reference_degeneration(spec):
     return len(triples), tuple(sorted(cex)), tuple(sorted(findings))
 
 
+def _candidate_images(pool, e, f):
+    return [q for q in pool if is_quotient(q, e) and is_subbundle(q, f)]
+
+
+def _stratification_pairs(pool):
+    return [(e, f) for e, f in itertools.product(pool, repeat=2)
+            if not set(e.slopes()) & set(f.slopes()) and is_subbundle(e, f)]
+
+
 def _reference_stratification(spec):
     """verify_stratification_dimension's (instances, counterexamples), one pool scan per pair."""
     pool = list(enumerate_bundles(spec, include_zero=True))
+    pairs = _stratification_pairs(pool)
     cex = []
-    count = 0
-    for e, f in itertools.product(pool, repeat=2):
-        if set(e.slopes()) & set(f.slopes()) or not is_subbundle(e, f):
-            continue
-        count += 1
+    for e, f in pairs:
         full = dim_hom(e, f)
-        dims = {q: stratum_dim(e, f, q) for q in pool if is_quotient(q, e) and is_subbundle(q, f)}
+        dims = {}
+        for q in _candidate_images(pool, e, f):
+            try:
+                dims[q] = stratum_dim(e, f, q)
+            except InternalConsistencyError as exc:
+                cex.append(f"E={e} F={f} Q={q}: {exc}")
         if dims.get(e) != full:
             cex.append(f"E={e} F={f}: stratum at Q=E is {dims.get(e)}, dim hom is {full}")
         cex += [f"E={e} F={f} Q={q}: smaller-rank stratum {dim} reaches dim hom {full}"
@@ -372,11 +383,25 @@ def _reference_stratification(spec):
         if max(dims.values(), default=None) != full:
             cex.append(f"E={e} F={f}: top stratum {max(dims.values(), default=None)} "
                        f"!= dim hom {full}")
-    return count, tuple(sorted(cex))
+    return len(pairs), tuple(sorted(cex))
+
+
+def _reference_key_inequality(spec):
+    """verify_key_inequality's (instances, counterexamples), one c_value per triple."""
+    triples = _brute_force_triples(general_violations, spec)
+    cex = [f"E={e} F={f} Q={q}: c={c}" for e, f, q in triples if (c := c_value(e, f, q)) <= 0]
+    return len(triples), tuple(sorted(cex))
 
 
 def _degeneration_outcome(report):
     return report.instances_checked, report.counterexamples, report.findings
+
+
+def test_key_inequality_check_matches_one_c_value_per_triple():
+    report = verify_key_inequality(SMALL_INT)
+    expected = _reference_key_inequality(SMALL_INT)
+    assert (report.instances_checked, report.counterexamples) == expected
+    assert expected[0] > 0
 
 
 def test_degeneration_check_matches_one_trace_per_triple():
@@ -438,3 +463,132 @@ def test_degeneration_check_decomposes_each_member_once_per_e_and_q(monkeypatch)
     monkeypatch.setattr(degeneration, "decompose_mrs", counting)
     assert verify_degeneration(SMALL_INT).passed
     assert calls == expected
+
+
+# ----------------------------------------------------------------------
+# which deg_nonneg values each triple check reads
+
+def _patch_deg_nonneg(monkeypatch, fn):
+    # c_value, stratum_dim, image_term and dim_hom read it from degrees; verify reads deg(Q, F).
+    monkeypatch.setattr(degrees, "deg_nonneg", fn)
+    monkeypatch.setattr(verify, "deg_nonneg", fn)
+
+
+def _counting_deg_nonneg(monkeypatch):
+    calls = Counter()
+    original = degrees.deg_nonneg
+
+    def counting(v, w):
+        calls[v, w] += 1
+        return original(v, w)
+
+    _patch_deg_nonneg(monkeypatch, counting)
+    return calls
+
+
+def test_key_inequality_reads_two_degrees_per_triple(monkeypatch):
+    triples = list(_admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
+    quotients = {(e, q) for e, _, q in triples}
+    expected = Counter()
+    for e, f, q in triples:
+        expected.update([(e, f), (q, f)])
+    for e, q in quotients:
+        expected.update([(q, q), (e, q)])
+    assert len(quotients) < len(triples)
+
+    calls = _counting_deg_nonneg(monkeypatch)
+    assert verify_key_inequality(SMALL_INT).passed
+    assert calls == expected
+
+
+def test_degeneration_reads_two_degrees_per_codimension(monkeypatch):
+    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
+    expected = Counter()
+    for e, f, q in triples:
+        expected.update([(q, f)] + [(member, f) for member in chains[e, q]])
+    for (e, q), chain in chains.items():
+        for member in chain:
+            expected.update([(q, q), (member, q)])
+    assert len(chains) < len(triples)
+
+    calls = _counting_deg_nonneg(monkeypatch)
+    assert verify_degeneration(SMALL_INT).passed
+    assert calls == expected
+
+
+def test_stratification_reads_two_degrees_per_candidate(monkeypatch):
+    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
+    expected = Counter()
+    quotients = set()
+    for e, f in _stratification_pairs(pool):
+        candidates = _candidate_images(pool, e, f)
+        expected.update([(e, f)] + [(q, f) for q in candidates])
+        quotients.update((e, q) for q in candidates)
+    for e, q in quotients:
+        expected.update([(q, q), (e, q)])
+
+    calls = _counting_deg_nonneg(monkeypatch)
+    assert verify_stratification_dimension(SMALL_INT).passed
+    assert calls == expected
+
+
+def _key_inequality_reads():
+    return {f"E={e} F={f} Q={q}": {(e, f), (q, q), (e, q), (q, f)}
+            for e, f, q in _admissible_triples(SMALL_INT, GENERAL_CONDITIONS)}
+
+
+def _degeneration_reads():
+    reads = {}
+    for e, f, q in _admissible_triples(SMALL_INT, REDUCED_CONDITIONS):
+        chain = degeneration_trace(e, f, q).chain
+        reads[f"E={e} F={f} Q={q}"] = ({(q, f), (q, q)} | {(m, f) for m in chain}
+                                       | {(m, q) for m in chain})
+    return reads
+
+
+def _stratification_reads():
+    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
+    reads = {}
+    for e, f in _stratification_pairs(pool):
+        candidates = _candidate_images(pool, e, f)
+        reads[f"E={e} F={f}"] = ({(e, f)} | {(q, f) for q in candidates}
+                                 | {(q, q) for q in candidates} | {(e, q) for q in candidates})
+    return reads
+
+
+FAULTS = {
+    # check -> (the deg_nonneg pairs each instance reads, the per-instance reference, and the
+    # sign of a fault that every such read turns into a counterexample)
+    "key-inequality": (_key_inequality_reads, _reference_key_inequality, 1),
+    "degeneration": (_degeneration_reads, _reference_degeneration, 1),
+    "stratification": (_stratification_reads, _reference_stratification, -1),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch, name):
+    reads_of, reference, sign = FAULTS[name]
+    # A (Q, F) of a reduced triple that share a slope, with rank(F) > rank(Q).  Sharing a slope
+    # keeps it from being an admissible pair (E, F), and the ranks keep it from being read as
+    # deg(E, Q) or deg(Q, Q): each remaining read moves a codimension the way the sign says.
+    q0, f0 = next((q, f) for _, f, q in _admissible_triples(SMALL_INT, REDUCED_CONDITIONS)
+                  if not q.is_zero and f.rank > q.rank
+                  and not q.slope_pairs.isdisjoint(f.slope_pairs))
+    reads = reads_of()
+    readers = {instance for instance, pairs in reads.items() if (q0, f0) in pairs}
+    assert 0 < len(readers) < len(reads)
+
+    original = degrees.deg_nonneg
+
+    def faulty(v, w):
+        return original(v, w) + (sign * 10**6 if (v, w) == (q0, f0) else 0)
+
+    _patch_deg_nonneg(monkeypatch, faulty)
+    report = run_checks([name], SMALL_INT)[0]
+    width = 2 if name == "stratification" else 3
+    reported = {" ".join(line.split(": ", 1)[0].split()[:width]) for line in report.counterexamples}
+    assert reported == readers
+    assert (report.instances_checked, report.counterexamples) == reference(SMALL_INT)[:2]
+    if name == "stratification":
+        assert any("stratum dimension formula gave" in line for line in report.counterexamples)
