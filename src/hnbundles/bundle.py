@@ -349,12 +349,17 @@ class HNBundle:
 
 
 def _settle(bundle: HNBundle, summands: tuple[tuple[Fraction, int], ...]) -> None:
-    """Store canonical summands with their integer key and its hash."""
+    """Store canonical summands with their integer key and its hash.
+
+    The hash reads the numerators zigzag-encoded (p >= 0 as 2p, p < 0 as
+    -2p - 1): CPython hashes -1 like -2, so hashing the raw key would make
+    every pair of bundles that differ only there collide.
+    """
     key = tuple([(lam.numerator, lam.denominator, m) for lam, m in summands])
     state = bundle.__dict__
     state["summands"] = summands
     state["_key"] = key
-    state["_hash"] = hash(key)
+    state["_hash"] = hash(tuple([(2 * p if p >= 0 else -2 * p - 1, q, m) for p, q, m in key]))
     state["_dual"] = None
 
 

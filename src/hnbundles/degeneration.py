@@ -127,11 +127,12 @@ class Condition(NamedTuple):
 
 
 class ConditionSet(NamedTuple):
-    """Conditions on E alone, on the pair (E, F), on (E, Q), and on the triple (E, F, Q)."""
+    """Conditions on E alone, on the pair (E, F), on (E, Q), on (F, Q), and on (E, F, Q)."""
 
     on_e: tuple[Condition, ...]
     on_pair: tuple[Condition, ...]
     on_quotient: tuple[Condition, ...]
+    on_image: tuple[Condition, ...]
     on_triple: tuple[Condition, ...]
 
     def violations(self, e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
@@ -139,6 +140,7 @@ class ConditionSet(NamedTuple):
         failed = [c for c in self.on_e if not c.test(e)]
         failed += [c for c in self.on_pair if not c.test(e, f)]
         failed += [c for c in self.on_quotient if not c.test(e, q)]
+        failed += [c for c in self.on_image if not c.test(f, q)]
         failed += [c for c in self.on_triple if not c.test(e, f, q)]
         return tuple(sorted((c.name, c.requirement) for c in failed))
 
@@ -158,22 +160,21 @@ QUOTIENT_CONDITIONS = (
 )
 # ... and a subbundle of F.
 SUBBUNDLE_CONDITIONS = (
-    Condition("(iii)", "F must slopewise dominate Q", lambda e, f, q: slopewise_dominates(f, q)),
+    Condition("(iii)", "F must slopewise dominate Q", lambda f, q: slopewise_dominates(f, q)),
 )
 
 GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
     Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank),
     *QUOTIENT_CONDITIONS,
-), SUBBUNDLE_CONDITIONS)
+), SUBBUNDLE_CONDITIONS, ())
 
 REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO,), PAIR_CONDITIONS, (
     Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1),
     *QUOTIENT_CONDITIONS,
-), (
+), SUBBUNDLE_CONDITIONS, (
     Condition("(vi)", "all slopes of E, F and Q must be integers",
               lambda e, f, q: (e.has_integer_slopes() and f.has_integer_slopes()
                                and q.has_integer_slopes())),
-    *SUBBUNDLE_CONDITIONS,
 ))
 
 

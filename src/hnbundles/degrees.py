@@ -27,11 +27,14 @@ Derived quantities:
 Both stratum formulas split into a part that reads F and one that does not:
 ``image_term(E, Q)`` = deg_nonneg(Q, Q) - deg_nonneg(E, Q), and then
 stratum_dim = deg_nonneg(Q, F) - image_term and c_value = deg_nonneg(E, F)
-+ image_term - deg_nonneg(Q, F).  A caller that evaluates many F against
-one (E, Q) computes the term once and passes it as ``term=``; each call then
-looks up only the F-dependent degrees.  The codimensions along a
-degeneration chain share Q and F, so their caller also passes
-deg_nonneg(Q, F) once as ``qf_degree``.
++ image_term - deg_nonneg(Q, F).  Every degree a formula reads can be
+passed in as a keyword instead of looked up: ``qq_degree`` (deg_nonneg(Q,
+Q)) to image_term, ``term`` and ``qf_degree`` (deg_nonneg(Q, F)) to both
+stratum formulas, and ``ef_degree`` (deg_nonneg(E, F)) to c_value.  A
+caller that evaluates many triples keeps each value where it is shared -
+deg_nonneg(Q, Q) per Q, the term per (E, Q), deg_nonneg(Q, F) per (F, Q),
+deg_nonneg(E, F) per (E, F) - and looks each up once; the formulas stay
+stated here only.
 """
 
 from __future__ import annotations
@@ -77,22 +80,31 @@ def dim_hom(e: HNBundle, f: HNBundle) -> int:
     return deg_nonneg(e, f)
 
 
-def image_term(e: HNBundle, q: HNBundle) -> int:
-    """deg_nonneg(q, q) - deg_nonneg(e, q), the part of both stratum formulas without F."""
-    return deg_nonneg(q, q) - deg_nonneg(e, q)
+def image_term(e: HNBundle, q: HNBundle, *, qq_degree: int | None = None) -> int:
+    """deg_nonneg(q, q) - deg_nonneg(e, q), the part of both stratum formulas without F.
+
+    ``qq_degree``, when given, must be ``deg_nonneg(q, q)``.
+    """
+    if qq_degree is None:
+        qq_degree = deg_nonneg(q, q)
+    return qq_degree - deg_nonneg(e, q)
 
 
-def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None) -> int:
+def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None,
+                qf_degree: int | None = None) -> int:
     """Dimension of the stratum of maps e -> f with image q.
 
     Pure arithmetic in all three arguments; the caller decides whether the
     stratum is nonempty (see the criteria module).  A negative value cannot
     arise for an admissible q and is reported as an internal error.
-    ``term``, when given, must be ``image_term(e, q)``.
+    ``term`` and ``qf_degree``, when given, must be ``image_term(e, q)``
+    and ``deg_nonneg(q, f)``.
     """
     if term is None:
         term = image_term(e, q)
-    value = deg_nonneg(q, f) - term
+    if qf_degree is None:
+        qf_degree = deg_nonneg(q, f)
+    value = qf_degree - term
     if value < 0:
         raise InternalConsistencyError(
             f"stratum dimension formula gave {value} < 0 for E={e}, F={f}, Q={q}"
@@ -101,17 +113,20 @@ def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = Non
 
 
 def c_value(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None,
-            qf_degree: int | None = None) -> int:
+            qf_degree: int | None = None, ef_degree: int | None = None) -> int:
     """Codimension of the q-stratum inside Hom(e, f); total in all arguments.
 
-    ``term`` and ``qf_degree``, when given, must be ``image_term(e, q)``
-    and ``deg_nonneg(q, f)``; a caller that already holds them passes them.
+    ``term``, ``qf_degree`` and ``ef_degree``, when given, must be
+    ``image_term(e, q)``, ``deg_nonneg(q, f)`` and ``deg_nonneg(e, f)``; a
+    caller that already holds them passes them.
     """
     if term is None:
         term = image_term(e, q)
     if qf_degree is None:
         qf_degree = deg_nonneg(q, f)
-    return deg_nonneg(e, f) + term - qf_degree
+    if ef_degree is None:
+        ef_degree = deg_nonneg(e, f)
+    return ef_degree + term - qf_degree
 
 
 @dataclass(frozen=True)

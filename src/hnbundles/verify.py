@@ -26,26 +26,30 @@ Candidate images are an over-approximation by design: only the necessary
 conditions (quotient of E, subbundle of F) are checked, which cannot create
 false failures because extra candidates can only carry smaller strata.
 
-The triple checks do the work that does not read F outside their F loops,
-with memos local to one call:
+The triple checks do each piece of work in the outermost loop that holds
+the bundles it reads, and keep what they look up by pool position, in
+lists local to one call:
 
-* once per E    - the (E, Q) conditions ((v) and (ii)) filter the Q list of
-                  the triple stream, and stratification lists the quotient
-                  candidates of E (the rank prune and (ii));
+* once per E      - the (E, Q) conditions ((v) and (ii)) filter the Q
+                    positions of the triple stream, and stratification
+                    lists the quotient candidates of E (the rank prune and
+                    (ii));
+* once per (E, F) - deg_nonneg(E, F) (stratification: dim_hom);
 * once per (E, Q) - the F-free codimension term image_term(E, Q) =
-                  deg_nonneg(Q, Q) - deg_nonneg(E, Q), in all three checks;
-                  degeneration also builds the chain, checks its F-free
-                  invariants and keeps one term per chain member;
-* once per F    - degeneration's deg(F^{>=0}) for the first-drop rule (and
-                  deg(Q^{>=0}) once per Q);
-* per triple    - only the lookups that read F: deg_nonneg(E, F) and
-                  deg_nonneg(Q, F) (stratification: dim_hom once per pair
-                  and deg_nonneg(Q, F) per candidate; degeneration:
-                  deg_nonneg(Q, F) once and deg_nonneg(E_i, F) per member).
+                    deg_nonneg(Q, Q) - deg_nonneg(E, Q), in all three
+                    checks; degeneration also builds the chain, checks its
+                    F-free invariants and keeps one term per chain member;
+* once per (F, Q) - the (F, Q) condition (iii), in a row per F by Q
+                    position, and deg_nonneg(Q, F), in another;
+* once per Q or F - deg_nonneg(Q, Q), and degeneration's deg(F^{>=0}) and
+                    deg(Q^{>=0}) for the first-drop rule;
+* per triple      - list lookups, the codimension arithmetic and, in
+                    degeneration, deg_nonneg(E_i, F) per later chain member.
 
-Each is built at its first use, so an E without an admissible F costs
-nothing and no deg_nonneg pair is computed that a per-triple check would
-not compute.
+So a cache key is hashed once per distinct pair a call reads, not once per
+triple.  Each value is computed at its first use, so an E without an
+admissible F costs nothing and no deg_nonneg pair is computed that a
+per-triple check would not compute.
 """
 
 from __future__ import annotations
@@ -190,24 +194,17 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
                                  CANDIDATE_POOL_LIMIT + 1))
     if len(pool) > CANDIDATE_POOL_LIMIT:
         raise PreconditionError(f"candidate pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
-    yield from _candidates(e, f, _quotient_candidates(e, pool))
-
-
-def _quotient_candidates(e: HNBundle, pool: Iterable[HNBundle]) -> list[HNBundle]:
-    """The members of ``pool`` that may be quotients of E, in pool order; F plays no part."""
-    # Only a prune: (ii) already forces rank(Q) <= rank(E).
-    return [q for q in pool
-            if q.rank <= e.rank and all(c.test(e, q) for c in QUOTIENT_CONDITIONS)]
-
-
-def _candidates(e: HNBundle, f: HNBundle, quotients: Iterable[HNBundle]) -> Iterator[HNBundle]:
-    """The quotient candidates of E that may also be subbundles of F."""
-    for q in quotients:
-        for c in SUBBUNDLE_CONDITIONS:
-            if not c.test(e, f, q):
-                break
-        else:
+    for i in _quotient_candidates(e, pool):
+        q = pool[i]
+        if all(c.test(f, q) for c in SUBBUNDLE_CONDITIONS):
             yield q
+
+
+def _quotient_candidates(e: HNBundle, pool: list[HNBundle]) -> list[int]:
+    """Positions of the members of ``pool`` that may be quotients of E; F plays no part."""
+    # Only a prune: (ii) already forces rank(Q) <= rank(E).
+    return [i for i, q in enumerate(pool)
+            if q.rank <= e.rank and all(c.test(e, q) for c in QUOTIENT_CONDITIONS)]
 
 
 @dataclass(frozen=True)
@@ -299,68 +296,128 @@ def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     return _report("oracles", count, cex, started)
 
 
-def _admissible_triples(
-    spec: UniverseSpec, conditions: ConditionSet
-) -> Iterator[tuple[HNBundle, HNBundle, HNBundle]]:
-    """Triples of the universe meeting every condition of ``conditions``, in a fixed order.
+def _triple_pools(spec: UniverseSpec) -> tuple[list[HNBundle], list[HNBundle]]:
+    """The (E and F, Q) pools of the triple checks.
 
     E and F run over the universe in enumeration order, Q over the universe
-    with zero, stably sorted by rank.  Each group of conditions is tested in
-    the outermost loop that holds its bundles: the (E, Q) group filters the
-    Q list once per E, at E's first admissible F, so an E without one tests
-    no Q.
+    with zero, stably sorted by rank.
     """
     bundles = list(enumerate_bundles(spec))
-    images = [ZERO] + sorted(bundles, key=lambda b: b.rank)
-    ranks = [q.rank for q in images]
+    return bundles, [ZERO] + sorted(bundles, key=lambda b: b.rank)
 
+
+def _triple_groups(
+    bundles: list[HNBundle], images: list[HNBundle], conditions: ConditionSet,
+    limit: int | None = None,
+) -> Iterator[tuple[HNBundle, int, list[int]]]:
+    """Triples meeting every condition of ``conditions``, as (E, F position, Q positions) groups.
+
+    E and F run over ``bundles`` and Q over ``images``, each in list order,
+    so the flattened groups are the triples in a fixed order.  Each group
+    of conditions is tested in the outermost loop that holds its bundles:
+    the (E, Q) group filters the Q positions once per E, at E's first
+    admissible F, so an E without one tests no Q; the (F, Q) group's
+    verdicts are kept in one row per F, by Q position, each filled at its
+    first read, so a call tests each (F, Q) once.  Only nonempty groups are
+    yielded, holding at most ``limit`` triples in all.
+    """
+    ranks = [q.rank for q in images]
+    verdicts: list[list[bool | None]] = [[None] * len(images) for _ in bundles]
+    remaining = limit
     for e in bundles:
         if not all(c.test(e) for c in conditions.on_e):
             continue
         quotients = None
-        for f in bundles:
+        for fi, f in enumerate(bundles):
             if not all(c.test(e, f) for c in conditions.on_pair):
                 continue
             if quotients is None:
                 # Only a prune: both forms of (v) require rank(Q) < rank(E).
-                quotients = [q for q in images[:bisect_left(ranks, e.rank)]
-                             if all(c.test(e, q) for c in conditions.on_quotient)]
-            for q in quotients:
+                quotients = [qi for qi in range(bisect_left(ranks, e.rank))
+                             if all(c.test(e, images[qi]) for c in conditions.on_quotient)]
+            row = verdicts[fi]
+            group = []
+            for qi in quotients:
+                q = images[qi]
                 # A for/else, not all(): no generator object per candidate triple.
                 for c in conditions.on_triple:
                     if not c.test(e, f, q):
                         break
                 else:
-                    yield e, f, q
+                    admitted = row[qi]
+                    if admitted is None:
+                        admitted = row[qi] = all(c.test(f, q) for c in conditions.on_image)
+                    if admitted:
+                        group.append(qi)
+            if not group:
+                continue
+            if remaining is not None:
+                group = group[:remaining]
+                remaining -= len(group)
+            yield e, fi, group
+            if remaining == 0:
+                return
+
+
+def _admissible_triples(
+    spec: UniverseSpec, conditions: ConditionSet
+) -> Iterator[tuple[HNBundle, HNBundle, HNBundle]]:
+    """The triples of the universe meeting every condition of ``conditions``, one by one.
+
+    The same stream as :func:`_triple_groups` (which the checks read),
+    with the positions resolved to bundles.
+    """
+    bundles, images = _triple_pools(spec)
+    for e, fi, group in _triple_groups(bundles, images, conditions):
+        f = bundles[fi]
+        for qi in group:
+            yield e, f, images[qi]
+
+
+def _image_term(e: HNBundle, q: HNBundle, qi: int, qq_degrees: list[int | None]) -> int:
+    """image_term(E, Q), with deg_nonneg(Q, Q) kept in ``qq_degrees`` by Q position."""
+    qq_degree = qq_degrees[qi]
+    if qq_degree is None:
+        qq_degree = qq_degrees[qi] = deg_nonneg(q, q)
+    return image_term(e, q, qq_degree=qq_degree)
 
 
 def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     """c_value > 0 on every triple satisfying the five general conditions.
 
-    The F-free part of c_value, image_term(E, Q), is computed once per
-    (E, Q); E is the stream's outermost loop, so the terms of one E are
-    dropped when the next E starts.
+    Each degree c_value reads is looked up once per call: deg_nonneg(E, F)
+    once per (E, F) group of the stream, deg_nonneg(Q, F) in a row per F
+    and deg_nonneg(Q, Q) in one row, both by Q position, and the F-free
+    term image_term(E, Q) in a row by Q position that is dropped when the
+    next E starts (E is the stream's outermost loop).
     """
     started = time.perf_counter()
-    stream = _admissible_triples(spec, GENERAL_CONDITIONS)
-    if spec.sample_limit is not None:
-        stream = itertools.islice(stream, spec.sample_limit)
+    bundles, images = _triple_pools(spec)
     cex: list[str] = []
     count = 0
-    # image_term(E, Q) of the current E, by Q.
-    terms: dict[HNBundle, int] = {}
+    qq_degrees: list[int | None] = [None] * len(images)
+    qf_degrees: list[list[int | None]] = [[None] * len(images) for _ in bundles]
+    terms: list[int | None] = []
     current = None
-    for e, f, q in stream:
-        count += 1
+    for e, fi, group in _triple_groups(bundles, images, GENERAL_CONDITIONS,
+                                       spec.sample_limit):
         if e is not current:
-            terms.clear()
+            terms = [None] * len(images)
             current = e
-        term = terms.get(q)
-        if term is None:
-            term = terms[q] = image_term(e, q)
-        c = c_value(e, f, q, term=term)
-        if c <= 0:
-            cex.append(f"E={e} F={f} Q={q}: c={c}")
+        f, qf_row = bundles[fi], qf_degrees[fi]
+        ef_degree = deg_nonneg(e, f)
+        count += len(group)
+        for qi in group:
+            q = images[qi]
+            term = terms[qi]
+            if term is None:
+                term = terms[qi] = _image_term(e, q, qi, qq_degrees)
+            qf_degree = qf_row[qi]
+            if qf_degree is None:
+                qf_degree = qf_row[qi] = deg_nonneg(q, f)
+            c = c_value(e, f, q, term=term, qf_degree=qf_degree, ef_degree=ef_degree)
+            if c <= 0:
+                cex.append(f"E={e} F={f} Q={q}: c={c}")
     return _report("key-inequality", count, cex, started)
 
 
@@ -378,8 +435,11 @@ class ChainCheck(NamedTuple):
     findings: list[str]
 
 
-def _chain_problems(e: HNBundle, q: HNBundle) -> ChainCheck:
-    """Build the chain of (E, Q) and its codimension terms, and re-check every F-free invariant."""
+def _chain_problems(e: HNBundle, q: HNBundle, qi: int, qq_degrees: list[int | None]) -> ChainCheck:
+    """Build the chain of (E, Q) and its codimension terms, and re-check every F-free invariant.
+
+    ``qi`` is Q's position in ``qq_degrees``, which keeps deg_nonneg(Q, Q).
+    """
     try:
         chain, steps = degeneration_chain(e, q)
     except (PreconditionError, InternalConsistencyError) as exc:
@@ -417,28 +477,26 @@ def _chain_problems(e: HNBundle, q: HNBundle) -> ChainCheck:
     for i in range(r):
         if not slopewise_dominates(chain[i].dual(), chain[i + 1].dual()):
             notes.append(f"dual chain not degenerating at step {i}")
-    terms = tuple(image_term(member, q) for member in chain)
+    terms = tuple(_image_term(member, q, qi, qq_degrees) for member in chain)
     return ChainCheck(chain, steps, terms, bad, notes)
 
 
-class _NonnegDegrees(dict):
-    """deg(V^{>=0}) by bundle V, computed on first lookup."""
-
-    def __missing__(self, v: HNBundle) -> int:
-        value = self[v] = v.filter(0, ">=").degree
-        return value
-
-
 def _codimension_problems(
-    f: HNBundle, q: HNBundle, checked: ChainCheck, nonneg_degrees: _NonnegDegrees,
+    f: HNBundle, q: HNBundle, checked: ChainCheck, ef_degree: int, qf_degree: int,
+    first_drop: int,
 ) -> list[str]:
-    """Compute and re-check the codimensions of the triple (chain[0], F, Q) along its chain."""
+    """Compute and re-check the codimensions of the triple (chain[0], F, Q) along its chain.
+
+    ``ef_degree`` and ``qf_degree`` are deg_nonneg(chain[0], F) and
+    deg_nonneg(Q, F); the later members' degrees into F are looked up here.
+    ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
+    """
     bad: list[str] = []
-    chain, steps = checked.chain, checked.steps
+    chain, steps, terms = checked.chain, checked.steps, checked.terms
     r = len(chain) - 1
-    qf_degree = deg_nonneg(q, f)
-    c = tuple(c_value(member, f, q, term=term, qf_degree=qf_degree)
-              for member, term in zip(chain, checked.terms))
+    c = (c_value(chain[0], f, q, term=terms[0], qf_degree=qf_degree, ef_degree=ef_degree),
+         *(c_value(member, f, q, term=term, qf_degree=qf_degree)
+           for member, term in zip(chain[1:], terms[1:])))
     if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
         bad.append(f"codimension increased along the chain: {list(c)}")
     if c[-1] != 0:
@@ -448,7 +506,6 @@ def _codimension_problems(
     if c[0] <= 0:
         bad.append(f"initial codimension {c[0]} not positive")
 
-    first_drop = nonneg_degrees[f] - nonneg_degrees[q]
     if c[0] - c[1] != first_drop:
         bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
 
@@ -465,37 +522,54 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
 
     The chain of a triple (E, F, Q) does not read F, so it is built and
     checked, and the F-free term of each member's codimension computed,
-    once per (E, Q); per triple only the F-dependent degrees are looked up
-    and the codimensions checked.  E is the stream's outermost loop, so the
-    chains of one E are dropped when the next E starts.  deg(V^{>=0}) of
-    the first-drop rule is computed once per bundle.
+    once per (E, Q), in a row by Q position that is dropped when the next E
+    starts (E is the stream's outermost loop).  deg_nonneg(E, F) is looked
+    up once per (E, F) group of the stream, deg_nonneg(Q, F) in a row per F
+    and deg_nonneg(Q, Q) in one row, both by Q position; per triple only
+    the later chain members' degrees into F are looked up and the
+    codimensions checked.  deg(V^{>=0}) of the first-drop rule is computed
+    once per F and once per Q.
     """
     started = time.perf_counter()
-    stream = _admissible_triples(spec, REDUCED_CONDITIONS)
-    if spec.sample_limit is not None:
-        stream = itertools.islice(stream, spec.sample_limit)
+    bundles, images = _triple_pools(spec)
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-    # The checked chains of the current E, by Q.
-    chains: dict[HNBundle, ChainCheck] = {}
-    nonneg_degrees = _NonnegDegrees()
+    qq_degrees: list[int | None] = [None] * len(images)
+    qf_degrees: list[list[int | None]] = [[None] * len(images) for _ in bundles]
+    # deg(V^{>=0}) by F position and by Q position.
+    f_nonneg: list[int | None] = [None] * len(bundles)
+    q_nonneg: list[int | None] = [None] * len(images)
+    chains: list[ChainCheck | None] = []
     current = None
-    for e, f, q in stream:
-        count += 1
+    for e, fi, group in _triple_groups(bundles, images, REDUCED_CONDITIONS,
+                                       spec.sample_limit):
         if e is not current:
-            chains.clear()
+            chains = [None] * len(images)
             current = e
-        checked = chains.get(q)
-        if checked is None:
-            checked = chains[q] = _chain_problems(e, q)
-        bad, notes = checked.violations, checked.findings
-        if checked.chain is not None:
-            bad = bad + _codimension_problems(f, q, checked, nonneg_degrees)
-        if bad or notes:
-            prefix = f"E={e} F={f} Q={q}"
-            cex.extend(f"{prefix}: {item}" for item in bad)
-            findings.extend(f"{prefix}: {item}" for item in notes)
+        f, qf_row = bundles[fi], qf_degrees[fi]
+        ef_degree = deg_nonneg(e, f)
+        if f_nonneg[fi] is None:
+            f_nonneg[fi] = f.filter(0, ">=").degree
+        count += len(group)
+        for qi in group:
+            q = images[qi]
+            checked = chains[qi]
+            if checked is None:
+                checked = chains[qi] = _chain_problems(e, q, qi, qq_degrees)
+            bad, notes = checked.violations, checked.findings
+            if checked.chain is not None:
+                qf_degree = qf_row[qi]
+                if qf_degree is None:
+                    qf_degree = qf_row[qi] = deg_nonneg(q, f)
+                if q_nonneg[qi] is None:
+                    q_nonneg[qi] = q.filter(0, ">=").degree
+                bad = bad + _codimension_problems(f, q, checked, ef_degree, qf_degree,
+                                                  f_nonneg[fi] - q_nonneg[qi])
+            if bad or notes:
+                prefix = f"E={e} F={f} Q={q}"
+                cex.extend(f"{prefix}: {item}" for item in bad)
+                findings.extend(f"{prefix}: {item}" for item in notes)
     return _report("degeneration", count, cex, started, findings)
 
 
@@ -507,37 +581,52 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     (the key inequality in its stratum form) no candidate of strictly
     smaller rank attains it.  The quotient candidates of E (the rank prune
     and (ii)) do not read F, so they are listed once per E, at its first
-    admissible F; only (iii) is tested per pair.  The F-free term of each
-    candidate's stratum dimension is computed once per (E, Q), when (iii)
-    first admits Q.
+    admissible F.  Everything else is kept by pool position and looked up
+    once per call: the (iii) verdict and deg_nonneg(Q, F) in a row per F,
+    deg_nonneg(Q, Q) in one row, and the F-free term of each candidate's
+    stratum dimension in a row per E, filled when (iii) first admits Q.
     """
     started = time.perf_counter()
     pool = list(enumerate_bundles(spec, include_zero=True))
+    width = len(pool)
     cex: list[str] = []
     count = 0
+    qq_degrees: list[int | None] = [None] * width
+    verdicts: list[list[bool | None]] = [[None] * width for _ in pool]
+    qf_degrees: list[list[int | None]] = [[None] * width for _ in pool]
     for e in pool:
         quotients = None
-        # image_term(E, Q) by candidate Q, filled as (iii) first admits Q.
-        terms: dict[HNBundle, int] = {}
-        for f in pool:
+        terms: list[int | None] = []
+        for fi, f in enumerate(pool):
             if not all(c.test(e, f) for c in PAIR_CONDITIONS):
                 continue
             count += 1
             if quotients is None:
                 quotients = _quotient_candidates(e, pool)
+                terms = [None] * width
             full = dim_hom(e, f)
+            verdict_row, qf_row = verdicts[fi], qf_degrees[fi]
             best = None
-            for q in _candidates(e, f, quotients):
-                term = terms.get(q)
+            for qi in quotients:
+                q = pool[qi]
+                admitted = verdict_row[qi]
+                if admitted is None:
+                    admitted = verdict_row[qi] = all(c.test(f, q) for c in SUBBUNDLE_CONDITIONS)
+                if not admitted:
+                    continue
+                term = terms[qi]
                 if term is None:
-                    term = terms[q] = image_term(e, q)
+                    term = terms[qi] = _image_term(e, q, qi, qq_degrees)
+                qf_degree = qf_row[qi]
+                if qf_degree is None:
+                    qf_degree = qf_row[qi] = deg_nonneg(q, f)
                 try:
-                    dim = stratum_dim(e, f, q, term=term)
+                    dim = stratum_dim(e, f, q, term=term, qf_degree=qf_degree)
                 except InternalConsistencyError as exc:
                     cex.append(f"E={e} F={f} Q={q}: {exc}")
                     continue
                 best = dim if best is None else max(best, dim)
-                if q == e and dim != full:
+                if q is e and dim != full:
                     cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
                 if q.rank < e.rank and dim >= full:
                     cex.append(f"E={e} F={f} Q={q}: smaller-rank stratum {dim} "

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from hnbundles import (
+    PAIR_UNIVERSE,
+    TRIPLE_UNIVERSE,
     BundleParseError,
     HNBundle,
     PreconditionError,
@@ -307,6 +309,19 @@ def test_equal_values_by_every_route_hash_equal():
     for other in routes:
         assert other == v
         assert hash(other) == hash(v)
+
+
+@pytest.mark.parametrize("spec, size", [
+    (UniverseSpec(max_rank=4, slope_min=-2, slope_max=2, max_denominator=1), 126),
+    (TRIPLE_UNIVERSE, 330),
+    (PAIR_UNIVERSE, 220),
+])
+def test_distinct_bundles_of_a_universe_hash_distinct(spec, size):
+    # hash(-1) == hash(-2) in CPython, so a hash of the raw key would collide wherever two
+    # bundles differ only in a numerator -1 against -2 (the first universe had 91 hashes).
+    pool = list(enumerate_bundles(spec, include_zero=True))
+    assert len(pool) == size
+    assert len({hash(v) for v in pool}) == size
 
 
 def test_dual_is_memoized_involution():

@@ -486,51 +486,114 @@ def _counting_deg_nonneg(monkeypatch):
     return calls
 
 
-def test_key_inequality_reads_two_degrees_per_triple(monkeypatch):
-    triples = list(_admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
-    quotients = {(e, q) for e, _, q in triples}
+def _once_each(*roles):
+    """Each distinct pair of each role once: the reads of a check that looks every value up once."""
     expected = Counter()
-    for e, f, q in triples:
-        expected.update([(e, f), (q, f)])
-    for e, q in quotients:
-        expected.update([(q, q), (e, q)])
-    assert len(quotients) < len(triples)
+    for pairs in roles:
+        expected.update(set(pairs))
+    return expected
+
+
+def test_key_inequality_reads_each_pair_once(monkeypatch):
+    triples = list(_admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
+    expected = _once_each(
+        [(e, f) for e, f, _ in triples], [(q, f) for _, f, q in triples],
+        [(q, q) for _, _, q in triples], [(e, q) for e, _, q in triples])
+    assert len({(q, f) for _, f, q in triples}) < len(triples)
 
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_key_inequality(SMALL_INT).passed
     assert calls == expected
 
 
-def test_degeneration_reads_two_degrees_per_codimension(monkeypatch):
+def test_degeneration_reads_each_pair_once_plus_its_chain_members(monkeypatch):
     triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
-    expected = Counter()
-    for e, f, q in triples:
-        expected.update([(q, f)] + [(member, f) for member in chains[e, q]])
+    expected = _once_each(
+        [(e, f) for e, f, _ in triples], [(q, f) for _, f, q in triples],
+        [(q, q) for _, _, q in triples], list(chains))
+    # The members after E are not pool positions: (E_i, Q) is read once per chain, (E_i, F)
+    # once per triple.
     for (e, q), chain in chains.items():
-        for member in chain:
-            expected.update([(q, q), (member, q)])
-    assert len(chains) < len(triples)
+        expected.update((member, q) for member in chain[1:])
+    for e, f, q in triples:
+        expected.update((member, f) for member in chains[e, q][1:])
+    assert len({(q, f) for _, f, q in triples}) < len(triples)
 
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_degeneration(SMALL_INT).passed
     assert calls == expected
 
 
-def test_stratification_reads_two_degrees_per_candidate(monkeypatch):
+def test_stratification_reads_each_pair_once(monkeypatch):
     pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
-    expected = Counter()
-    quotients = set()
-    for e, f in _stratification_pairs(pool):
-        candidates = _candidate_images(pool, e, f)
-        expected.update([(e, f)] + [(q, f) for q in candidates])
-        quotients.update((e, q) for q in candidates)
-    for e, q in quotients:
-        expected.update([(q, q), (e, q)])
+    pairs = _stratification_pairs(pool)
+    candidates = {(e, f): _candidate_images(pool, e, f) for e, f in pairs}
+    expected = _once_each(
+        pairs, [(q, f) for (e, f), qs in candidates.items() for q in qs],
+        [(q, q) for qs in candidates.values() for q in qs],
+        [(e, q) for (e, f), qs in candidates.items() for q in qs])
+    assert len(expected) < sum(map(len, candidates.values()))
 
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_stratification_dimension(SMALL_INT).passed
     assert calls == expected
+
+
+# ----------------------------------------------------------------------
+# how often each check asks condition (iii), which reads only (F, Q)
+
+def _counting_image_condition(monkeypatch):
+    """Count the calls of condition (iii) by (F, Q), in every condition group the checks read."""
+    calls = Counter()
+
+    def counting(condition):
+        if condition.name != "(iii)":
+            return condition
+
+        def test(*bundles):
+            calls[bundles[-2:]] += 1
+            return condition.test(*bundles)
+
+        return condition._replace(test=test)
+
+    for name in ("GENERAL_CONDITIONS", "REDUCED_CONDITIONS"):
+        groups = getattr(verify, name)
+        monkeypatch.setattr(verify, name, type(groups)(*(tuple(map(counting, group))
+                                                         for group in groups)))
+    monkeypatch.setattr(verify, "SUBBUNDLE_CONDITIONS",
+                        tuple(map(counting, verify.SUBBUNDLE_CONDITIONS)))
+    return calls
+
+
+def _triple_image_questions(conditions):
+    """The (F, Q) of every candidate triple that meets all conditions except possibly (iii)."""
+    bundles = list(enumerate_bundles(SMALL_INT))
+    images = list(enumerate_bundles(SMALL_INT, include_zero=True))
+    return {(f, q) for e in bundles for f in bundles for q in images
+            if q.rank < e.rank
+            and {name for name, _ in conditions.violations(e, f, q)} <= {"(iii)"}}
+
+
+def _stratification_image_questions():
+    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
+    return {(f, q) for e, f in _stratification_pairs(pool) for q in pool if is_quotient(q, e)}
+
+
+IMAGE_QUESTIONS = {
+    "key-inequality": lambda: _triple_image_questions(GENERAL_CONDITIONS),
+    "degeneration": lambda: _triple_image_questions(REDUCED_CONDITIONS),
+    "stratification": _stratification_image_questions,
+}
+
+
+@pytest.mark.parametrize("name", list(IMAGE_QUESTIONS))
+def test_each_image_verdict_is_computed_once_per_call(monkeypatch, name):
+    expected = IMAGE_QUESTIONS[name]()
+    assert expected
+    calls = _counting_image_condition(monkeypatch)
+    assert run_checks([name], SMALL_INT)[0].passed
+    assert calls == Counter(expected)
 
 
 def _key_inequality_reads():
