@@ -202,7 +202,12 @@ class HNBundle:
         return 0
 
     def has_integer_slopes(self) -> bool:
-        return all(lam.denominator == 1 for lam, _ in self.summands)
+        return self._integer_slopes
+
+    @cached_property
+    def _integer_slopes(self) -> bool:
+        """Whether every slope is an integer, read once per instance off the integer key."""
+        return all(q == 1 for _, q, _ in self._key)
 
     @cached_property
     def slope_pairs(self) -> frozenset[tuple[int, int]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .bundle import (
     HNBundle,
@@ -59,6 +59,7 @@ __all__ = [
     "build_e1",
     "decompose_mrs",
     "degeneration_step",
+    "walk_chain",
     "degeneration_chain",
     "degeneration_trace",
     "normalize_triple",
@@ -267,6 +268,41 @@ def degeneration_step(e_i: HNBundle, q: HNBundle) -> HNBundle:
 # ----------------------------------------------------------------------
 # full pipeline
 
+# What walk_chain's caller names a chain member and a decomposition by.
+Member = TypeVar("Member")
+Decomposition = TypeVar("Decomposition")
+
+
+def walk_chain(e: HNBundle, q: HNBundle, first: Member, last: Member,
+               decompose: Callable[[Member], Decomposition],
+               advance: Callable[[Decomposition], Member],
+               ) -> tuple[list[Member], list[Decomposition]]:
+    """The members E_1, ..., E_r = Q of the chain of (E, Q), and the decomposition of each.
+
+    ``first`` and ``last`` stand for E_1 and Q, as bundles or as any labels
+    of them: ``decompose(member)`` returns the (M, R, S) decomposition of
+    (member, Q) and ``advance(decomposition)`` the member after one other
+    than Q.  :func:`degeneration_chain` walks bundles; a caller that walks
+    many chains to one Q can label the members and look up the steps it
+    has already taken.  Raises an :class:`InternalConsistencyError` if the
+    walk does not reach ``last`` within rank(Q) + 2 steps (impossible for
+    admissible input: the rank of the shared prefix grows strictly at every
+    non-terminal step and is bounded by rank(Q)).
+    """
+    members = [first]
+    decompositions = []
+    while True:
+        member = members[-1]
+        if member != last and len(members) >= q.rank + 2:
+            raise InternalConsistencyError(
+                f"chain for E={e}, Q={q} exceeded {q.rank + 2} steps"
+            )
+        decompositions.append(decompose(member))
+        if member == last:
+            return members, decompositions
+        members.append(advance(decompositions[-1]))
+
+
 def degeneration_chain(
     e: HNBundle, q: HNBundle
 ) -> tuple[tuple[HNBundle, ...], tuple[DecompositionTriple, ...]]:
@@ -274,24 +310,12 @@ def degeneration_chain(
 
     F plays no part in the chain, so one chain serves every F of a reduced
     triple (E, F, Q); :func:`degeneration_trace` checks the named
-    conditions first.  Raises an :class:`InternalConsistencyError` if the
-    chain fails to reach Q within rank(Q) + 2 steps (impossible for
-    admissible input: the rank of the shared prefix grows strictly at every
-    non-terminal step and is bounded by rank(Q)).
+    conditions first.  Raises whatever :func:`build_e1`,
+    :func:`decompose_mrs` and :func:`walk_chain` raise.
     """
-    chain: list[HNBundle] = [e, build_e1(e)]
-    steps: list[DecompositionTriple] = []
-    while True:
-        member = chain[-1]
-        if member != q and len(chain) - 1 >= q.rank + 2:
-            raise InternalConsistencyError(
-                f"chain for E={e}, Q={q} exceeded {q.rank + 2} steps"
-            )
-        steps.append(decompose_mrs(member, q))
-        if member == q:
-            break
-        chain.append(_next_member(steps[-1]))
-    return tuple(chain), tuple(steps)
+    members, steps = walk_chain(e, q, build_e1(e), q,
+                                lambda member: decompose_mrs(member, q), _next_member)
+    return (e, *members), tuple(steps)
 
 
 def degeneration_trace(e: HNBundle, f: HNBundle, q: HNBundle) -> DegenerationTrace:

@@ -31,20 +31,25 @@ the bundles it reads, and keep what they look up by pool position, in
 lists local to one call:
 
 * once per E      - the (E, Q) conditions ((v) and (ii)) filter the Q
-                    positions of the triple stream, and stratification
-                    lists the quotient candidates of E (the rank prune and
-                    (ii));
+                    positions of the triple stream, stratification lists
+                    the quotient candidates of E (the rank prune and (ii)),
+                    and degeneration builds E_1;
 * once per (E, F) - deg_nonneg(E, F) (stratification: dim_hom);
 * once per (E, Q) - the F-free codimension term image_term(E, Q) =
                     deg_nonneg(Q, Q) - deg_nonneg(E, Q), in all three
-                    checks; degeneration also builds the chain, checks its
-                    F-free invariants and keeps one term per chain member;
-* once per (F, Q) - the (F, Q) condition (iii), in a row per F by Q
-                    position, and deg_nonneg(Q, F), in another;
+                    checks; degeneration also assembles the chain;
+* once per (V, Q) - degeneration's chain step from the member V: its
+                    (M, R, S) decomposition, the next member, its F-free
+                    invariants and image_term(V, Q).  Every member after E
+                    is a pool bundle, so chains from different E share
+                    their steps by pool position;
+* once per (V, F) - the (F, Q) condition (iii), for V = Q, in a row per F
+                    by Q position, and deg_nonneg(V, F), in another, for
+                    V = Q and (in degeneration) for E and every chain
+                    member;
 * once per Q or F - deg_nonneg(Q, Q), and degeneration's deg(F^{>=0}) and
                     deg(Q^{>=0}) for the first-drop rule;
-* per triple      - list lookups, the codimension arithmetic and, in
-                    degeneration, deg_nonneg(E_i, F) per later chain member.
+* per triple      - list lookups and the codimension arithmetic.
 
 So a cache key is hashed once per distinct pair a call reads, not once per
 triple.  Each value is computed at its first use, so an E without an
@@ -65,6 +70,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
 from .criteria import rank_condition, slopewise_dominates
+from . import degeneration
 from .degeneration import (
     GENERAL_CONDITIONS,
     PAIR_CONDITIONS,
@@ -73,7 +79,6 @@ from .degeneration import (
     SUBBUNDLE_CONDITIONS,
     ConditionSet,
     DecompositionTriple,
-    degeneration_chain,
 )
 from .degrees import c_value, deg_nonneg, deg_nonneg_oracle, dim_hom, image_term, stratum_dim
 
@@ -421,88 +426,168 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     return _report("key-inequality", count, cex, started)
 
 
+@dataclass(slots=True)
+class ChainStep:
+    """One step of the chains to one Q, from one member: everything about it that does not read F.
+
+    ``position`` is the member's pool position, ``decomposition`` is
+    decompose_mrs(member, Q), ``term`` is image_term(member, Q), and
+    ``problems`` are the step's violations without their "step i" label.
+    ``following``, the position of the next member, and ``degenerating``,
+    whether dual(member) slopewise dominates the next member's dual, are
+    filled when a chain first walks on from the member, which never
+    happens at Q.
+    """
+
+    position: int
+    decomposition: DecompositionTriple
+    term: int
+    problems: tuple[str, ...]
+    following: int | None = None
+    degenerating: bool | None = None
+
+
 class ChainCheck(NamedTuple):
     """The chain of one (E, Q) and everything about it that does not read F.
 
-    ``terms[i]`` is image_term(chain[i], Q).  ``chain`` is None when the
-    chain could not be built, and ``violations`` then says why.
+    ``steps[i-1]`` is the step from E_i, for E_1, ..., E_r = Q, and
+    ``term`` is image_term(E, Q).  ``steps`` is None when the chain could
+    not be built, and ``violations`` then says why.
     """
 
-    chain: tuple[HNBundle, ...] | None
-    steps: tuple[DecompositionTriple, ...]
-    terms: tuple[int, ...]
+    steps: tuple[ChainStep, ...] | None
+    term: int
     violations: list[str]
     findings: list[str]
 
 
-def _chain_problems(e: HNBundle, q: HNBundle, qi: int, qq_degrees: list[int | None]) -> ChainCheck:
-    """Build the chain of (E, Q) and its codimension terms, and re-check every F-free invariant.
+class _ChainSteps:
+    """The degeneration chains of one check call, walked through steps kept by (member, Q) position.
 
-    ``qi`` is Q's position in ``qq_degrees``, which keeps deg_nonneg(Q, Q).
+    A chain member after E has rank(Q) and slopes of E or Q, so it lies in
+    the Q pool and is named by its position there, which is also its cell
+    in every row by Q position.  A member outside the pool, which only a
+    faulty engine makes, gets the next free position and a cell in each of
+    the ``rows``.  Each step is taken by the first chain that reaches its
+    (member, Q); every later chain looks it up.  The engine's functions are
+    looked up on its module at call time, so a tracer or a test that
+    rebinds them sees every call.
     """
-    try:
-        chain, steps = degeneration_chain(e, q)
-    except (PreconditionError, InternalConsistencyError) as exc:
-        return ChainCheck(None, (), (), [f"trace failed: {exc}"], [])
-    bad: list[str] = []
-    notes: list[str] = []
-    r = len(chain) - 1
 
-    if chain[0] != e or chain[-1] != q:
-        bad.append("chain endpoints wrong")
-    if len(steps) != r:
-        bad.append("trace lengths inconsistent")
-    if r > q.rank + 2:
-        bad.append(f"chain length {r} exceeds rank bound {q.rank + 2}")
-    if any(member.rank != q.rank for member in chain[1:]):
-        bad.append("rank plateau broken")
+    def __init__(self, images: list[HNBundle], qq_degrees: list[int | None],
+                 rows: list[list[int | None]]) -> None:
+        self.members = list(images)
+        self.where = {member: i for i, member in enumerate(images)}
+        self.qq_degrees = qq_degrees
+        self.rows = rows
+        self.steps: list[dict[int, ChainStep]] = [{} for _ in images]
 
-    q_dual = q.dual()
-    for i in range(1, r + 1):
-        member = chain[i]
-        m, rr, s = steps[i - 1].common, steps[i - 1].q_complement, steps[i - 1].e_complement
-        label = f"step {i}"
-        if m.direct_sum(rr) != q_dual or m.direct_sum(s) != member.dual():
-            bad.append(f"{label}: decomposition does not reassemble the duals")
-            continue
-        if not slopewise_dominates(s, rr):
-            bad.append(f"{label}: S={s} does not dominate R={rr}")
-        if s.is_zero != rr.is_zero or s.is_zero != (member == q):
-            bad.append(f"{label}: complement vanishing inconsistent")
-        if not s.is_zero and not s.mu_max > rr.mu_max:
-            bad.append(f"{label}: mu_max(S) <= mu_max(R)")
-        if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
-            bad.append(f"{label}: mu_min(M) < mu_max(S)")
+    def position(self, member: HNBundle) -> int:
+        i = self.where.get(member)
+        if i is None:
+            i = self.where[member] = len(self.members)
+            self.members.append(member)
+            for row in self.rows:
+                row.append(None)
+        return i
 
-    for i in range(r):
-        if not slopewise_dominates(chain[i].dual(), chain[i + 1].dual()):
-            notes.append(f"dual chain not degenerating at step {i}")
-    terms = tuple(_image_term(member, q, qi, qq_degrees) for member in chain)
-    return ChainCheck(chain, steps, terms, bad, notes)
+    def start(self, e: HNBundle) -> tuple[int, bool] | str:
+        """E_1's position and whether dual(E) dominates dual(E_1), or why E_1 could not be built."""
+        try:
+            e1 = degeneration.build_e1(e)
+        except (PreconditionError, InternalConsistencyError) as exc:
+            return f"trace failed: {exc}"
+        return self.position(e1), slopewise_dominates(e.dual(), e1.dual())
+
+    def _step(self, i: int, q: HNBundle, qi: int) -> ChainStep:
+        """Decompose (member, Q) and check every invariant of the step that does not read F."""
+        member = self.members[i]
+        triple = degeneration.decompose_mrs(member, q)
+        m, rr, s = triple.common, triple.q_complement, triple.e_complement
+        bad = []
+        if m.direct_sum(rr) != q.dual() or m.direct_sum(s) != member.dual():
+            bad.append("decomposition does not reassemble the duals")
+        else:
+            if not slopewise_dominates(s, rr):
+                bad.append(f"S={s} does not dominate R={rr}")
+            if s.is_zero != rr.is_zero or s.is_zero != (member == q):
+                bad.append("complement vanishing inconsistent")
+            if not s.is_zero and not s.mu_max > rr.mu_max:
+                bad.append("mu_max(S) <= mu_max(R)")
+            if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
+                bad.append("mu_min(M) < mu_max(S)")
+        # image_term(Q, Q) is 0; computing it would read deg_nonneg(Q, Q) a second time.
+        term = 0 if i == qi else _image_term(member, q, qi, self.qq_degrees)
+        return ChainStep(i, triple, term, tuple(bad))
+
+    def _advance(self, step: ChainStep) -> int:
+        if step.following is None:
+            following = degeneration._next_member(step.decomposition)
+            member = self.members[step.position]
+            step.degenerating = slopewise_dominates(member.dual(), following.dual())
+            step.following = self.position(following)
+        return step.following
+
+    def chain(self, e: HNBundle, start: tuple[int, bool] | str, q: HNBundle, qi: int) -> ChainCheck:
+        """Walk the chain of (E, Q) from ``start`` (see :meth:`start`) and check it without F."""
+        if isinstance(start, str):
+            return ChainCheck(None, 0, [start], [])
+        first, degenerating = start
+        steps = self.steps[qi]
+
+        def decompose(i: int) -> ChainStep:
+            step = steps.get(i)
+            if step is None:
+                step = steps[i] = self._step(i, q, qi)
+            return step
+
+        try:
+            positions, walked = degeneration.walk_chain(e, q, first, qi, decompose, self._advance)
+        except (PreconditionError, InternalConsistencyError) as exc:
+            return ChainCheck(None, 0, [f"trace failed: {exc}"], [])
+        chain = (e, *(self.members[i] for i in positions))
+        bad: list[str] = []
+        if chain[0] != e or chain[-1] != q:
+            bad.append("chain endpoints wrong")
+        if len(walked) != len(positions):
+            bad.append("trace lengths inconsistent")
+        if any(member.rank != q.rank for member in chain[1:]):
+            bad.append("rank plateau broken")
+        for i, step in enumerate(walked, 1):
+            bad.extend(f"step {i}: {problem}" for problem in step.problems)
+        notes = [] if degenerating else ["dual chain not degenerating at step 0"]
+        notes.extend(f"dual chain not degenerating at step {i}"
+                     for i, step in enumerate(walked[:-1], 1) if not step.degenerating)
+        return ChainCheck(tuple(walked), _image_term(e, q, qi, self.qq_degrees), bad, notes)
 
 
 def _codimension_problems(
-    f: HNBundle, q: HNBundle, checked: ChainCheck, ef_degree: int, qf_degree: int,
-    first_drop: int,
+    e: HNBundle, f: HNBundle, q: HNBundle, qi: int, checked: ChainCheck,
+    members: list[HNBundle], ef_degree: int, qf_row: list[int | None], first_drop: int,
 ) -> list[str]:
-    """Compute and re-check the codimensions of the triple (chain[0], F, Q) along its chain.
+    """Compute and re-check the codimensions of the triple (E, F, Q) along its chain.
 
-    ``ef_degree`` and ``qf_degree`` are deg_nonneg(chain[0], F) and
-    deg_nonneg(Q, F); the later members' degrees into F are looked up here.
+    ``ef_degree`` is deg_nonneg(E, F); ``qf_row`` keeps deg_nonneg(V, F) by
+    the position of V in ``members`` and already holds deg_nonneg(Q, F).
     ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
     """
     bad: list[str] = []
-    chain, steps, terms = checked.chain, checked.steps, checked.terms
-    r = len(chain) - 1
-    c = (c_value(chain[0], f, q, term=terms[0], qf_degree=qf_degree, ef_degree=ef_degree),
-         *(c_value(member, f, q, term=term, qf_degree=qf_degree)
-           for member, term in zip(chain[1:], terms[1:])))
-    if any(c[i] < c[i + 1] for i in range(len(c) - 1)):
-        bad.append(f"codimension increased along the chain: {list(c)}")
+    steps = checked.steps
+    qf_degree = qf_row[qi]
+    c = [c_value(e, f, q, term=checked.term, qf_degree=qf_degree, ef_degree=ef_degree)]
+    for step in steps:
+        i = step.position
+        degree = qf_row[i]
+        if degree is None:
+            degree = qf_row[i] = deg_nonneg(members[i], f)
+        c.append(c_value(members[i], f, q, term=step.term, qf_degree=qf_degree, ef_degree=degree))
+    r = len(steps)
+    if any(c[i] < c[i + 1] for i in range(r)):
+        bad.append(f"codimension increased along the chain: {c}")
     if c[-1] != 0:
         bad.append(f"endpoint codimension {c[-1]} != 0")
     if r >= 2 and not c[0] > c[2]:
-        bad.append(f"no strict drop across the first two steps: {list(c)}")
+        bad.append(f"no strict drop across the first two steps: {c}")
     if c[0] <= 0:
         bad.append(f"initial codimension {c[0]} not positive")
 
@@ -510,8 +595,8 @@ def _codimension_problems(
         bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
 
     for i in range(1, r):
-        if c[i] == c[i + 1] and chain[i] != q:
-            s_dual = steps[i - 1].e_complement.dual()
+        if c[i] == c[i + 1] and steps[i - 1].position != qi:
+            s_dual = steps[i - 1].decomposition.e_complement.dual()
             if s_dual.rank != f.filter(s_dual.mu_min, ">").rank:
                 bad.append(f"step {i}: codimension stalled without the rank equality")
     return bad
@@ -520,15 +605,19 @@ def _codimension_problems(
 def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     """Trace every reduced triple and re-check all chain invariants.
 
-    The chain of a triple (E, F, Q) does not read F, so it is built and
-    checked, and the F-free term of each member's codimension computed,
-    once per (E, Q), in a row by Q position that is dropped when the next E
-    starts (E is the stream's outermost loop).  deg_nonneg(E, F) is looked
-    up once per (E, F) group of the stream, deg_nonneg(Q, F) in a row per F
-    and deg_nonneg(Q, Q) in one row, both by Q position; per triple only
-    the later chain members' degrees into F are looked up and the
-    codimensions checked.  deg(V^{>=0}) of the first-drop rule is computed
-    once per F and once per Q.
+    The chain of a triple (E, F, Q) does not read F.  Its members after E
+    are pool bundles, named by their position in the Q pool: E_1 is built
+    once per E, and each later step - the (M, R, S) decomposition of
+    (E_i, Q), the next member, the step's F-free invariants and
+    image_term(E_i, Q) - is taken once per (E_i, Q) and shared by every
+    chain that reaches it (:class:`_ChainSteps`).  A chain, with its
+    violations and findings labelled by step, is assembled once per (E, Q)
+    in a row by Q position that is dropped when the next E starts (E is
+    the stream's outermost loop).  deg_nonneg(V, F) is kept in a row per F
+    by V's position, for V = E, Q and every chain member, and
+    deg_nonneg(Q, Q) in one row, so per triple only list lookups and the
+    codimension checks remain.  deg(V^{>=0}) of the first-drop rule is
+    computed once per F and once per Q.
     """
     started = time.perf_counter()
     bundles, images = _triple_pools(spec)
@@ -540,15 +629,20 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     # deg(V^{>=0}) by F position and by Q position.
     f_nonneg: list[int | None] = [None] * len(bundles)
     q_nonneg: list[int | None] = [None] * len(images)
+    walks = _ChainSteps(images, qq_degrees, qf_degrees)
+    members = walks.members
     chains: list[ChainCheck | None] = []
-    current = None
+    current = start = None
+    ei = 0
     for e, fi, group in _triple_groups(bundles, images, REDUCED_CONDITIONS,
                                        spec.sample_limit):
         if e is not current:
             chains = [None] * len(images)
-            current = e
+            current, ei, start = e, walks.position(e), walks.start(e)
         f, qf_row = bundles[fi], qf_degrees[fi]
-        ef_degree = deg_nonneg(e, f)
+        ef_degree = qf_row[ei]
+        if ef_degree is None:
+            ef_degree = qf_row[ei] = deg_nonneg(e, f)
         if f_nonneg[fi] is None:
             f_nonneg[fi] = f.filter(0, ">=").degree
         count += len(group)
@@ -556,16 +650,15 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
             q = images[qi]
             checked = chains[qi]
             if checked is None:
-                checked = chains[qi] = _chain_problems(e, q, qi, qq_degrees)
+                checked = chains[qi] = walks.chain(e, start, q, qi)
             bad, notes = checked.violations, checked.findings
-            if checked.chain is not None:
-                qf_degree = qf_row[qi]
-                if qf_degree is None:
-                    qf_degree = qf_row[qi] = deg_nonneg(q, f)
+            if checked.steps is not None:
+                if qf_row[qi] is None:
+                    qf_row[qi] = deg_nonneg(q, f)
                 if q_nonneg[qi] is None:
                     q_nonneg[qi] = q.filter(0, ">=").degree
-                bad = bad + _codimension_problems(f, q, checked, ef_degree, qf_degree,
-                                                  f_nonneg[fi] - q_nonneg[qi])
+                bad = bad + _codimension_problems(e, f, q, qi, checked, members, ef_degree,
+                                                  qf_row, f_nonneg[fi] - q_nonneg[qi])
             if bad or notes:
                 prefix = f"E={e} F={f} Q={q}"
                 cex.extend(f"{prefix}: {item}" for item in bad)

@@ -38,6 +38,7 @@ from hnbundles import degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     REDUCED_CONDITIONS,
+    DecompositionTriple,
     general_violations,
     reduced_violations,
 )
@@ -445,24 +446,83 @@ def test_a_broken_chain_is_reported_for_each_of_its_triples(monkeypatch):
     assert all("exceeded" in line for line in outcome[1])
 
 
-def test_degeneration_check_decomposes_each_member_once_per_e_and_q(monkeypatch):
+def test_degeneration_check_takes_each_chain_step_once(monkeypatch):
     triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
-    first_f = {(e, q): f for e, f, q in reversed(triples)}
-    expected = Counter()
-    for (e, q), f in first_f.items():
-        expected.update((member, q) for member in degeneration_trace(e, f, q).chain[1:])
-    assert len(first_f) < len(triples)
+    chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
+    steps = Counter({(member, q) for (e, q), chain in chains.items() for member in chain[1:]})
+    peels = Counter({e for e, _ in chains})
+    # Chains from different E merge, and an E has chains to several Q.
+    assert len(steps) < sum(len(chain) - 1 for chain in chains.values())
+    assert len(peels) < len(chains)
 
-    calls = Counter()
+    decomposed, peeled = Counter(), Counter()
+    advanced = []
+    decompose_mrs, build_e1, next_member = (
+        degeneration.decompose_mrs, degeneration.build_e1, degeneration._next_member)
+
+    def decompose(e_i, q):
+        decomposed[e_i, q] += 1
+        return decompose_mrs(e_i, q)
+
+    def peel(e):
+        peeled[e] += 1
+        return build_e1(e)
+
+    def advance(step):
+        advanced.append(step)
+        return next_member(step)
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", decompose)
+    monkeypatch.setattr(degeneration, "build_e1", peel)
+    monkeypatch.setattr(degeneration, "_next_member", advance)
+    assert verify_degeneration(SMALL_INT).passed
+    assert decomposed == steps
+    assert peeled == peels
+    assert len(advanced) == sum(1 for member, q in steps if member != q)
+
+
+def test_a_member_outside_the_pool_is_reported_as_by_the_reference(monkeypatch):
+    pool = set(enumerate_bundles(SMALL_INT, include_zero=True))
+    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
+    e, q = next((e, q) for (e, q), chain in chains.items() if len(chain) > 3)
+    stuck = degeneration.decompose_mrs(chains[e, q][1], q)
+    original = degeneration._next_member
+    # The right rank, but slopes below the universe: the chain leaves the pool and comes back.
+    outside = original(stuck).twist(-10)
+    assert outside not in pool
+
+    def leaving(step):
+        return outside if step == stuck else original(step)
+
+    monkeypatch.setattr(degeneration, "_next_member", leaving)
+    through = {f"E={e2} F={f} Q={q2}" for e2, f, q2 in triples
+               if outside in degeneration_trace(e2, f, q2).chain}
+    assert through
+    outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    assert outcome == _reference_degeneration(SMALL_INT)
+    assert {line.split(": ", 1)[0] for line in outcome[1]} >= through
+
+
+def test_a_faulty_shared_step_is_labelled_by_each_chain(monkeypatch):
+    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
+    # A Q reached by chains of different lengths: they share the step at Q, at different indices.
+    q0 = next(q for _, q in chains if not q.is_zero
+              and len({len(chain) for (_, q2), chain in chains.items() if q2 == q}) > 1)
     original = degeneration.decompose_mrs
 
-    def counting(e_i, q):
-        calls[e_i, q] += 1
+    def faulty(e_i, q):
+        # M = 0 and S = R = dual(Q) reassemble the duals but break the vanishing and mu_max rules.
+        if (e_i, q) == (q0, q0):
+            return DecompositionTriple(ZERO, q0.dual(), q0.dual())
         return original(e_i, q)
 
-    monkeypatch.setattr(degeneration, "decompose_mrs", counting)
-    assert verify_degeneration(SMALL_INT).passed
-    assert calls == expected
+    monkeypatch.setattr(degeneration, "decompose_mrs", faulty)
+    outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    assert outcome == _reference_degeneration(SMALL_INT)
+    labels = {line.split(": ")[1] for line in outcome[1] if "complement vanishing" in line}
+    assert len(labels) > 1
 
 
 # ----------------------------------------------------------------------
@@ -506,19 +566,13 @@ def test_key_inequality_reads_each_pair_once(monkeypatch):
     assert calls == expected
 
 
-def test_degeneration_reads_each_pair_once_plus_its_chain_members(monkeypatch):
+def test_degeneration_reads_each_pair_once(monkeypatch):
     triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
-    expected = _once_each(
-        [(e, f) for e, f, _ in triples], [(q, f) for _, f, q in triples],
-        [(q, q) for _, _, q in triples], list(chains))
-    # The members after E are not pool positions: (E_i, Q) is read once per chain, (E_i, F)
-    # once per triple.
-    for (e, q), chain in chains.items():
-        expected.update((member, q) for member in chain[1:])
-    for e, f, q in triples:
-        expected.update((member, f) for member in chains[e, q][1:])
-    assert len({(q, f) for _, f, q in triples}) < len(triples)
+    # Every member V of a chain, E and Q included, is read into F and into Q.
+    into_f = [(v, f) for e, f, q in triples for v in chains[e, q]]
+    expected = _once_each(into_f, [(v, q) for (e, q), chain in chains.items() for v in chain])
+    assert len(set(into_f)) < len(into_f)
 
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_degeneration(SMALL_INT).passed
