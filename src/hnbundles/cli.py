@@ -38,7 +38,7 @@ from .render import write_svg
 from .verify import (
     CHECKS,
     UniverseSpec,
-    enumerate_bundles,
+    bundle_pool,
     enumerate_candidate_images,
     run_checks,
 )
@@ -266,7 +266,8 @@ def _cmd_images(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     spec = _universe_from_flags(args) or UniverseSpec()
-    bundles = [format_bundle(b) for b in enumerate_bundles(spec, include_zero=args.zero)]
+    pool = bundle_pool(spec)
+    bundles = [format_bundle(b) for b in (pool if args.zero else pool[1:])]
     if args.format == "json":
         print(json.dumps(bundles))
     else:

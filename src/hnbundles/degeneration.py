@@ -116,10 +116,11 @@ class DegenerationTrace:
 #
 # Each condition is stated once, as a (name, requirement, test) entry.  The
 # entries are grouped by the bundles their test reads, so an enumeration can
-# test each group in the outermost loop that already holds those bundles.
-# Within a group the cheap tests come first.  The tests look dominance (and
-# is_quotient) up as module globals at call time, so a tracer that rebinds
-# them sees every call.
+# test each group in the outermost loop that already holds those bundles; an
+# entry that reads E, F and Q one at a time is placed in the E, (E, F) and
+# (E, Q) groups and reads the last bundle it is given.  Within a group the
+# cheap tests come first.  The tests look dominance (and is_quotient) up as
+# module globals at call time, so a tracer that rebinds them sees every call.
 
 class Condition(NamedTuple):
     name: str
@@ -128,13 +129,16 @@ class Condition(NamedTuple):
 
 
 class ConditionSet(NamedTuple):
-    """Conditions on E alone, on the pair (E, F), on (E, Q), on (F, Q), and on (E, F, Q)."""
+    """Conditions on E alone, on the pair (E, F), on (E, Q) and on (F, Q).
+
+    An entry placed in several groups is one condition and is named once
+    among the violations.
+    """
 
     on_e: tuple[Condition, ...]
     on_pair: tuple[Condition, ...]
     on_quotient: tuple[Condition, ...]
     on_image: tuple[Condition, ...]
-    on_triple: tuple[Condition, ...]
 
     def violations(self, e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
         """The failing conditions as (name, requirement) pairs, sorted by name."""
@@ -142,12 +146,15 @@ class ConditionSet(NamedTuple):
         failed += [c for c in self.on_pair if not c.test(e, f)]
         failed += [c for c in self.on_quotient if not c.test(e, q)]
         failed += [c for c in self.on_image if not c.test(f, q)]
-        failed += [c for c in self.on_triple if not c.test(e, f, q)]
-        return tuple(sorted((c.name, c.requirement) for c in failed))
+        return tuple(sorted({(c.name, c.requirement) for c in failed}))
 
 
 _TOP_SLOPE_ZERO = Condition(
     "(vii)", "mu_max(E) must be 0", lambda e: not e.is_zero and e.mu_max == 0)
+
+_INTEGER_SLOPES = Condition(
+    "(vi)", "all slopes of E, F and Q must be integers",
+    lambda *bundles: bundles[-1].has_integer_slopes())
 
 PAIR_CONDITIONS = (
     Condition("(iv)", "E and F must have no common slopes",
@@ -167,16 +174,15 @@ SUBBUNDLE_CONDITIONS = (
 GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
     Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank),
     *QUOTIENT_CONDITIONS,
-), SUBBUNDLE_CONDITIONS, ())
+), SUBBUNDLE_CONDITIONS)
 
-REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO,), PAIR_CONDITIONS, (
+REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO, _INTEGER_SLOPES), (
+    _INTEGER_SLOPES, *PAIR_CONDITIONS,
+), (
     Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1),
+    _INTEGER_SLOPES,
     *QUOTIENT_CONDITIONS,
-), SUBBUNDLE_CONDITIONS, (
-    Condition("(vi)", "all slopes of E, F and Q must be integers",
-              lambda e, f, q: (e.has_integer_slopes() and f.has_integer_slopes()
-                               and q.has_integer_slopes())),
-))
+), SUBBUNDLE_CONDITIONS)
 
 
 def general_violations(e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:

@@ -26,15 +26,19 @@ Candidate images are an over-approximation by design: only the necessary
 conditions (quotient of E, subbundle of F) are checked, which cannot create
 false failures because extra candidates can only carry smaller strata.
 
-The triple checks do each piece of work in the outermost loop that holds
-the bundles it reads, and keep what they look up by pool position, in
-lists local to one call:
+Every check reads its universe through :func:`bundle_pool`.  The three
+triple checks read one stream, :func:`_triple_groups`, each with its own
+conditions, and name E, F, Q and every chain member by pool position.
+Each does each piece of work in the outermost loop that holds the bundles
+it reads, and keeps what it looks up by pool position, in lists local to
+one call:
 
-* once per E      - the (E, Q) conditions ((v) and (ii)) filter the Q
-                    positions of the triple stream, stratification lists
-                    the quotient candidates of E (the rank prune and (ii)),
-                    and degeneration builds E_1;
-* once per (E, F) - deg_nonneg(E, F) (stratification: dim_hom);
+* once per E      - the E conditions ((vii) and (vi) on E) and, at E's
+                    first admissible F, the (E, Q) conditions ((v), (vi) on
+                    Q and (ii)), which filter the Q positions of the
+                    stream; degeneration builds E_1;
+* once per (E, F) - the (E, F) conditions ((vi) on F, (iv) and (i)) and
+                    deg_nonneg(E, F) (stratification: dim_hom);
 * once per (E, Q) - the F-free codimension term image_term(E, Q) =
                     deg_nonneg(Q, Q) - deg_nonneg(E, Q), in all three
                     checks; degeneration also assembles the chain;
@@ -43,10 +47,10 @@ lists local to one call:
                     invariants and image_term(V, Q).  Every member after E
                     is a pool bundle, so chains from different E share
                     their steps by pool position;
-* once per (V, F) - the (F, Q) condition (iii), for V = Q, in a row per F
-                    by Q position, and deg_nonneg(V, F), in another, for
-                    V = Q and (in degeneration) for E and every chain
-                    member;
+* once per (V, F) - the (F, Q) condition (iii), for V = Q, in the stream's
+                    row per F, and deg_nonneg(V, F), in a check's row per
+                    F, for V = Q and (in degeneration) for E and every
+                    chain member;
 * once per Q or F - deg_nonneg(Q, Q), and degeneration's deg(F^{>=0}) and
                     deg(Q^{>=0}) for the first-drop rule;
 * per triple      - list lookups and the codimension arithmetic.
@@ -62,7 +66,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -89,6 +93,7 @@ __all__ = [
     "VerificationReport",
     "admissible_slopes",
     "enumerate_bundles",
+    "bundle_pool",
     "enumerate_candidate_images",
     "CANDIDATE_POOL_LIMIT",
     "verify_equivalence",
@@ -179,10 +184,26 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
             yield HNBundle(combo)
 
 
-# Largest universe enumerate_candidate_images scans.  The default ``hnb images``
-# pool roughly doubles with every +1 of rank(E): 394 bundles at rank 6, 1,701
-# at rank 8, 6,576 at rank 10; the cap stops it at rank 10 instead of never.
+# Largest pool any check, ``hnb images`` or ``hnb enumerate`` reads.  The default
+# ``hnb images`` pool roughly doubles with every +1 of rank(E): 394 bundles at
+# rank 6, 1,701 at rank 8, 6,576 at rank 10; the cap stops it at rank 10
+# instead of never.
 CANDIDATE_POOL_LIMIT = 5_000
+
+
+def bundle_pool(spec: UniverseSpec) -> list[HNBundle]:
+    """Zero, then every bundle of the universe in enumeration order.
+
+    Every check and every command that lists a universe reads it through
+    this function.  A universe of more than :data:`CANDIDATE_POOL_LIMIT`
+    bundles raises :class:`PreconditionError` as soon as the enumeration
+    passes the cap.
+    """
+    pool = list(itertools.islice(enumerate_bundles(spec, include_zero=True),
+                                 CANDIDATE_POOL_LIMIT + 1))
+    if len(pool) > CANDIDATE_POOL_LIMIT:
+        raise PreconditionError(f"bundle pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
+    return pool
 
 
 def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> Iterator[HNBundle]:
@@ -195,21 +216,11 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
     than :data:`CANDIDATE_POOL_LIMIT` bundles raises
     :class:`PreconditionError` before any candidate is yielded.
     """
-    pool = list(itertools.islice(enumerate_bundles(spec, include_zero=True),
-                                 CANDIDATE_POOL_LIMIT + 1))
-    if len(pool) > CANDIDATE_POOL_LIMIT:
-        raise PreconditionError(f"candidate pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
-    for i in _quotient_candidates(e, pool):
-        q = pool[i]
-        if all(c.test(f, q) for c in SUBBUNDLE_CONDITIONS):
+    for q in bundle_pool(spec):
+        # The rank test is only a prune: (ii) already forces rank(Q) <= rank(E).
+        if (q.rank <= e.rank and all(c.test(e, q) for c in QUOTIENT_CONDITIONS)
+                and all(c.test(f, q) for c in SUBBUNDLE_CONDITIONS)):
             yield q
-
-
-def _quotient_candidates(e: HNBundle, pool: list[HNBundle]) -> list[int]:
-    """Positions of the members of ``pool`` that may be quotients of E; F plays no part."""
-    # Only a prune: (ii) already forces rank(Q) <= rank(E).
-    return [i for i, q in enumerate(pool)
-            if q.rank <= e.rank and all(c.test(e, q) for c in QUOTIENT_CONDITIONS)]
 
 
 @dataclass(frozen=True)
@@ -274,7 +285,7 @@ def _pair_stream(pool: list[HNBundle], spec: UniverseSpec) -> Iterator[tuple[HNB
 def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
     """rank_condition(E, F) agrees with slopewise_dominates(F, E) on all pairs."""
     started = time.perf_counter()
-    pool = list(enumerate_bundles(spec, include_zero=True))
+    pool = bundle_pool(spec)
     cex: list[str] = []
     count = 0
     for e, f in _pair_stream(pool, spec):
@@ -289,7 +300,7 @@ def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
 def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     """Cross-product degree calculus agrees with the tensor route on all pairs."""
     started = time.perf_counter()
-    pool = list(enumerate_bundles(spec, include_zero=True))
+    pool = bundle_pool(spec)
     cex: list[str] = []
     count = 0
     for v, w in _pair_stream(pool, spec):
@@ -301,65 +312,49 @@ def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     return _report("oracles", count, cex, started)
 
 
-def _triple_pools(spec: UniverseSpec) -> tuple[list[HNBundle], list[HNBundle]]:
-    """The (E and F, Q) pools of the triple checks.
-
-    E and F run over the universe in enumeration order, Q over the universe
-    with zero, stably sorted by rank.
-    """
-    bundles = list(enumerate_bundles(spec))
-    return bundles, [ZERO] + sorted(bundles, key=lambda b: b.rank)
-
-
 def _triple_groups(
-    bundles: list[HNBundle], images: list[HNBundle], conditions: ConditionSet,
-    limit: int | None = None,
-) -> Iterator[tuple[HNBundle, int, list[int]]]:
-    """Triples meeting every condition of ``conditions``, as (E, F position, Q positions) groups.
+    pool: list[HNBundle], conditions: ConditionSet, limit: int | None = None,
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Every (E, F) meeting the E and (E, F) conditions, with the Q that complete its triples.
 
-    E and F run over ``bundles`` and Q over ``images``, each in list order,
-    so the flattened groups are the triples in a fixed order.  Each group
-    of conditions is tested in the outermost loop that holds its bundles:
-    the (E, Q) group filters the Q positions once per E, at E's first
-    admissible F, so an E without one tests no Q; the (F, Q) group's
-    verdicts are kept in one row per F, by Q position, each filled at its
-    first read, so a call tests each (F, Q) once.  Only nonempty groups are
-    yielded, holding at most ``limit`` triples in all.
+    E, F and Q are named by their position in ``pool``.  E and F run over
+    the pool in its order and Q over it stably sorted by rank, so the
+    flattened groups are the triples meeting every condition of
+    ``conditions`` in a fixed order.  Each group of conditions is tested in
+    the outermost loop that holds its bundles: the (E, Q) group filters the
+    Q positions once per E, at E's first admissible F, so an E without one
+    tests no Q; the (F, Q) group's verdicts are kept in one row per F, by Q
+    position, each filled at its first read, so a call tests each (F, Q)
+    once.  Every admissible (E, F) is yielded, with an empty group when no
+    Q completes it; the groups hold at most ``limit`` triples in all.
     """
-    ranks = [q.rank for q in images]
-    verdicts: list[list[bool | None]] = [[None] * len(images) for _ in bundles]
+    by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
+    ranks = [pool[i].rank for i in by_rank]
+    verdicts: list[list[bool | None]] = [[None] * len(pool) for _ in pool]
     remaining = limit
-    for e in bundles:
+    for ei, e in enumerate(pool):
         if not all(c.test(e) for c in conditions.on_e):
             continue
         quotients = None
-        for fi, f in enumerate(bundles):
+        for fi, f in enumerate(pool):
             if not all(c.test(e, f) for c in conditions.on_pair):
                 continue
             if quotients is None:
-                # Only a prune: both forms of (v) require rank(Q) < rank(E).
-                quotients = [qi for qi in range(bisect_left(ranks, e.rank))
-                             if all(c.test(e, images[qi]) for c in conditions.on_quotient)]
+                # Only a prune: every condition set holds (ii), which requires rank(Q) <= rank(E).
+                quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
+                             if all(c.test(e, pool[qi]) for c in conditions.on_quotient)]
             row = verdicts[fi]
             group = []
             for qi in quotients:
-                q = images[qi]
-                # A for/else, not all(): no generator object per candidate triple.
-                for c in conditions.on_triple:
-                    if not c.test(e, f, q):
-                        break
-                else:
-                    admitted = row[qi]
-                    if admitted is None:
-                        admitted = row[qi] = all(c.test(f, q) for c in conditions.on_image)
-                    if admitted:
-                        group.append(qi)
-            if not group:
-                continue
+                admitted = row[qi]
+                if admitted is None:
+                    admitted = row[qi] = all(c.test(f, pool[qi]) for c in conditions.on_image)
+                if admitted:
+                    group.append(qi)
             if remaining is not None:
                 group = group[:remaining]
                 remaining -= len(group)
-            yield e, fi, group
+            yield ei, fi, group
             if remaining == 0:
                 return
 
@@ -372,11 +367,10 @@ def _admissible_triples(
     The same stream as :func:`_triple_groups` (which the checks read),
     with the positions resolved to bundles.
     """
-    bundles, images = _triple_pools(spec)
-    for e, fi, group in _triple_groups(bundles, images, conditions):
-        f = bundles[fi]
+    pool = bundle_pool(spec)
+    for ei, fi, group in _triple_groups(pool, conditions):
         for qi in group:
-            yield e, f, images[qi]
+            yield pool[ei], pool[fi], pool[qi]
 
 
 def _image_term(e: HNBundle, q: HNBundle, qi: int, qq_degrees: list[int | None]) -> int:
@@ -397,23 +391,24 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     next E starts (E is the stream's outermost loop).
     """
     started = time.perf_counter()
-    bundles, images = _triple_pools(spec)
+    pool = bundle_pool(spec)
     cex: list[str] = []
     count = 0
-    qq_degrees: list[int | None] = [None] * len(images)
-    qf_degrees: list[list[int | None]] = [[None] * len(images) for _ in bundles]
+    qq_degrees: list[int | None] = [None] * len(pool)
+    qf_degrees: list[list[int | None]] = [[None] * len(pool) for _ in pool]
     terms: list[int | None] = []
     current = None
-    for e, fi, group in _triple_groups(bundles, images, GENERAL_CONDITIONS,
-                                       spec.sample_limit):
-        if e is not current:
-            terms = [None] * len(images)
-            current = e
-        f, qf_row = bundles[fi], qf_degrees[fi]
+    for ei, fi, group in _triple_groups(pool, GENERAL_CONDITIONS, spec.sample_limit):
+        if not group:
+            continue
+        if ei != current:
+            terms = [None] * len(pool)
+            current = ei
+        e, f, qf_row = pool[ei], pool[fi], qf_degrees[fi]
         ef_degree = deg_nonneg(e, f)
         count += len(group)
         for qi in group:
-            q = images[qi]
+            q = pool[qi]
             term = terms[qi]
             if term is None:
                 term = terms[qi] = _image_term(e, q, qi, qq_degrees)
@@ -465,8 +460,8 @@ class _ChainSteps:
     """The degeneration chains of one check call, walked through steps kept by (member, Q) position.
 
     A chain member after E has rank(Q) and slopes of E or Q, so it lies in
-    the Q pool and is named by its position there, which is also its cell
-    in every row by Q position.  A member outside the pool, which only a
+    the pool and is named by its position there, which is also its cell in
+    every row by pool position.  A member outside the pool, which only a
     faulty engine makes, gets the next free position and a cell in each of
     the ``rows``.  Each step is taken by the first chain that reaches its
     (member, Q); every later chain looks it up.  The engine's functions are
@@ -474,13 +469,13 @@ class _ChainSteps:
     rebinds them sees every call.
     """
 
-    def __init__(self, images: list[HNBundle], qq_degrees: list[int | None],
+    def __init__(self, pool: list[HNBundle], qq_degrees: list[int | None],
                  rows: list[list[int | None]]) -> None:
-        self.members = list(images)
-        self.where = {member: i for i, member in enumerate(images)}
+        self.members = list(pool)
+        self.where = {member: i for i, member in enumerate(pool)}
         self.qq_degrees = qq_degrees
         self.rows = rows
-        self.steps: list[dict[int, ChainStep]] = [{} for _ in images]
+        self.steps: list[dict[int, ChainStep]] = [{} for _ in pool]
 
     def position(self, member: HNBundle) -> int:
         i = self.where.get(member)
@@ -606,8 +601,8 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     """Trace every reduced triple and re-check all chain invariants.
 
     The chain of a triple (E, F, Q) does not read F.  Its members after E
-    are pool bundles, named by their position in the Q pool: E_1 is built
-    once per E, and each later step - the (M, R, S) decomposition of
+    are pool bundles, named like E, F and Q by their pool position: E_1 is
+    built once per E, and each later step - the (M, R, S) decomposition of
     (E_i, Q), the next member, the step's F-free invariants and
     image_term(E_i, Q) - is taken once per (E_i, Q) and shared by every
     chain that reaches it (:class:`_ChainSteps`).  A chain, with its
@@ -617,37 +612,35 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     by V's position, for V = E, Q and every chain member, and
     deg_nonneg(Q, Q) in one row, so per triple only list lookups and the
     codimension checks remain.  deg(V^{>=0}) of the first-drop rule is
-    computed once per F and once per Q.
+    kept in one row by pool position, for V = F and Q.
     """
     started = time.perf_counter()
-    bundles, images = _triple_pools(spec)
+    pool = bundle_pool(spec)
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-    qq_degrees: list[int | None] = [None] * len(images)
-    qf_degrees: list[list[int | None]] = [[None] * len(images) for _ in bundles]
-    # deg(V^{>=0}) by F position and by Q position.
-    f_nonneg: list[int | None] = [None] * len(bundles)
-    q_nonneg: list[int | None] = [None] * len(images)
-    walks = _ChainSteps(images, qq_degrees, qf_degrees)
+    qq_degrees: list[int | None] = [None] * len(pool)
+    qf_degrees: list[list[int | None]] = [[None] * len(pool) for _ in pool]
+    nonneg: list[int | None] = [None] * len(pool)
+    walks = _ChainSteps(pool, qq_degrees, qf_degrees)
     members = walks.members
     chains: list[ChainCheck | None] = []
     current = start = None
-    ei = 0
-    for e, fi, group in _triple_groups(bundles, images, REDUCED_CONDITIONS,
-                                       spec.sample_limit):
-        if e is not current:
-            chains = [None] * len(images)
-            current, ei, start = e, walks.position(e), walks.start(e)
-        f, qf_row = bundles[fi], qf_degrees[fi]
+    for ei, fi, group in _triple_groups(pool, REDUCED_CONDITIONS, spec.sample_limit):
+        if not group:
+            continue
+        e, f, qf_row = pool[ei], pool[fi], qf_degrees[fi]
+        if ei != current:
+            chains = [None] * len(pool)
+            current, start = ei, walks.start(e)
         ef_degree = qf_row[ei]
         if ef_degree is None:
             ef_degree = qf_row[ei] = deg_nonneg(e, f)
-        if f_nonneg[fi] is None:
-            f_nonneg[fi] = f.filter(0, ">=").degree
+        if nonneg[fi] is None:
+            nonneg[fi] = f.filter(0, ">=").degree
         count += len(group)
         for qi in group:
-            q = images[qi]
+            q = pool[qi]
             checked = chains[qi]
             if checked is None:
                 checked = chains[qi] = walks.chain(e, start, q, qi)
@@ -655,10 +648,10 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
             if checked.steps is not None:
                 if qf_row[qi] is None:
                     qf_row[qi] = deg_nonneg(q, f)
-                if q_nonneg[qi] is None:
-                    q_nonneg[qi] = q.filter(0, ">=").degree
+                if nonneg[qi] is None:
+                    nonneg[qi] = q.filter(0, ">=").degree
                 bad = bad + _codimension_problems(e, f, q, qi, checked, members, ef_degree,
-                                                  qf_row, f_nonneg[fi] - q_nonneg[qi])
+                                                  qf_row, nonneg[fi] - nonneg[qi])
             if bad or notes:
                 prefix = f"E={e} F={f} Q={q}"
                 cex.extend(f"{prefix}: {item}" for item in bad)
@@ -672,67 +665,60 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     For every pair with no common slopes where F dominates E: the stratum
     at Q = E has the full Hom dimension, no candidate exceeds it, and
     (the key inequality in its stratum form) no candidate of strictly
-    smaller rank attains it.  The quotient candidates of E (the rank prune
-    and (ii)) do not read F, so they are listed once per E, at its first
-    admissible F.  Everything else is kept by pool position and looked up
-    once per call: the (iii) verdict and deg_nonneg(Q, F) in a row per F,
-    deg_nonneg(Q, Q) in one row, and the F-free term of each candidate's
-    stratum dimension in a row per E, filled when (iii) first admits Q.
+    smaller rank attains it.  The pairs and their candidates come from the
+    triple stream, read with (iv), (i), (ii) and (iii), zero included
+    among E, F and Q; a pair without a candidate is counted and reported
+    like any other.  Everything else is kept by pool position and looked
+    up once per call: deg_nonneg(Q, F) in a row per F, deg_nonneg(Q, Q) in
+    one row, and the F-free term of each candidate's stratum dimension in
+    a row per E.
     """
     started = time.perf_counter()
-    pool = list(enumerate_bundles(spec, include_zero=True))
-    width = len(pool)
+    pool = bundle_pool(spec)
+    # Built at call time, so a test that rebinds a condition tuple sees every call.
+    conditions = ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS, SUBBUNDLE_CONDITIONS)
     cex: list[str] = []
     count = 0
-    qq_degrees: list[int | None] = [None] * width
-    verdicts: list[list[bool | None]] = [[None] * width for _ in pool]
-    qf_degrees: list[list[int | None]] = [[None] * width for _ in pool]
-    for e in pool:
-        quotients = None
-        terms: list[int | None] = []
-        for fi, f in enumerate(pool):
-            if not all(c.test(e, f) for c in PAIR_CONDITIONS):
+    qq_degrees: list[int | None] = [None] * len(pool)
+    qf_degrees: list[list[int | None]] = [[None] * len(pool) for _ in pool]
+    terms: list[int | None] = []
+    current = None
+    for ei, fi, group in _triple_groups(pool, conditions):
+        count += 1
+        if ei != current:
+            terms = [None] * len(pool)
+            current = ei
+        e, f, qf_row = pool[ei], pool[fi], qf_degrees[fi]
+        full = dim_hom(e, f)
+        best = None
+        for qi in group:
+            q = pool[qi]
+            term = terms[qi]
+            if term is None:
+                term = terms[qi] = _image_term(e, q, qi, qq_degrees)
+            qf_degree = qf_row[qi]
+            if qf_degree is None:
+                qf_degree = qf_row[qi] = deg_nonneg(q, f)
+            try:
+                dim = stratum_dim(e, f, q, term=term, qf_degree=qf_degree)
+            except InternalConsistencyError as exc:
+                cex.append(f"E={e} F={f} Q={q}: {exc}")
                 continue
-            count += 1
-            if quotients is None:
-                quotients = _quotient_candidates(e, pool)
-                terms = [None] * width
-            full = dim_hom(e, f)
-            verdict_row, qf_row = verdicts[fi], qf_degrees[fi]
-            best = None
-            for qi in quotients:
-                q = pool[qi]
-                admitted = verdict_row[qi]
-                if admitted is None:
-                    admitted = verdict_row[qi] = all(c.test(f, q) for c in SUBBUNDLE_CONDITIONS)
-                if not admitted:
-                    continue
-                term = terms[qi]
-                if term is None:
-                    term = terms[qi] = _image_term(e, q, qi, qq_degrees)
-                qf_degree = qf_row[qi]
-                if qf_degree is None:
-                    qf_degree = qf_row[qi] = deg_nonneg(q, f)
-                try:
-                    dim = stratum_dim(e, f, q, term=term, qf_degree=qf_degree)
-                except InternalConsistencyError as exc:
-                    cex.append(f"E={e} F={f} Q={q}: {exc}")
-                    continue
-                best = dim if best is None else max(best, dim)
-                if q is e and dim != full:
-                    cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
-                if q.rank < e.rank and dim >= full:
-                    cex.append(f"E={e} F={f} Q={q}: smaller-rank stratum {dim} "
-                               f"reaches dim hom {full}")
-            if best != full:
-                cex.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
+            best = dim if best is None else max(best, dim)
+            if q is e and dim != full:
+                cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
+            if q.rank < e.rank and dim >= full:
+                cex.append(f"E={e} F={f} Q={q}: smaller-rank stratum {dim} "
+                           f"reaches dim hom {full}")
+        if best != full:
+            cex.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
     return _report("stratification", count, cex, started)
 
 
 def verify_invariance(spec: UniverseSpec) -> VerificationReport:
     """Stretch scales degrees and codimensions by C; integer twists fix them."""
     started = time.perf_counter()
-    pool = list(enumerate_bundles(spec, include_zero=True))
+    pool = bundle_pool(spec)
     rng = random.Random(spec.seed)
     trials = spec.sample_limit if spec.sample_limit is not None else 1000
     cex: list[str] = []

@@ -120,6 +120,15 @@ def test_images_over_the_pool_cap_exits_3_quickly(capsys):
     assert str(CANDIDATE_POOL_LIMIT) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "--check", "invariance"], ["enumerate"]],
+                         ids=["verify", "enumerate"])
+def test_every_pool_over_the_cap_exits_3_quickly(capsys, command):
+    started = time.perf_counter()
+    assert run([*command, "--max-rank", "60", "--max-den", "3"]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert str(CANDIDATE_POOL_LIMIT) in capsys.readouterr().err
+
+
 def test_images_zero_source(capsys):
     assert run(["images", "0", "1,-1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

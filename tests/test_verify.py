@@ -709,3 +709,43 @@ def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch,
     assert (report.instances_checked, report.counterexamples) == reference(SMALL_INT)[:2]
     if name == "stratification":
         assert any("stratum dimension formula gave" in line for line in report.counterexamples)
+
+
+# ----------------------------------------------------------------------
+# where the stream asks condition (vi), and a pair the stream gives no candidate
+
+def test_integer_slopes_are_asked_of_one_bundle_at_a_time(monkeypatch):
+    arities = Counter()
+
+    def counting(condition):
+        if condition.name != "(vi)":
+            return condition
+
+        def test(*bundles):
+            arities[len(bundles)] += 1
+            return condition.test(*bundles)
+
+        return condition._replace(test=test)
+
+    groups = verify.REDUCED_CONDITIONS
+    monkeypatch.setattr(verify, "REDUCED_CONDITIONS",
+                        type(groups)(*(tuple(map(counting, group)) for group in groups)))
+    assert verify_degeneration(SMALL_INT).passed
+    assert arities and 3 not in arities
+
+
+def test_a_condition_failing_on_each_bundle_is_named_once():
+    e, f, q = B("0,-1/2:2"), B("1/2:2"), B("-1/2:2")
+    assert not any(v.has_integer_slopes() for v in (e, f, q))
+    names = [name for name, _ in reduced_violations(e, f, q)]
+    assert names.count("(vi)") == 1
+
+
+def test_stratification_counts_a_pair_without_a_candidate(monkeypatch):
+    rejecting = tuple(c._replace(test=lambda e, q: False) for c in verify.QUOTIENT_CONDITIONS)
+    monkeypatch.setattr(verify, "QUOTIENT_CONDITIONS", rejecting)
+    pairs = _stratification_pairs(list(enumerate_bundles(SMALL_INT, include_zero=True)))
+    report = verify_stratification_dimension(SMALL_INT)
+    assert report.instances_checked == len(pairs) > 0
+    assert report.counterexamples == tuple(sorted(
+        f"E={e} F={f}: top stratum None != dim hom {dim_hom(e, f)}" for e, f in pairs))
