@@ -6,20 +6,19 @@ multiplicities.  :class:`HNBundle` stores that multiset in strictly
 descending slope order, which is the unique canonical form; the empty
 multiset is the zero bundle.
 
-Slopes are exact rationals (:class:`fractions.Fraction`) and ranks/degrees
-are arbitrary-precision integers, so nothing in this package ever rounds.
-The stable class of slope ``p/q`` (lowest terms, ``q > 0``) has rank ``q``
-and degree ``p``; rank and degree of a general bundle are the
-multiplicity-weighted sums over its summands.
-
-A bundle's identity is an integer key, one ``(p, q, multiplicity)`` triple
-per summand, built and hashed once when the value is made; equality and
-hashing compare that key and never touch a ``Fraction``.  ``dual()`` is
-memoized on the instance, with a back-link, so ``v.dual().dual() is v``.
-Only outside input is validated: the public constructor, :func:`stable`,
-:func:`canonicalize`, :func:`parse_bundle` and :func:`bundle_from_json`
-check and reject, while the library's own operations, whose results are
-canonical by construction, build their values without re-checking them.
+A bundle is one integer key, a ``(p, q, multiplicity)`` triple per summand
+of slope ``p/q`` (lowest terms, ``q > 0``), of rank ``q`` and degree ``p``.
+Every operation works on the key and compares slopes by cross-multiplying,
+so nothing in this package ever rounds; ``summands``, ``slopes()``,
+``slope``, ``mu_max`` and ``mu_min`` are views that build exact
+:class:`fractions.Fraction` values when read, and no bundle stores one.
+The key is hashed once, when the value is made; equality and hashing
+compare it.  ``dual()`` is memoized on the instance, with a back-link, so
+``v.dual().dual() is v``.  Only outside input is validated: the public
+constructor, :func:`stable`, :func:`canonicalize`, :func:`parse_bundle` and
+:func:`bundle_from_json` check it through ``Fraction`` and reject, while the
+library's own operations, whose results are canonical by construction,
+build their keys without re-checking them.
 
 Bundles also have a bit-exact text form used by the CLI and by all JSON
 reports::
@@ -36,10 +35,11 @@ the trivial line bundle O prints as ``"0:1"``.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from math import gcd
 from typing import Iterable, NamedTuple, Union
 
 SlopeLike = Union[Fraction, int, str]
@@ -83,11 +83,19 @@ class InternalConsistencyError(RuntimeError):
     """An identity that is guaranteed by construction failed to hold."""
 
 
-def _as_slope(value: SlopeLike) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"not a rational slope: {value!r}") from exc
+def _as_slope(value: SlopeLike) -> tuple[int, int]:
+    """``value`` in lowest terms as ``(numerator, denominator)``, denominator > 0."""
+    if not isinstance(value, (int, Fraction)):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ValueError(f"not a rational slope: {value!r}") from exc
+    return value.numerator, value.denominator
+
+
+def _slope_text(p: int, q: int) -> str:
+    """The slope p/q as ``str(Fraction(p, q))`` prints it."""
+    return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 class SegmentVector(NamedTuple):
@@ -112,39 +120,34 @@ class PolygonVertex(NamedTuple):
     y: int
 
 
-_COMPARATORS = {
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-}
+_COMPARATORS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
-@dataclass(frozen=True, eq=False)
 class HNBundle:
-    """A bundle class in canonical form: ((slope, multiplicity), ...).
+    """A bundle class in canonical form, built from ((slope, multiplicity), ...).
 
     Slopes strictly descending, multiplicities >= 1; ``()`` is the zero
     bundle.  Use :func:`canonicalize`, :func:`stable` or
-    :func:`parse_bundle` to build values from loose input.  Instances are
-    immutable, hashable, and safe to share across threads.
+    :func:`parse_bundle` to build values from loose input.  An instance
+    holds its integer key, the key's hash, the dual link and cached integer
+    properties.  Instances are immutable, hashable, and thread-safe.
     """
 
-    summands: tuple[tuple[Fraction, int], ...]
-
-    def __post_init__(self) -> None:
-        cleaned: list[tuple[Fraction, int]] = []
-        previous: Fraction | None = None
-        for entry in self.summands:
-            lam, mult = entry
-            lam = _as_slope(lam)
+    def __init__(self, summands: Iterable[tuple[SlopeLike, int]]) -> None:
+        key: list[tuple[int, int, int]] = []
+        for lam, mult in summands:
+            p, q = _as_slope(lam)
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
-            if previous is not None and lam >= previous:
+            if key and p * key[-1][1] >= key[-1][0] * q:
                 raise ValueError("summand slopes must be strictly descending")
-            previous = lam
-            cleaned.append((lam, mult))
-        _settle(self, tuple(cleaned))
+            key.append((p, q, mult))
+        _settle(self, tuple(key))
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"HNBundle is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -160,16 +163,21 @@ class HNBundle:
     # basic invariants
 
     @property
+    def summands(self) -> tuple[tuple[Fraction, int], ...]:
+        """``((slope, multiplicity), ...)``, slopes built from the key when read."""
+        return tuple([(Fraction(p, q), m) for p, q, m in self._key])
+
+    @property
     def is_zero(self) -> bool:
-        return not self.summands
+        return not self._key
 
     @cached_property
     def rank(self) -> int:
-        return sum(m * lam.denominator for lam, m in self.summands)
+        return sum(m * q for _, q, m in self._key)
 
     @cached_property
     def degree(self) -> int:
-        return sum(m * lam.numerator for lam, m in self.summands)
+        return sum(m * p for p, _, m in self._key)
 
     @property
     def slope(self) -> Fraction:
@@ -182,22 +190,22 @@ class HNBundle:
     def mu_max(self) -> Fraction:
         if self.is_zero:
             raise PreconditionError("mu_max of the zero bundle is undefined")
-        return self.summands[0][0]
+        return Fraction(*self._key[0][:2])
 
     @property
     def mu_min(self) -> Fraction:
         if self.is_zero:
             raise PreconditionError("mu_min of the zero bundle is undefined")
-        return self.summands[-1][0]
+        return Fraction(*self._key[-1][:2])
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(lam for lam, _ in self.summands)
+        return tuple([Fraction(p, q) for p, q, _ in self._key])
 
     def multiplicity(self, lam: SlopeLike) -> int:
         """Multiplicity of the stable summand of the given slope (0 if absent)."""
-        lam = _as_slope(lam)
-        for s, m in self.summands:
-            if s == lam:
+        slope = _as_slope(lam)
+        for p, q, m in self._key:
+            if (p, q) == slope:
                 return m
         return 0
 
@@ -225,22 +233,23 @@ class HNBundle:
         """
         dual = self._dual
         if dual is None:
-            dual = _trusted(tuple((-lam, m) for lam, m in reversed(self.summands)))
+            dual = _trusted(tuple([(-p, q, m) for p, q, m in reversed(self._key)]))
             dual.__dict__["_dual"] = self
             self.__dict__["_dual"] = dual
         return dual
 
     def direct_sum(self, other: "HNBundle") -> "HNBundle":
-        mine, theirs = self.summands, other.summands
-        merged: list[tuple[Fraction, int]] = []
+        mine, theirs = self._key, other._key
+        merged: list[tuple[int, int, int]] = []
         i = j = 0
         while i < len(mine) and j < len(theirs):
-            (a, ma), (b, mb) = mine[i], theirs[j]
-            if a == b:
-                merged.append((a, ma + mb))
+            (a, b, ma), (c, d, mc) = mine[i], theirs[j]
+            order = a * d - c * b  # a/b against c/d, with b, d > 0
+            if not order:
+                merged.append((a, b, ma + mc))
                 i += 1
                 j += 1
-            elif a > b:
+            elif order > 0:
                 merged.append(mine[i])
                 i += 1
             else:
@@ -260,8 +269,9 @@ class HNBundle:
             keep = _COMPARATORS[mode]
         except KeyError:
             raise ValueError(f"mode must be one of {sorted(_COMPARATORS)}, got {mode!r}")
-        mu = _as_slope(mu)
-        return _trusted(tuple((lam, m) for lam, m in self.summands if keep(lam, mu)))
+        a, b = _as_slope(mu)
+        # p/q against a/b is p*b against a*q, since q, b > 0.
+        return _trusted(tuple([s for s in self._key if keep(s[0] * b, a * s[1])]))
 
     def twist(self, amount: SlopeLike) -> "HNBundle":
         """Shift every slope by an integer; rank preserved, degree shifts by amount*rank.
@@ -271,56 +281,44 @@ class HNBundle:
         with the same multiplicity.  A non-integer twist would instead be a
         tensor product, which :meth:`tensor` provides.
         """
-        amount = _as_slope(amount)
-        if amount.denominator != 1:
-            raise PreconditionError(f"twist requires an integer amount, got {amount}")
-        n = amount.numerator
-        return _trusted(tuple((lam + n, m) for lam, m in self.summands))
+        n, d = _as_slope(amount)
+        if d != 1:
+            raise PreconditionError(f"twist requires an integer amount, got {_slope_text(n, d)}")
+        return _trusted(tuple([(p + n * q, q, m) for p, q, m in self._key]))
 
     def vertical_stretch(self, factor: int) -> "HNBundle":
         """Scale the HN polygon vertically by a positive integer factor.
 
         Every y-coordinate of the polygon is multiplied by ``factor`` while
-        segment widths are preserved, so each slope ``lam`` becomes
-        ``factor*lam`` and multiplicities are readjusted to keep ``m * s``
-        invariant per segment.  The readjusted multiplicity is always an
-        integer: the denominator of ``factor*lam`` divides that of ``lam``.
+        segment widths are preserved: each slope ``p/q`` becomes
+        ``(factor*p/g)/(q/g)`` with multiplicity ``m*g``, where ``g =
+        gcd(factor*p, q)``, so the width ``m*q`` of every segment is kept.
         """
         if not isinstance(factor, int) or factor < 1:
             raise PreconditionError(f"stretch factor must be a positive integer, got {factor!r}")
-        out: list[tuple[Fraction, int]] = []
-        for lam, m in self.summands:
-            width = m * lam.denominator
-            new = lam * factor
-            if width % new.denominator:
-                raise InternalConsistencyError(
-                    f"segment width {width} not divisible by stretched denominator {new.denominator}"
-                )
-            out.append((new, width // new.denominator))
+        out: list[tuple[int, int, int]] = []
+        for p, q, m in self._key:
+            g = gcd(factor * p, q)
+            out.append((factor * p // g, q // g, m * g))
         return _trusted(tuple(out))
 
     def tensor(self, other: "HNBundle") -> "HNBundle":
         """Tensor product, summand pair by summand pair.
 
         Uses the standard decomposition of a product of stable classes:
-        O(a) (x) O(b) is semistable of slope a+b and rank
-        denom(a)*denom(b), hence O(a+b) with multiplicity
-        denom(a)*denom(b)/denom(a+b).  Rank is multiplicative and degree
-        bilinear.  This exists as background plumbing and as the
-        independent oracle route for the degree calculus; the main code
-        paths never rely on it.
+        O(a/b) (x) O(c/d) is semistable of slope (ad + cb)/(bd) and rank bd,
+        hence g copies of the stable class of that slope, g = gcd(ad + cb,
+        bd).  Rank is multiplicative and degree bilinear.  This exists as
+        background plumbing and as the independent oracle route for the
+        degree calculus; the main code paths never rely on it.
         """
-        pieces: list[tuple[Fraction, int]] = []
-        for a, ma in self.summands:
-            for b, mb in other.summands:
-                lam = a + b
-                product_rank = ma * mb * a.denominator * b.denominator
-                if product_rank % lam.denominator:
-                    raise InternalConsistencyError(
-                        f"tensor rank {product_rank} not divisible by denom({lam})"
-                    )
-                pieces.append((lam, product_rank // lam.denominator))
-        return canonicalize(pieces)
+        tally: dict[tuple[int, int], int] = {}
+        for a, b, ma in self._key:
+            for c, d, mc in other._key:
+                g = gcd(a * d + c * b, b * d)
+                slope = ((a * d + c * b) // g, b * d // g)
+                tally[slope] = tally.get(slope, 0) + ma * mc * g
+        return _from_tally(tally)
 
     # ------------------------------------------------------------------
     # polygon
@@ -328,9 +326,7 @@ class HNBundle:
     @cached_property
     def segment_vectors(self) -> tuple[SegmentVector, ...]:
         """One (rank, degree) vector per HN segment, slope-descending."""
-        return tuple(
-            SegmentVector(m * lam.denominator, m * lam.numerator) for lam, m in self.summands
-        )
+        return tuple([SegmentVector(m * q, m * p) for p, q, m in self._key])
 
     @cached_property
     def polygon(self) -> tuple[PolygonVertex, ...]:
@@ -353,30 +349,36 @@ class HNBundle:
         return f"HNBundle({format_bundle(self)!r})"
 
 
-def _settle(bundle: HNBundle, summands: tuple[tuple[Fraction, int], ...]) -> None:
-    """Store canonical summands with their integer key and its hash.
+def _settle(bundle: HNBundle, key: tuple[tuple[int, int, int], ...]) -> None:
+    """Store a canonical integer key and its hash.
 
     The hash reads the numerators zigzag-encoded (p >= 0 as 2p, p < 0 as
     -2p - 1): CPython hashes -1 like -2, so hashing the raw key would make
     every pair of bundles that differ only there collide.
     """
-    key = tuple([(lam.numerator, lam.denominator, m) for lam, m in summands])
     state = bundle.__dict__
-    state["summands"] = summands
     state["_key"] = key
     state["_hash"] = hash(tuple([(2 * p if p >= 0 else -2 * p - 1, q, m) for p, q, m in key]))
     state["_dual"] = None
 
 
-def _trusted(summands: tuple[tuple[Fraction, int], ...]) -> HNBundle:
-    """Bundle from summands that are canonical by construction; nothing is re-checked.
+def _trusted(key: tuple[tuple[int, int, int], ...]) -> HNBundle:
+    """Bundle from a key that is canonical by construction; nothing is re-checked.
 
-    Callers guarantee reduced ``Fraction`` slopes in strictly descending
-    order and multiplicities >= 1.
+    Callers guarantee slopes ``p/q`` in lowest terms with ``q > 0``, strictly
+    descending, and multiplicities >= 1.
     """
     bundle = object.__new__(HNBundle)
-    _settle(bundle, summands)
+    _settle(bundle, key)
     return bundle
+
+
+_DESCENDING = cmp_to_key(lambda s, t: t[0] * s[1] - s[0] * t[1])
+
+
+def _from_tally(tally: dict[tuple[int, int], int]) -> HNBundle:
+    """Bundle of ``{(p, q): multiplicity >= 1}``, slopes sorted by cross-multiplying."""
+    return _trusted(tuple([(p, q, tally[p, q]) for p, q in sorted(tally, key=_DESCENDING)]))
 
 
 ZERO = HNBundle(())
@@ -384,35 +386,35 @@ ZERO = HNBundle(())
 
 def stable(lam: SlopeLike) -> HNBundle:
     """The stable class O(lam): rank = denominator, degree = numerator."""
-    return HNBundle(((_as_slope(lam), 1),))
+    return HNBundle(((lam, 1),))
 
 
 def canonicalize(pairs: Iterable[tuple[SlopeLike, int]]) -> HNBundle:
     """Merge, sort descending, and drop zero multiplicities; idempotent."""
-    tally: dict[Fraction, int] = {}
+    tally: dict[tuple[int, int], int] = {}
     for lam, mult in pairs:
-        lam = _as_slope(lam)
+        slope = _as_slope(lam)
         if not isinstance(mult, int) or mult < 0:
             raise ValueError(f"multiplicity must be a nonnegative integer, got {mult!r}")
         if mult:
-            tally[lam] = tally.get(lam, 0) + mult
-    return _trusted(tuple((lam, tally[lam]) for lam in sorted(tally, reverse=True)))
+            tally[slope] = tally.get(slope, 0) + mult
+    return _from_tally(tally)
 
 
 def summand_difference(whole: HNBundle, part: HNBundle) -> HNBundle:
     """Multiset difference ``whole - part``; ``part`` must embed summand-wise."""
-    remaining: list[tuple[Fraction, int]] = []
-    theirs = part.summands
+    remaining: list[tuple[int, int, int]] = []
+    theirs = part._key
     j = 0
-    for lam, m in whole.summands:
+    for p, q, m in whole._key:
         used = 0
-        if j < len(theirs) and theirs[j][0] == lam:
-            used = theirs[j][1]
+        if j < len(theirs) and theirs[j][:2] == (p, q):
+            used = theirs[j][2]
             j += 1
         if used > m:
             raise ValueError(f"{part} is not a summand-wise part of {whole}")
         if m - used:
-            remaining.append((lam, m - used))
+            remaining.append((p, q, m - used))
     # Both sides descend, so a slope of part missing from whole stops the walk early.
     if j < len(theirs):
         raise ValueError(f"{part} is not a summand-wise part of {whole}")
@@ -469,7 +471,8 @@ def format_bundle(bundle: HNBundle) -> str:
     """
     if bundle.is_zero:
         return "0"
-    parts = [f"{lam}" if m == 1 else f"{lam}:{m}" for lam, m in bundle.summands]
+    parts = [_slope_text(p, q) if m == 1 else f"{_slope_text(p, q)}:{m}"
+             for p, q, m in bundle._key]
     text = ",".join(parts)
     return "0:1" if text == "0" else text
 
@@ -477,7 +480,7 @@ def format_bundle(bundle: HNBundle) -> str:
 def bundle_to_json(bundle: HNBundle) -> dict:
     """JSON object form: {"summands": [{"slope": "3/2", "mult": 2}, ...]}."""
     return {
-        "summands": [{"slope": str(lam), "mult": m} for lam, m in bundle.summands]
+        "summands": [{"slope": _slope_text(p, q), "mult": m} for p, q, m in bundle._key]
     }
 
 

@@ -19,6 +19,7 @@ whenever rank(E) > rank(F).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .bundle import HNBundle, _trusted, summand_difference
@@ -37,12 +38,13 @@ def rank_condition(e: HNBundle, f: HNBundle) -> bool:
     """rank(e^{>=mu}) <= rank(f^{>=mu}) for every rational mu.
 
     rank(V^{>=mu}) is a step function of mu jumping only at slopes of V, so
-    checking at the slopes occurring in either bundle plus one probe below
-    both minima decides the condition for all mu.
+    checking at the slopes occurring in either bundle plus one integer probe
+    below both minima decides the condition for all mu.
     """
-    probes = set(e.slopes()) | set(f.slopes())
-    if probes:
-        probes.add(min(probes) - 1)
+    slopes = e.slope_pairs | f.slope_pairs
+    probes = [Fraction(p, q) for p, q in slopes]
+    if slopes:
+        probes.append(min(p // q for p, q in slopes) - 1)
     for mu in probes:
         if e.filter(mu, ">=").rank > f.filter(mu, ">=").rank:
             return False
@@ -97,13 +99,9 @@ def strip_common_slopes(e: HNBundle, f: HNBundle) -> tuple[HNBundle, HNBundle, H
     share no slope, and the subbundle criterion holds for (e, f) exactly
     when it holds for (E', F').
     """
-    shared = set(e.slopes()) & set(f.slopes())
-    common = HNBundle(
-        tuple(
-            (lam, min(e.multiplicity(lam), f.multiplicity(lam)))
-            for lam in sorted(shared, reverse=True)
-        )
-    )
+    theirs = {(p, q): m for p, q, m in f._key}
+    common = _trusted(tuple([(p, q, min(m, theirs[p, q]))
+                             for p, q, m in e._key if (p, q) in theirs]))
     return common, summand_difference(e, common), summand_difference(f, common)
 
 
@@ -115,11 +113,11 @@ def hn_common_prefix(a: HNBundle, b: HNBundle) -> HNBundle:
     the smaller multiplicity still belongs to the shared portion.  The
     prefix is unique, so no tie-breaking arises.
     """
-    shared: list[tuple] = []
-    for (sa, ma), (sb, mb) in zip(a.summands, b.summands):
-        if sa != sb:
+    shared: list[tuple[int, int, int]] = []
+    for (pa, qa, ma), (pb, qb, mb) in zip(a._key, b._key):
+        if (pa, qa) != (pb, qb):
             break
-        shared.append((sa, min(ma, mb)))
+        shared.append((pa, qa, min(ma, mb)))
         if ma != mb:
             break
     return _trusted(tuple(shared))

@@ -26,7 +26,6 @@ a transcript that ties the transformed codimension back to the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, TypeVar
 
@@ -217,9 +216,8 @@ def max_slope_reduction(v: HNBundle, w: HNBundle) -> HNBundle:
         raise PreconditionError("maximal slope reduction requires integer slopes")
     if not slopewise_dominates(v, w):
         raise PreconditionError(f"{v} does not slopewise dominate {w}")
-    top = w.mu_max
-    flattened = v.filter(top, ">").rank
-    return canonicalize(((top, flattened),) + v.filter(top, "<=").summands)
+    top = w._key[0][0]  # mu_max(w), an integer
+    return v.filter(top, "<=").direct_sum(canonicalize([(top, v.filter(top, ">").rank)]))
 
 
 def build_e1(e: HNBundle) -> HNBundle:
@@ -230,7 +228,7 @@ def build_e1(e: HNBundle) -> HNBundle:
     """
     if not _TOP_SLOPE_ZERO.test(e):
         raise PreconditionError("peeling requires mu_max(E) = 0 (a trivial summand present)")
-    return summand_difference(e, canonicalize([(Fraction(0), 1)]))
+    return summand_difference(e, canonicalize([(0, 1)]))
 
 
 def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:
@@ -378,7 +376,7 @@ def normalize_triple(e: HNBundle, f: HNBundle, q: HNBundle) -> NormalizedTriple:
     transcript: list[NormalizationStep] = []
     initial_c = c_value(e, f, q)
 
-    denominators = [lam.denominator for v in (e, f, q) for lam in v.slopes()]
+    denominators = [den for v in (e, f, q) for _, den in v.slope_pairs]
     factor = lcm(*denominators) if denominators else 1
     if factor > 1:
         e, f, q = (v.vertical_stretch(factor) for v in (e, f, q))

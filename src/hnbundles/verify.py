@@ -31,7 +31,7 @@ triple checks read one stream, :func:`_triple_groups`, each with its own
 conditions, and name E, F, Q and every chain member by pool position.
 Each does each piece of work in the outermost loop that holds the bundles
 it reads, and keeps what it looks up by pool position, in lists local to
-one call:
+one call (a row per F is made at F's first read):
 
 * once per E      - the E conditions ((vii) and (vi) on E) and, at E's
                     first admissible F, the (E, Q) conditions ((v), (vi) on
@@ -312,6 +312,14 @@ def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     return _report("oracles", count, cex, started)
 
 
+def _row(table: list[list | None], i: int, width: int) -> list:
+    """Row ``i`` of a table by pool position, made with ``width`` empty cells when first read."""
+    row = table[i]
+    if row is None:
+        row = table[i] = [None] * width
+    return row
+
+
 def _triple_groups(
     pool: list[HNBundle], conditions: ConditionSet, limit: int | None = None,
 ) -> Iterator[tuple[int, int, list[int]]]:
@@ -324,13 +332,14 @@ def _triple_groups(
     the outermost loop that holds its bundles: the (E, Q) group filters the
     Q positions once per E, at E's first admissible F, so an E without one
     tests no Q; the (F, Q) group's verdicts are kept in one row per F, by Q
-    position, each filled at its first read, so a call tests each (F, Q)
-    once.  Every admissible (E, F) is yielded, with an empty group when no
-    Q completes it; the groups hold at most ``limit`` triples in all.
+    position, made at F's first read, each cell filled at its first read,
+    so a call tests each (F, Q) once.  Every admissible (E, F) is yielded,
+    with an empty group when no Q completes it; the groups hold at most
+    ``limit`` triples in all.
     """
     by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
     ranks = [pool[i].rank for i in by_rank]
-    verdicts: list[list[bool | None]] = [[None] * len(pool) for _ in pool]
+    verdicts: list[list[bool | None] | None] = [None] * len(pool)
     remaining = limit
     for ei, e in enumerate(pool):
         if not all(c.test(e) for c in conditions.on_e):
@@ -343,7 +352,7 @@ def _triple_groups(
                 # Only a prune: every condition set holds (ii), which requires rank(Q) <= rank(E).
                 quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
                              if all(c.test(e, pool[qi]) for c in conditions.on_quotient)]
-            row = verdicts[fi]
+            row = _row(verdicts, fi, len(pool))
             group = []
             for qi in quotients:
                 admitted = row[qi]
@@ -395,7 +404,7 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     cex: list[str] = []
     count = 0
     qq_degrees: list[int | None] = [None] * len(pool)
-    qf_degrees: list[list[int | None]] = [[None] * len(pool) for _ in pool]
+    qf_degrees: list[list[int | None] | None] = [None] * len(pool)
     terms: list[int | None] = []
     current = None
     for ei, fi, group in _triple_groups(pool, GENERAL_CONDITIONS, spec.sample_limit):
@@ -404,7 +413,7 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
         if ei != current:
             terms = [None] * len(pool)
             current = ei
-        e, f, qf_row = pool[ei], pool[fi], qf_degrees[fi]
+        e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(pool))
         ef_degree = deg_nonneg(e, f)
         count += len(group)
         for qi in group:
@@ -483,7 +492,8 @@ class _ChainSteps:
             i = self.where[member] = len(self.members)
             self.members.append(member)
             for row in self.rows:
-                row.append(None)
+                if row is not None:
+                    row.append(None)
         return i
 
     def start(self, e: HNBundle) -> tuple[int, bool] | str:
@@ -620,7 +630,7 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     findings: list[str] = []
     count = 0
     qq_degrees: list[int | None] = [None] * len(pool)
-    qf_degrees: list[list[int | None]] = [[None] * len(pool) for _ in pool]
+    qf_degrees: list[list[int | None] | None] = [None] * len(pool)
     nonneg: list[int | None] = [None] * len(pool)
     walks = _ChainSteps(pool, qq_degrees, qf_degrees)
     members = walks.members
@@ -629,7 +639,7 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     for ei, fi, group in _triple_groups(pool, REDUCED_CONDITIONS, spec.sample_limit):
         if not group:
             continue
-        e, f, qf_row = pool[ei], pool[fi], qf_degrees[fi]
+        e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(members))
         if ei != current:
             chains = [None] * len(pool)
             current, start = ei, walks.start(e)
@@ -668,10 +678,11 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     smaller rank attains it.  The pairs and their candidates come from the
     triple stream, read with (iv), (i), (ii) and (iii), zero included
     among E, F and Q; a pair without a candidate is counted and reported
-    like any other.  Everything else is kept by pool position and looked
-    up once per call: deg_nonneg(Q, F) in a row per F, deg_nonneg(Q, Q) in
-    one row, and the F-free term of each candidate's stratum dimension in
-    a row per E.
+    like any other.  With ``sample_limit`` set, the first that many pairs
+    are checked, each against all of its candidates.  Everything else is
+    kept by pool position and looked up once per call: deg_nonneg(Q, F) in
+    a row per F, deg_nonneg(Q, Q) in one row, and the F-free term of each
+    candidate's stratum dimension in a row per E.
     """
     started = time.perf_counter()
     pool = bundle_pool(spec)
@@ -680,15 +691,15 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     cex: list[str] = []
     count = 0
     qq_degrees: list[int | None] = [None] * len(pool)
-    qf_degrees: list[list[int | None]] = [[None] * len(pool) for _ in pool]
+    qf_degrees: list[list[int | None] | None] = [None] * len(pool)
     terms: list[int | None] = []
     current = None
-    for ei, fi, group in _triple_groups(pool, conditions):
+    for ei, fi, group in itertools.islice(_triple_groups(pool, conditions), spec.sample_limit):
         count += 1
         if ei != current:
             terms = [None] * len(pool)
             current = ei
-        e, f, qf_row = pool[ei], pool[fi], qf_degrees[fi]
+        e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(pool))
         full = dim_hom(e, f)
         best = None
         for qi in group:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,11 +22,16 @@ from hnbundles import (
     bundle_from_json,
     bundle_to_json,
     canonicalize,
+    admissible_slopes,
+    build_e1,
+    decompose_mrs,
     enumerate_bundles,
     format_bundle,
     hn_common_prefix,
+    max_slope_reduction,
     parse_bundle,
     stable,
+    strip_common_slopes,
     summand_difference,
 )
 
@@ -363,3 +371,140 @@ def test_library_results_are_canonical():
             assert HNBundle(r.summands) == r
             assert canonicalize(r.summands) == r
             assert parse_bundle(format_bundle(r)) == r
+
+
+# ----------------------------------------------------------------------
+# the integer algebra against its statement in Fraction slopes
+#
+# Each reference takes and returns summands as ((Fraction slope, multiplicity), ...),
+# slope-descending; the bundle operations work on the integer key only.
+
+def _descending(tally):
+    return tuple(sorted(((lam, m) for lam, m in tally.items() if m), reverse=True))
+
+
+def _ref_direct_sum(a, b):
+    tally = Counter()
+    for lam, m in a + b:
+        tally[lam] += m
+    return _descending(tally)
+
+
+def _ref_filter(v, mu, mode):
+    keep = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}[mode]
+    return tuple((lam, m) for lam, m in v if keep(lam, mu))
+
+
+def _ref_twist(v, n):
+    return tuple((lam + n, m) for lam, m in v)
+
+
+def _ref_vertical_stretch(v, factor):
+    # Each segment keeps its width m * denominator.
+    return tuple((lam * factor, m * lam.denominator // (lam * factor).denominator) for lam, m in v)
+
+
+def _ref_tensor(a, b):
+    tally = Counter()
+    for x, mx in a:
+        for y, my in b:
+            tally[x + y] += mx * my * x.denominator * y.denominator // (x + y).denominator
+    return _descending(tally)
+
+
+def _ref_summand_difference(whole, part):
+    tally = Counter(dict(whole))
+    tally.subtract(dict(part))
+    assert min(tally.values(), default=0) >= 0
+    return _descending(tally)
+
+
+def _ref_hn_common_prefix(a, b):
+    shared = []
+    for (x, mx), (y, my) in zip(a, b):
+        if x != y:
+            break
+        shared.append((x, min(mx, my)))
+        if mx != my:
+            break
+    return tuple(shared)
+
+
+def test_unary_operations_match_their_fraction_statements():
+    pool = list(enumerate_bundles(PAIR_UNIVERSE, include_zero=True))
+    slopes = admissible_slopes(PAIR_UNIVERSE)
+    probes = sorted(set(slopes) | {lam + Fraction(1, 3) for lam in slopes} | {Fraction(-5)})
+    for v in pool:
+        summands = v.summands
+        for mu, mode in itertools.product(probes, (">=", ">", "<=", "<")):
+            assert v.filter(mu, mode) == HNBundle(_ref_filter(summands, mu, mode))
+        for n in range(-3, 4):
+            assert v.twist(n) == HNBundle(_ref_twist(summands, n))
+        for factor in range(1, 7):
+            assert v.vertical_stretch(factor) == HNBundle(_ref_vertical_stretch(summands, factor))
+
+
+def test_binary_operations_match_their_fraction_statements():
+    # A seeded sample of the 48,400 PAIR_UNIVERSE pairs, so the Fraction statements stay quick.
+    pool = list(enumerate_bundles(PAIR_UNIVERSE, include_zero=True))
+    pairs = random.Random(31).sample(list(itertools.product(pool, repeat=2)), 4000)
+    for v, w in pairs:
+        a, b = v.summands, w.summands
+        total = v.direct_sum(w)
+        prefix = hn_common_prefix(v, w)
+        assert total == HNBundle(_ref_direct_sum(a, b))
+        assert v.tensor(w) == HNBundle(_ref_tensor(a, b))
+        assert prefix == HNBundle(_ref_hn_common_prefix(a, b))
+        assert summand_difference(total, w) == HNBundle(_ref_summand_difference(total.summands, b))
+        unshared = _ref_summand_difference(a, prefix.summands)
+        assert summand_difference(v, prefix) == HNBundle(unshared)
+
+
+def _fractions_held(value, seen):
+    """Every Fraction reachable from ``value`` through containers and bundle instances."""
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, Fraction):
+        return [value]
+    if isinstance(value, HNBundle):
+        value = list(vars(value).values())
+    if isinstance(value, (tuple, list, frozenset, set)):
+        return [lam for item in value for lam in _fractions_held(item, seen)]
+    return []
+
+
+def test_no_bundle_holds_a_fraction():
+    v, w = B("3/2:2,0,-1/2"), B("1/3:3,-1")
+    values = [
+        HNBundle(((Fraction(3, 2), 2), ("-1/2", 1), (-1, 1))), HNBundle(()), ZERO,
+        stable("5/3"), stable(Fraction(-2, 7)),
+        canonicalize([(0, 1), ("-1/2", 1), (Fraction(3, 2), 1), ("3/2", 1)]),
+        parse_bundle("-1/2,3/2:2,0"), bundle_from_json(bundle_to_json(w)),
+        v.dual(), v.direct_sum(w), v.filter(Fraction(1, 3), ">"), v.filter(0, "<="),
+        v.twist(-2), v.vertical_stretch(6), v.tensor(w), summand_difference(v, stable(0)),
+        hn_common_prefix(v, v.filter(0, ">=")), *strip_common_slopes(v, w.direct_sum(stable(0))),
+        build_e1(B("0:2,-3")), max_slope_reduction(B("2,1,-1"), B("1,-1:2")),
+        *vars(decompose_mrs(B("0,-2"), B("1,-1"))).values(),
+    ]
+    for value in values:
+        # Read every view and cached property first: reading must not store a Fraction.
+        if not value.is_zero:
+            value.slope, value.mu_max, value.mu_min
+        value.summands, value.slopes(), value.rank, value.degree, value.polygon
+        value.segment_vectors, value.slope_pairs, value.has_integer_slopes(), str(value)
+        value.multiplicity("3/2"), value.dual().dual(), hash(value)
+        assert _fractions_held(value, set()) == [], repr(value)
+        assert set(vars(value)) <= {"_key", "_hash", "_dual", "rank", "degree", "polygon",
+                                    "segment_vectors", "slope_pairs", "_integer_slopes"}
+
+
+def test_assigning_or_deleting_an_attribute_raises():
+    v = B("3/2:2,-1")
+    key, digest = v._key, hash(v)
+    for name in ("_key", "_hash", "_dual", "summands", "rank", "slope", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, ())
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v._key == key and hash(v) == digest and v == B("3/2:2,-1")

@@ -157,6 +157,12 @@ def test_verify_command_pass_and_json(capsys):
     assert payload[0]["property"] == "equivalence" and payload[0]["passed"]
 
 
+def test_verify_stratification_honours_samples(capsys):
+    assert run(["verify", "--check", "stratification", "--samples", "3", "--format", "json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["instances"] == 3
+
+
 def test_render_writes_deterministic_svg(tmp_path, capsys):
     target = tmp_path / "poly.svg"
     assert run(["render", str(target), "1,-1", "0,-2"]) == 0

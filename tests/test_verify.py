@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,11 +15,14 @@ import pytest
 from hnbundles import (
     HNBundle,
     InternalConsistencyError,
+    PAIR_UNIVERSE,
     PreconditionError,
     UniverseSpec,
     ZERO,
     admissible_slopes,
     c_value,
+    deg_nonneg,
+    deg_nonneg_oracle,
     degeneration_trace,
     dim_hom,
     enumerate_bundles,
@@ -23,6 +30,7 @@ from hnbundles import (
     is_quotient,
     is_subbundle,
     parse_bundle,
+    rank_condition,
     run_checks,
     slopewise_dominates,
     stable,
@@ -34,7 +42,7 @@ from hnbundles import (
     verify_oracles,
     verify_stratification_dimension,
 )
-from hnbundles import degeneration, degrees, verify
+from hnbundles import criteria, degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     REDUCED_CONDITIONS,
@@ -749,3 +757,63 @@ def test_stratification_counts_a_pair_without_a_candidate(monkeypatch):
     assert report.instances_checked == len(pairs) > 0
     assert report.counterexamples == tuple(sorted(
         f"E={e} F={f}: top stratum None != dim hom {dim_hom(e, f)}" for e, f in pairs))
+
+
+# ----------------------------------------------------------------------
+# sampled runs: memory and which instances they check
+
+def test_sampled_degeneration_makes_rows_only_for_the_f_it_reads():
+    # 1,716 pool bundles: one full pool-by-pool table of cells is 1,716^2 * 8 bytes = 23.6 MB.
+    spec = UniverseSpec(max_rank=6, slope_min=-3, slope_max=3, max_denominator=1, sample_limit=10)
+    assert len(verify.bundle_pool(spec)) == 1716
+    tracemalloc.start()
+    try:
+        report = verify_degeneration(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.instances_checked == 10
+    assert peak < 8_000_000, f"{peak / 1e6:.1f} MB traced"
+
+
+def test_stratification_samples_the_first_pairs_with_their_whole_groups(monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, *args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("dim_hom", "stratum_dim"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    samples = 100
+    assert verify_stratification_dimension(SMALL).instances_checked > samples
+    pair_starts = [i for i, call in enumerate(calls) if call[0] == "dim_hom"]
+    expected = calls[:pair_starts[samples]]
+    calls.clear()
+    sampled = verify_stratification_dimension(replace(SMALL, sample_limit=samples))
+    assert sampled.passed and sampled.instances_checked == samples
+    assert calls == expected
+    # A cut inside a Q group would show: some of these pairs have several candidates.
+    assert max(b - a for a, b in zip(pair_starts, pair_starts[1:samples + 1])) > 2
+
+
+# ----------------------------------------------------------------------
+# the oracle routes never take the fast routes
+
+def test_oracle_routes_answer_with_the_fast_routes_refused(monkeypatch):
+    pool = verify.bundle_pool(PAIR_UNIVERSE)
+    pairs = random.Random(17).sample(list(itertools.product(pool, repeat=2)), 400)
+    expected = [(deg_nonneg(v, w), slopewise_dominates(w, v)) for v, w in pairs]
+    fast_routes = (degrees.deg_nonneg, criteria.slopewise_dominates, criteria.is_quotient)
+
+    def refused(*args):
+        raise AssertionError(f"an oracle route took a fast route on {args}")
+
+    for name, module in list(sys.modules.items()):
+        if name == "hnbundles" or name.startswith("hnbundles."):
+            for attr, value in list(vars(module).items()):
+                if any(value is route for route in fast_routes):
+                    monkeypatch.setattr(module, attr, refused)
+    assert [(deg_nonneg_oracle(v, w), rank_condition(v, w)) for v, w in pairs] == expected
