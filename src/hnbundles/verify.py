@@ -31,7 +31,9 @@ triple checks read one stream, :func:`_triple_groups`, each with its own
 conditions, and name E, F, Q and every chain member by pool position.
 Each does each piece of work in the outermost loop that holds the bundles
 it reads, and keeps what it looks up by pool position, in lists local to
-one call (a row per F is made at F's first read):
+one call (a row per F is made at F's first read).  A group of conditions
+is tested by a plain loop over its test functions, bound once per call,
+in entry order, up to the first that fails:
 
 * once per E      - the E conditions ((vii) and (vi) on E) and, at E's
                     first admissible F, the (E, Q) conditions ((v), (vi) on
@@ -70,7 +72,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
 from .criteria import rank_condition, slopewise_dominates
@@ -206,6 +208,14 @@ def bundle_pool(spec: UniverseSpec) -> list[HNBundle]:
     return pool
 
 
+def _holds(tests: list[Callable[..., bool]], *bundles: HNBundle) -> bool:
+    """Whether every test holds of ``bundles``, asked in order up to the first that fails."""
+    for test in tests:
+        if not test(*bundles):
+            return False
+    return True
+
+
 def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> Iterator[HNBundle]:
     """Universe members satisfying the necessary conditions for a nonempty stratum.
 
@@ -216,10 +226,12 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
     than :data:`CANDIDATE_POOL_LIMIT` bundles raises
     :class:`PreconditionError` before any candidate is yielded.
     """
+    quotient_tests = [c.test for c in QUOTIENT_CONDITIONS]
+    image_tests = [c.test for c in SUBBUNDLE_CONDITIONS]
+    e_rank = e.rank
     for q in bundle_pool(spec):
         # The rank test is only a prune: (ii) already forces rank(Q) <= rank(E).
-        if (q.rank <= e.rank and all(c.test(e, q) for c in QUOTIENT_CONDITIONS)
-                and all(c.test(f, q) for c in SUBBUNDLE_CONDITIONS)):
+        if q.rank <= e_rank and _holds(quotient_tests, e, q) and _holds(image_tests, f, q):
             yield q
 
 
@@ -336,36 +348,47 @@ def _triple_groups(
     so a call tests each (F, Q) once.  Every admissible (E, F) is yielded,
     with an empty group when no Q completes it; the groups hold at most
     ``limit`` triples in all.
+
+    The test functions of each group are bound once per call, so a caller
+    that rebinds a condition set or one of its entries sees every call.  A
+    group is tested by a plain loop over them in entry order, which stops
+    at the first that fails; the (E, F) group, asked of every pair, is
+    looped over inline, with no call per pair.
     """
+    e_tests, pair_tests, quotient_tests, image_tests = (
+        [c.test for c in group] for group in conditions)
     by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
     ranks = [pool[i].rank for i in by_rank]
     verdicts: list[list[bool | None] | None] = [None] * len(pool)
     remaining = limit
     for ei, e in enumerate(pool):
-        if not all(c.test(e) for c in conditions.on_e):
+        if not _holds(e_tests, e):
             continue
         quotients = None
         for fi, f in enumerate(pool):
-            if not all(c.test(e, f) for c in conditions.on_pair):
-                continue
-            if quotients is None:
-                # Only a prune: every condition set holds (ii), which requires rank(Q) <= rank(E).
-                quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
-                             if all(c.test(e, pool[qi]) for c in conditions.on_quotient)]
-            row = _row(verdicts, fi, len(pool))
-            group = []
-            for qi in quotients:
-                admitted = row[qi]
-                if admitted is None:
-                    admitted = row[qi] = all(c.test(f, pool[qi]) for c in conditions.on_image)
-                if admitted:
-                    group.append(qi)
-            if remaining is not None:
-                group = group[:remaining]
-                remaining -= len(group)
-            yield ei, fi, group
-            if remaining == 0:
-                return
+            for test in pair_tests:
+                if not test(e, f):
+                    break
+            else:
+                if quotients is None:
+                    # Only a prune: every condition set holds (ii), which requires
+                    # rank(Q) <= rank(E).
+                    quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
+                                 if _holds(quotient_tests, e, pool[qi])]
+                row = _row(verdicts, fi, len(pool))
+                group = []
+                for qi in quotients:
+                    admitted = row[qi]
+                    if admitted is None:
+                        admitted = row[qi] = _holds(image_tests, f, pool[qi])
+                    if admitted:
+                        group.append(qi)
+                if remaining is not None:
+                    group = group[:remaining]
+                    remaining -= len(group)
+                yield ei, fi, group
+                if remaining == 0:
+                    return
 
 
 def _admissible_triples(
@@ -587,8 +610,10 @@ def _codimension_problems(
             degree = qf_row[i] = deg_nonneg(members[i], f)
         c.append(c_value(members[i], f, q, term=step.term, qf_degree=qf_degree, ef_degree=degree))
     r = len(steps)
-    if any(c[i] < c[i + 1] for i in range(r)):
-        bad.append(f"codimension increased along the chain: {c}")
+    for i in range(r):
+        if c[i] < c[i + 1]:
+            bad.append(f"codimension increased along the chain: {c}")
+            break
     if c[-1] != 0:
         bad.append(f"endpoint codimension {c[-1]} != 0")
     if r >= 2 and not c[0] > c[2]:
@@ -701,6 +726,7 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
             current = ei
         e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(pool))
         full = dim_hom(e, f)
+        e_rank = e.rank
         best = None
         for qi in group:
             q = pool[qi]
@@ -715,10 +741,11 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
             except InternalConsistencyError as exc:
                 cex.append(f"E={e} F={f} Q={q}: {exc}")
                 continue
-            best = dim if best is None else max(best, dim)
+            if best is None or dim > best:
+                best = dim
             if q is e and dim != full:
                 cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
-            if q.rank < e.rank and dim >= full:
+            if q.rank < e_rank and dim >= full:
                 cex.append(f"E={e} F={f} Q={q}: smaller-rank stratum {dim} "
                            f"reaches dim hom {full}")
         if best != full:

@@ -147,6 +147,14 @@ def test_enumerate_command(capsys):
     assert all(parse_bundle(text) is not None for text in listed)
 
 
+def test_enumerate_ignores_samples(capsys):
+    assert run(["enumerate", "--max-rank", "2"]) == 0
+    whole = capsys.readouterr().out
+    assert run(["enumerate", "--samples", "3", "--max-rank", "2"]) == 0
+    assert capsys.readouterr().out == whole
+    assert len(whole.splitlines()) > 3
+
+
 def test_verify_command_pass_and_json(capsys):
     argv = ["verify", "--check", "equivalence", "--max-rank", "2",
             "--slope-min", "-1", "--slope-max", "1", "--max-den", "1"]

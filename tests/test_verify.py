@@ -45,7 +45,10 @@ from hnbundles import (
 from hnbundles import criteria, degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
+    PAIR_CONDITIONS,
+    QUOTIENT_CONDITIONS,
     REDUCED_CONDITIONS,
+    ConditionSet,
     DecompositionTriple,
     general_violations,
     reduced_violations,
@@ -656,6 +659,72 @@ def test_each_image_verdict_is_computed_once_per_call(monkeypatch, name):
     calls = _counting_image_condition(monkeypatch)
     assert run_checks([name], SMALL_INT)[0].passed
     assert calls == Counter(expected)
+
+
+# ----------------------------------------------------------------------
+# how often the stream asks (i) and (ii): each group short-circuits in entry order, lazily
+
+def _counting_asks(monkeypatch, names):
+    """Count the calls of each named condition by its bundles, in every group the checks read."""
+    calls = {name: Counter() for name in names}
+
+    def counting(condition):
+        if condition.name not in calls:
+            return condition
+
+        def test(*bundles):
+            calls[condition.name][bundles] += 1
+            return condition.test(*bundles)
+
+        return condition._replace(test=test)
+
+    for name in ("GENERAL_CONDITIONS", "REDUCED_CONDITIONS"):
+        groups = getattr(verify, name)
+        monkeypatch.setattr(verify, name, type(groups)(*(tuple(map(counting, group))
+                                                         for group in groups)))
+    for name in ("PAIR_CONDITIONS", "QUOTIENT_CONDITIONS"):
+        monkeypatch.setattr(verify, name, tuple(map(counting, getattr(verify, name))))
+    return calls
+
+
+def _expected_asks(conditions):
+    """The (E, F) asked (i) and the (E, Q) asked (ii) by a stream that short-circuits each group."""
+    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
+
+    def before(group, name):
+        return group[:[c.name for c in group].index(name)]
+
+    def holds(group, *bundles):
+        return all(c.test(*bundles) for c in group)
+
+    asked_i, asked_ii = [], []
+    for e in pool:
+        if not holds(conditions.on_e, e):
+            continue
+        asked_i += [(e, f) for f in pool if holds(before(conditions.on_pair, "(i)"), e, f)]
+        if any(holds(conditions.on_pair, e, f) for f in pool):
+            # The stream scans only Q with rank(Q) <= rank(E), which (ii) requires.
+            asked_ii += [(e, q) for q in pool if q.rank <= e.rank
+                         and holds(before(conditions.on_quotient, "(ii)"), e, q)]
+    return Counter(asked_i), Counter(asked_ii)
+
+
+ASKED_CONDITIONS = {
+    "key-inequality": GENERAL_CONDITIONS,
+    "degeneration": REDUCED_CONDITIONS,
+    "stratification": ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS, ()),
+}
+
+
+@pytest.mark.parametrize("name", list(ASKED_CONDITIONS))
+def test_each_pair_and_quotient_condition_is_asked_once_after_the_earlier_ones(monkeypatch, name):
+    expected_i, expected_ii = _expected_asks(ASKED_CONDITIONS[name])
+    assert expected_i and expected_ii
+    calls = _counting_asks(monkeypatch, ("(i)", "(ii)"))
+    assert run_checks([name], SMALL_INT)[0].passed
+    assert calls["(i)"] == expected_i and set(expected_i.values()) == {1}
+    assert all(e.slope_pairs.isdisjoint(f.slope_pairs) for e, f in calls["(i)"])
+    assert calls["(ii)"] == expected_ii and set(expected_ii.values()) == {1}
 
 
 def _key_inequality_reads():
