@@ -76,16 +76,12 @@ def _add_universe_flags(parser: argparse.ArgumentParser) -> None:
                         help="largest admissible slope")
     parser.add_argument("--max-den", dest="max_denominator", type=int, default=None,
                         metavar="N", help="largest slope denominator")
-    parser.add_argument("--samples", dest="sample_limit", type=int, default=None, metavar="N",
-                        help="sample N instances instead of exhausting the universe")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="seed for sampled instances (default 0)")
 
 
 def _universe_from_flags(args: argparse.Namespace) -> UniverseSpec | None:
     """Spec built from the given flags, or None when no universe flag was given."""
     given = {field.name: getattr(args, field.name) for field in fields(UniverseSpec)
-             if getattr(args, field.name) is not None}
+             if getattr(args, field.name, None) is not None}
     return UniverseSpec(**given) if given else None
 
 
@@ -106,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_check_dominate)
 
-    p = sub.add_parser("check-quotient", help="is Q a quotient bundle of E?")
+    p = sub.add_parser("check-quotient",
+                       help="does dual(E) slopewise dominate dual(Q)? (necessary for Q to be "
+                            "a quotient of E, not sufficient)")
     p.add_argument("q", metavar="Q")
     p.add_argument("e", metavar="E")
     _add_format(p)
@@ -150,6 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", choices=sorted(CHECKS), default=None,
                    help="check to run (repeatable; default: all)")
     _add_universe_flags(p)
+    p.add_argument("--samples", dest="sample_limit", type=int, default=None, metavar="N",
+                   help="sample N instances instead of exhausting the universe")
+    p.add_argument("--seed", type=int, default=None, metavar="S",
+                   help="seed for sampled instances (default 0)")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

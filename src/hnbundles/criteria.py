@@ -7,8 +7,12 @@ Two equivalent tests decide whether E embeds into F as a subbundle:
   the HN polygon of E has slope <= that of F.
 
 Both are implemented independently; their equivalence over entire bundle
-universes is one of the harness's flagship exhaustive checks.  Quotients
-are decided by the dual criterion.
+universes is one of the harness's flagship exhaustive checks.
+
+:func:`is_quotient` decides the dual criterion, dual(E) slopewise
+dominating dual(Q).  That is necessary for Q to be a quotient of E but
+not sufficient: it holds for Q = O(1), E = O (equal rank) and for
+Q = O(-1), E = O + O(-2), neither of which is a quotient.
 
 Conventions for degenerate inputs (the classification lives on nonzero
 bundles; these are the unique extensions consistent with the rank
@@ -87,7 +91,11 @@ def is_subbundle(e: HNBundle, f: HNBundle) -> bool:
 
 
 def is_quotient(q: HNBundle, e: HNBundle) -> bool:
-    """Whether q arises as a quotient bundle of e; decided on the duals."""
+    """Whether dual(e) slopewise dominates dual(q): necessary for q to be a quotient of e.
+
+    Not sufficient (see the module docstring for two false positives); the
+    checks read it only as a necessary condition on candidate images.
+    """
     return slopewise_dominates(e.dual(), q.dual())
 
 

@@ -29,11 +29,11 @@ Both stratum formulas split into a part that reads F and one that does not:
 stratum_dim = deg_nonneg(Q, F) - image_term and c_value = deg_nonneg(E, F)
 + image_term - deg_nonneg(Q, F).  Every degree a formula reads can be
 passed in as a keyword instead of looked up: ``qq_degree`` (deg_nonneg(Q,
-Q)) to image_term, ``term`` and ``qf_degree`` (deg_nonneg(Q, F)) to both
-stratum formulas, and ``ef_degree`` (deg_nonneg(E, F)) to c_value.  A
-caller that evaluates many triples keeps each value where it is shared -
-deg_nonneg(Q, Q) per Q, the term per (E, Q), deg_nonneg(Q, F) per (F, Q),
-deg_nonneg(E, F) per (E, F) - and looks each up once; the formulas stay
+Q)) and ``eq_degree`` (deg_nonneg(E, Q)) to image_term, ``term`` and
+``qf_degree`` (deg_nonneg(Q, F)) to both stratum formulas, and
+``ef_degree`` (deg_nonneg(E, F)) to c_value and dim_hom.  A caller that
+evaluates many triples keeps each value where it is shared - deg_nonneg
+per pair, the term per (E, Q) - and looks each up once; the formulas stay
 stated here only.
 """
 
@@ -75,19 +75,26 @@ def deg_nonneg_oracle(v: HNBundle, w: HNBundle) -> int:
     return v.dual().tensor(w).filter(0, ">=").degree
 
 
-def dim_hom(e: HNBundle, f: HNBundle) -> int:
-    """Dimension of the space of bundle maps e -> f."""
-    return deg_nonneg(e, f)
+def dim_hom(e: HNBundle, f: HNBundle, *, ef_degree: int | None = None) -> int:
+    """Dimension of the space of bundle maps e -> f.
+
+    ``ef_degree``, when given, must be ``deg_nonneg(e, f)``.
+    """
+    return deg_nonneg(e, f) if ef_degree is None else ef_degree
 
 
-def image_term(e: HNBundle, q: HNBundle, *, qq_degree: int | None = None) -> int:
+def image_term(e: HNBundle, q: HNBundle, *, qq_degree: int | None = None,
+               eq_degree: int | None = None) -> int:
     """deg_nonneg(q, q) - deg_nonneg(e, q), the part of both stratum formulas without F.
 
-    ``qq_degree``, when given, must be ``deg_nonneg(q, q)``.
+    ``qq_degree`` and ``eq_degree``, when given, must be ``deg_nonneg(q, q)``
+    and ``deg_nonneg(e, q)``.
     """
     if qq_degree is None:
         qq_degree = deg_nonneg(q, q)
-    return qq_degree - deg_nonneg(e, q)
+    if eq_degree is None:
+        eq_degree = deg_nonneg(e, q)
+    return qq_degree - eq_degree
 
 
 def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None,

@@ -26,41 +26,23 @@ Candidate images are an over-approximation by design: only the necessary
 conditions (quotient of E, subbundle of F) are checked, which cannot create
 false failures because extra candidates can only carry smaller strata.
 
-Every check reads its universe through :func:`bundle_pool`.  The three
+Every check reads one :class:`Universe`: the pool (:func:`bundle_pool`),
+each bundle's position in it, and tables by position that compute each
+value at its first read and keep it, a row per first position:
+
+* ``degrees`` - deg_nonneg(V, W), by W, then V;
+* ``images``  - condition (iii), "F dominates Q", by F, then Q;
+* ``terms``   - image_term(V, Q), the F-free codimension term, by V, then Q;
+* ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule;
+* ``steps``   - degeneration's chain step from the member V to Q, by Q,
+                then V.
+
+A ``verify_*`` call builds its own Universe; :func:`run_checks` builds one
+per distinct spec and hands it to every check on that spec, so a run asks
+each of these questions once, whichever checks read the answer.  The three
 triple checks read one stream, :func:`_triple_groups`, each with its own
-conditions, and name E, F, Q and every chain member by pool position.
-Each does each piece of work in the outermost loop that holds the bundles
-it reads, and keeps what it looks up by pool position, in lists local to
-one call (a row per F is made at F's first read).  A group of conditions
-is tested by a plain loop over its test functions, bound once per call,
-in entry order, up to the first that fails:
-
-* once per E      - the E conditions ((vii) and (vi) on E) and, at E's
-                    first admissible F, the (E, Q) conditions ((v), (vi) on
-                    Q and (ii)), which filter the Q positions of the
-                    stream; degeneration builds E_1;
-* once per (E, F) - the (E, F) conditions ((vi) on F, (iv) and (i)) and
-                    deg_nonneg(E, F) (stratification: dim_hom);
-* once per (E, Q) - the F-free codimension term image_term(E, Q) =
-                    deg_nonneg(Q, Q) - deg_nonneg(E, Q), in all three
-                    checks; degeneration also assembles the chain;
-* once per (V, Q) - degeneration's chain step from the member V: its
-                    (M, R, S) decomposition, the next member, its F-free
-                    invariants and image_term(V, Q).  Every member after E
-                    is a pool bundle, so chains from different E share
-                    their steps by pool position;
-* once per (V, F) - the (F, Q) condition (iii), for V = Q, in the stream's
-                    row per F, and deg_nonneg(V, F), in a check's row per
-                    F, for V = Q and (in degeneration) for E and every
-                    chain member;
-* once per Q or F - deg_nonneg(Q, Q), and degeneration's deg(F^{>=0}) and
-                    deg(Q^{>=0}) for the first-drop rule;
-* per triple      - list lookups and the codimension arithmetic.
-
-So a cache key is hashed once per distinct pair a call reads, not once per
-triple.  Each value is computed at its first use, so an E without an
-admissible F costs nothing and no deg_nonneg pair is computed that a
-per-triple check would not compute.
+conditions; per triple only table lookups and the codimension arithmetic
+remain, and no value is computed that a per-triple check would not compute.
 """
 
 from __future__ import annotations
@@ -69,8 +51,9 @@ import itertools
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -92,6 +75,7 @@ __all__ = [
     "UniverseSpec",
     "PAIR_UNIVERSE",
     "TRIPLE_UNIVERSE",
+    "Universe",
     "VerificationReport",
     "admissible_slopes",
     "enumerate_bundles",
@@ -165,7 +149,9 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
     The stream is always exhaustive; ``sample_limit`` only affects how the
     verification runs draw instances from it.
     """
-    slopes = admissible_slopes(spec)
+    # A slope with denominator q has rank q, so no bundle of the universe uses q > max_rank.
+    slopes = admissible_slopes(
+        replace(spec, max_denominator=min(spec.max_denominator, spec.max_rank)))
     widths = [lam.denominator for lam in slopes]
 
     def rec(start: int, budget: int) -> Iterator[tuple[tuple[Fraction, int], ...]]:
@@ -235,6 +221,79 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
             yield q
 
 
+class _Table:
+    """Values by key, each computed by ``fill(key)`` at its first read and then kept.
+
+    A loop over many keys asks :meth:`filled` for them, then indexes the dict.
+    """
+
+    __slots__ = ("_cells", "_fill")
+
+    def __init__(self, fill: Callable) -> None:
+        self._cells: dict = {}
+        self._fill = fill
+
+    def at(self, key):
+        """The value at ``key``."""
+        value = self._cells.get(key)
+        if value is None:
+            value = self._cells[key] = self._fill(key)
+        return value
+
+    def filled(self, keys: Iterable) -> dict:
+        """Every value computed so far, by key, with those at ``keys`` among them."""
+        cells, fill = self._cells, self._fill
+        for key in keys:
+            if key not in cells:
+                cells[key] = fill(key)
+        return cells
+
+
+class Universe:
+    """The pool of one spec, and every table the checks on it share, by position.
+
+    ``members`` is the pool, then any chain member outside it (only a
+    faulty engine makes one), placed by :meth:`position`; the tables (see
+    the module docstring) read their bundles there.  ``by_rank`` lists the
+    pool positions stably sorted by rank, and ``ranks`` their ranks.  A row
+    of ``images`` is a list by Q position that :func:`_triple_groups`
+    fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``; one
+    table serves every condition set only because each set's (F, Q) group
+    is ``SUBBUNDLE_CONDITIONS``.  The fills look ``deg_nonneg`` up on this
+    module at call time and the tests are bound when the universe is built,
+    so a test or tracer that rebinds either before then sees every call.
+    """
+
+    def __init__(self, spec: UniverseSpec) -> None:
+        self.spec = spec
+        self.pool = pool = bundle_pool(spec)
+        self.members = members = list(pool)
+        self._where = {bundle: i for i, bundle in enumerate(pool)}
+        self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
+        self.ranks = [pool[i].rank for i in self.by_rank]
+        self.image_tests = [c.test for c in SUBBUNDLE_CONDITIONS]
+        self.images = _Table(lambda f: [None] * len(pool))
+
+        # The fills close over these locals, not over self, so a Universe forms no cycle.
+        def term(v: int, q: int) -> int:
+            into_q = degrees.at(q).filled((q, v))
+            return image_term(members[v], members[q], qq_degree=into_q[q], eq_degree=into_q[v])
+
+        self.degrees = degrees = _Table(
+            lambda w: _Table(lambda v: deg_nonneg(members[v], members[w])))
+        self.terms = _Table(lambda v: _Table(lambda q: term(v, q)))
+        self.nonneg = _Table(lambda v: members[v].filter(0, ">=").degree)
+        self.steps = _Table(lambda q: _Table(lambda v: _chain_step(v, members[v], members[q])))
+
+    def position(self, bundle: HNBundle) -> int:
+        """The position of ``bundle`` in ``members``, appending it when it is new."""
+        i = self._where.get(bundle)
+        if i is None:
+            i = self._where[bundle] = len(self.members)
+            self.members.append(bundle)
+        return i
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one check; it passes exactly when no counterexamples exist.
@@ -285,7 +344,8 @@ def _report(name: str, count: int, cex: list[str], started: float,
     )
 
 
-def _pair_stream(pool: list[HNBundle], spec: UniverseSpec) -> Iterator[tuple[HNBundle, HNBundle]]:
+def _pair_stream(universe: Universe) -> Iterator[tuple[HNBundle, HNBundle]]:
+    pool, spec = universe.pool, universe.spec
     if spec.sample_limit is None:
         yield from itertools.product(pool, repeat=2)
     else:
@@ -294,13 +354,11 @@ def _pair_stream(pool: list[HNBundle], spec: UniverseSpec) -> Iterator[tuple[HNB
             yield rng.choice(pool), rng.choice(pool)
 
 
-def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
-    """rank_condition(E, F) agrees with slopewise_dominates(F, E) on all pairs."""
+def _equivalence(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
-    pool = bundle_pool(spec)
     cex: list[str] = []
     count = 0
-    for e, f in _pair_stream(pool, spec):
+    for e, f in _pair_stream(universe):
         count += 1
         by_ranks = rank_condition(e, f)
         by_slopes = slopewise_dominates(f, e)
@@ -309,13 +367,16 @@ def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
     return _report("equivalence", count, cex, started)
 
 
-def verify_oracles(spec: UniverseSpec) -> VerificationReport:
-    """Cross-product degree calculus agrees with the tensor route on all pairs."""
+def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
+    """rank_condition(E, F) agrees with slopewise_dominates(F, E) on all pairs."""
+    return _equivalence(Universe(spec))
+
+
+def _oracles(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
-    pool = bundle_pool(spec)
     cex: list[str] = []
     count = 0
-    for v, w in _pair_stream(pool, spec):
+    for v, w in _pair_stream(universe):
         count += 1
         fast = deg_nonneg(v, w)
         slow = deg_nonneg_oracle(v, w)
@@ -324,42 +385,31 @@ def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     return _report("oracles", count, cex, started)
 
 
-def _row(table: list[list | None], i: int, width: int) -> list:
-    """Row ``i`` of a table by pool position, made with ``width`` empty cells when first read."""
-    row = table[i]
-    if row is None:
-        row = table[i] = [None] * width
-    return row
+def verify_oracles(spec: UniverseSpec) -> VerificationReport:
+    """Cross-product degree calculus agrees with the tensor route on all pairs."""
+    return _oracles(Universe(spec))
 
 
 def _triple_groups(
-    pool: list[HNBundle], conditions: ConditionSet, limit: int | None = None,
+    universe: Universe, conditions: ConditionSet, limit: int | None = None,
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Every (E, F) meeting the E and (E, F) conditions, with the Q that complete its triples.
 
-    E, F and Q are named by their position in ``pool``.  E and F run over
-    the pool in its order and Q over it stably sorted by rank, so the
-    flattened groups are the triples meeting every condition of
-    ``conditions`` in a fixed order.  Each group of conditions is tested in
-    the outermost loop that holds its bundles: the (E, Q) group filters the
-    Q positions once per E, at E's first admissible F, so an E without one
-    tests no Q; the (F, Q) group's verdicts are kept in one row per F, by Q
-    position, made at F's first read, each cell filled at its first read,
-    so a call tests each (F, Q) once.  Every admissible (E, F) is yielded,
-    with an empty group when no Q completes it; the groups hold at most
-    ``limit`` triples in all.
-
-    The test functions of each group are bound once per call, so a caller
-    that rebinds a condition set or one of its entries sees every call.  A
-    group is tested by a plain loop over them in entry order, which stops
-    at the first that fails; the (E, F) group, asked of every pair, is
-    looped over inline, with no call per pair.
+    E, F and Q are named by pool position.  E and F run over the pool in
+    its order and Q over its rank order, so the flattened groups are the
+    triples meeting every condition of ``conditions`` in a fixed order.
+    Each group of conditions is tested in the outermost loop that holds its
+    bundles, in entry order up to the first that fails: the (E, Q) group
+    filters the Q positions once per E, at E's first admissible F, and the
+    (F, Q) group is read from the universe's ``images`` table.  Every
+    admissible (E, F) is yielded, with an empty group when no Q completes
+    it; the groups hold at most ``limit`` triples in all.  The test
+    functions are bound once per call, so a caller that rebinds a
+    condition set or one of its entries sees every call.
     """
-    e_tests, pair_tests, quotient_tests, image_tests = (
-        [c.test for c in group] for group in conditions)
-    by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
-    ranks = [pool[i].rank for i in by_rank]
-    verdicts: list[list[bool | None] | None] = [None] * len(pool)
+    e_tests, pair_tests, quotient_tests = ([c.test for c in group] for group in conditions[:3])
+    pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
+    images, image_tests = universe.images, universe.image_tests
     remaining = limit
     for ei, e in enumerate(pool):
         if not _holds(e_tests, e):
@@ -375,7 +425,7 @@ def _triple_groups(
                     # rank(Q) <= rank(E).
                     quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
                                  if _holds(quotient_tests, e, pool[qi])]
-                row = _row(verdicts, fi, len(pool))
+                row = images.at(fi)
                 group = []
                 for qi in quotients:
                     admitted = row[qi]
@@ -399,76 +449,50 @@ def _admissible_triples(
     The same stream as :func:`_triple_groups` (which the checks read),
     with the positions resolved to bundles.
     """
-    pool = bundle_pool(spec)
-    for ei, fi, group in _triple_groups(pool, conditions):
+    universe = Universe(spec)
+    pool = universe.pool
+    for ei, fi, group in _triple_groups(universe, conditions):
         for qi in group:
             yield pool[ei], pool[fi], pool[qi]
 
 
-def _image_term(e: HNBundle, q: HNBundle, qi: int, qq_degrees: list[int | None]) -> int:
-    """image_term(E, Q), with deg_nonneg(Q, Q) kept in ``qq_degrees`` by Q position."""
-    qq_degree = qq_degrees[qi]
-    if qq_degree is None:
-        qq_degree = qq_degrees[qi] = deg_nonneg(q, q)
-    return image_term(e, q, qq_degree=qq_degree)
+def _key_inequality(universe: Universe) -> VerificationReport:
+    started = time.perf_counter()
+    pool, degrees, terms = universe.pool, universe.degrees, universe.terms
+    cex: list[str] = []
+    count = 0
+    for ei, fi, group in _triple_groups(universe, GENERAL_CONDITIONS, universe.spec.sample_limit):
+        if not group:
+            continue
+        e, f = pool[ei], pool[fi]
+        into_f, from_e = degrees.at(fi).filled((ei, *group)), terms.at(ei).filled(group)
+        ef_degree = into_f[ei]
+        count += len(group)
+        for qi in group:
+            c = c_value(e, f, pool[qi], term=from_e[qi], qf_degree=into_f[qi], ef_degree=ef_degree)
+            if c <= 0:
+                cex.append(f"E={e} F={f} Q={pool[qi]}: c={c}")
+    return _report("key-inequality", count, cex, started)
 
 
 def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
-    """c_value > 0 on every triple satisfying the five general conditions.
-
-    Each degree c_value reads is looked up once per call: deg_nonneg(E, F)
-    once per (E, F) group of the stream, deg_nonneg(Q, F) in a row per F
-    and deg_nonneg(Q, Q) in one row, both by Q position, and the F-free
-    term image_term(E, Q) in a row by Q position that is dropped when the
-    next E starts (E is the stream's outermost loop).
-    """
-    started = time.perf_counter()
-    pool = bundle_pool(spec)
-    cex: list[str] = []
-    count = 0
-    qq_degrees: list[int | None] = [None] * len(pool)
-    qf_degrees: list[list[int | None] | None] = [None] * len(pool)
-    terms: list[int | None] = []
-    current = None
-    for ei, fi, group in _triple_groups(pool, GENERAL_CONDITIONS, spec.sample_limit):
-        if not group:
-            continue
-        if ei != current:
-            terms = [None] * len(pool)
-            current = ei
-        e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(pool))
-        ef_degree = deg_nonneg(e, f)
-        count += len(group)
-        for qi in group:
-            q = pool[qi]
-            term = terms[qi]
-            if term is None:
-                term = terms[qi] = _image_term(e, q, qi, qq_degrees)
-            qf_degree = qf_row[qi]
-            if qf_degree is None:
-                qf_degree = qf_row[qi] = deg_nonneg(q, f)
-            c = c_value(e, f, q, term=term, qf_degree=qf_degree, ef_degree=ef_degree)
-            if c <= 0:
-                cex.append(f"E={e} F={f} Q={q}: c={c}")
-    return _report("key-inequality", count, cex, started)
+    """c_value > 0 on every triple satisfying the five general conditions."""
+    return _key_inequality(Universe(spec))
 
 
 @dataclass(slots=True)
 class ChainStep:
     """One step of the chains to one Q, from one member: everything about it that does not read F.
 
-    ``position`` is the member's pool position, ``decomposition`` is
-    decompose_mrs(member, Q), ``term`` is image_term(member, Q), and
-    ``problems`` are the step's violations without their "step i" label.
-    ``following``, the position of the next member, and ``degenerating``,
-    whether dual(member) slopewise dominates the next member's dual, are
-    filled when a chain first walks on from the member, which never
-    happens at Q.
+    ``decomposition`` is decompose_mrs(member, Q) and ``problems`` are the
+    step's violations without their "step i" label.  ``following``, the
+    next member's position, and ``degenerating``, whether dual(member)
+    dominates its dual, are filled when a chain first walks on from the
+    member, which never happens at Q.
     """
 
     position: int
     decomposition: DecompositionTriple
-    term: int
     problems: tuple[str, ...]
     following: int | None = None
     degenerating: bool | None = None
@@ -477,138 +501,104 @@ class ChainStep:
 class ChainCheck(NamedTuple):
     """The chain of one (E, Q) and everything about it that does not read F.
 
-    ``steps[i-1]`` is the step from E_i, for E_1, ..., E_r = Q, and
-    ``term`` is image_term(E, Q).  ``steps`` is None when the chain could
-    not be built, and ``violations`` then says why.
+    ``positions`` are those of E = E_0, E_1, ..., E_r = Q, ``terms`` their
+    image_term(E_i, Q), and ``steps[i-1]`` is the step from E_i.  ``steps``
+    is None when the chain could not be built, and ``violations`` then
+    says why.
     """
 
+    positions: tuple[int, ...]
+    terms: tuple[int, ...]
     steps: tuple[ChainStep, ...] | None
-    term: int
     violations: list[str]
     findings: list[str]
 
 
-class _ChainSteps:
-    """The degeneration chains of one check call, walked through steps kept by (member, Q) position.
+def _chain_step(i: int, member: HNBundle, q: HNBundle) -> ChainStep:
+    """Decompose (member, Q) and check every invariant of the step that does not read F.
 
-    A chain member after E has rank(Q) and slopes of E or Q, so it lies in
-    the pool and is named by its position there, which is also its cell in
-    every row by pool position.  A member outside the pool, which only a
-    faulty engine makes, gets the next free position and a cell in each of
-    the ``rows``.  Each step is taken by the first chain that reaches its
-    (member, Q); every later chain looks it up.  The engine's functions are
-    looked up on its module at call time, so a tracer or a test that
-    rebinds them sees every call.
+    The chain functions look the engine up on its module at call time, so
+    a tracer or a test that rebinds it sees every call.
     """
-
-    def __init__(self, pool: list[HNBundle], qq_degrees: list[int | None],
-                 rows: list[list[int | None]]) -> None:
-        self.members = list(pool)
-        self.where = {member: i for i, member in enumerate(pool)}
-        self.qq_degrees = qq_degrees
-        self.rows = rows
-        self.steps: list[dict[int, ChainStep]] = [{} for _ in pool]
-
-    def position(self, member: HNBundle) -> int:
-        i = self.where.get(member)
-        if i is None:
-            i = self.where[member] = len(self.members)
-            self.members.append(member)
-            for row in self.rows:
-                if row is not None:
-                    row.append(None)
-        return i
-
-    def start(self, e: HNBundle) -> tuple[int, bool] | str:
-        """E_1's position and whether dual(E) dominates dual(E_1), or why E_1 could not be built."""
-        try:
-            e1 = degeneration.build_e1(e)
-        except (PreconditionError, InternalConsistencyError) as exc:
-            return f"trace failed: {exc}"
-        return self.position(e1), slopewise_dominates(e.dual(), e1.dual())
-
-    def _step(self, i: int, q: HNBundle, qi: int) -> ChainStep:
-        """Decompose (member, Q) and check every invariant of the step that does not read F."""
-        member = self.members[i]
-        triple = degeneration.decompose_mrs(member, q)
-        m, rr, s = triple.common, triple.q_complement, triple.e_complement
-        bad = []
-        if m.direct_sum(rr) != q.dual() or m.direct_sum(s) != member.dual():
-            bad.append("decomposition does not reassemble the duals")
-        else:
-            if not slopewise_dominates(s, rr):
-                bad.append(f"S={s} does not dominate R={rr}")
-            if s.is_zero != rr.is_zero or s.is_zero != (member == q):
-                bad.append("complement vanishing inconsistent")
-            if not s.is_zero and not s.mu_max > rr.mu_max:
-                bad.append("mu_max(S) <= mu_max(R)")
-            if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
-                bad.append("mu_min(M) < mu_max(S)")
-        # image_term(Q, Q) is 0; computing it would read deg_nonneg(Q, Q) a second time.
-        term = 0 if i == qi else _image_term(member, q, qi, self.qq_degrees)
-        return ChainStep(i, triple, term, tuple(bad))
-
-    def _advance(self, step: ChainStep) -> int:
-        if step.following is None:
-            following = degeneration._next_member(step.decomposition)
-            member = self.members[step.position]
-            step.degenerating = slopewise_dominates(member.dual(), following.dual())
-            step.following = self.position(following)
-        return step.following
-
-    def chain(self, e: HNBundle, start: tuple[int, bool] | str, q: HNBundle, qi: int) -> ChainCheck:
-        """Walk the chain of (E, Q) from ``start`` (see :meth:`start`) and check it without F."""
-        if isinstance(start, str):
-            return ChainCheck(None, 0, [start], [])
-        first, degenerating = start
-        steps = self.steps[qi]
-
-        def decompose(i: int) -> ChainStep:
-            step = steps.get(i)
-            if step is None:
-                step = steps[i] = self._step(i, q, qi)
-            return step
-
-        try:
-            positions, walked = degeneration.walk_chain(e, q, first, qi, decompose, self._advance)
-        except (PreconditionError, InternalConsistencyError) as exc:
-            return ChainCheck(None, 0, [f"trace failed: {exc}"], [])
-        chain = (e, *(self.members[i] for i in positions))
-        bad: list[str] = []
-        if chain[0] != e or chain[-1] != q:
-            bad.append("chain endpoints wrong")
-        if len(walked) != len(positions):
-            bad.append("trace lengths inconsistent")
-        if any(member.rank != q.rank for member in chain[1:]):
-            bad.append("rank plateau broken")
-        for i, step in enumerate(walked, 1):
-            bad.extend(f"step {i}: {problem}" for problem in step.problems)
-        notes = [] if degenerating else ["dual chain not degenerating at step 0"]
-        notes.extend(f"dual chain not degenerating at step {i}"
-                     for i, step in enumerate(walked[:-1], 1) if not step.degenerating)
-        return ChainCheck(tuple(walked), _image_term(e, q, qi, self.qq_degrees), bad, notes)
+    triple = degeneration.decompose_mrs(member, q)
+    m, rr, s = triple.common, triple.q_complement, triple.e_complement
+    bad = []
+    if m.direct_sum(rr) != q.dual() or m.direct_sum(s) != member.dual():
+        bad.append("decomposition does not reassemble the duals")
+    else:
+        if not slopewise_dominates(s, rr):
+            bad.append(f"S={s} does not dominate R={rr}")
+        if s.is_zero != rr.is_zero or s.is_zero != (member == q):
+            bad.append("complement vanishing inconsistent")
+        if not s.is_zero and not s.mu_max > rr.mu_max:
+            bad.append("mu_max(S) <= mu_max(R)")
+        if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
+            bad.append("mu_min(M) < mu_max(S)")
+    return ChainStep(i, triple, tuple(bad))
 
 
-def _codimension_problems(
-    e: HNBundle, f: HNBundle, q: HNBundle, qi: int, checked: ChainCheck,
-    members: list[HNBundle], ef_degree: int, qf_row: list[int | None], first_drop: int,
-) -> list[str]:
+def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool] | str:
+    """E_1's position and whether dual(E) dominates dual(E_1), or why E_1 could not be built."""
+    try:
+        e1 = degeneration.build_e1(e)
+    except (PreconditionError, InternalConsistencyError) as exc:
+        return f"trace failed: {exc}"
+    return universe.position(e1), slopewise_dominates(e.dual(), e1.dual())
+
+
+def _advance(universe: Universe, step: ChainStep) -> int:
+    if step.following is None:
+        following = degeneration._next_member(step.decomposition)
+        step.degenerating = slopewise_dominates(
+            universe.members[step.position].dual(), following.dual())
+        step.following = universe.position(following)
+    return step.following
+
+
+def _chain(universe: Universe, ei: int, start: tuple[int, bool] | str, qi: int) -> ChainCheck:
+    """Walk the chain of (E, Q) from ``start`` (see :func:`_chain_start`) and check it without F."""
+    if isinstance(start, str):
+        return ChainCheck((), (), None, [start], [])
+    first, degenerating = start
+    members = universe.members
+    e, q = members[ei], members[qi]
+    try:
+        walk, walked = degeneration.walk_chain(
+            e, q, first, qi, universe.steps.at(qi).at, partial(_advance, universe))
+    except (PreconditionError, InternalConsistencyError) as exc:
+        return ChainCheck((), (), None, [f"trace failed: {exc}"], [])
+    positions = (ei, *walk)
+    chain = tuple(members[i] for i in positions)
+    bad: list[str] = []
+    if chain[0] != e or chain[-1] != q:
+        bad.append("chain endpoints wrong")
+    if len(walked) != len(walk):
+        bad.append("trace lengths inconsistent")
+    if any(member.rank != q.rank for member in chain[1:]):
+        bad.append("rank plateau broken")
+    for i, step in enumerate(walked, 1):
+        bad.extend(f"step {i}: {problem}" for problem in step.problems)
+    notes = [] if degenerating else ["dual chain not degenerating at step 0"]
+    notes.extend(f"dual chain not degenerating at step {i}"
+                 for i, step in enumerate(walked[:-1], 1) if not step.degenerating)
+    terms = tuple(universe.terms.at(i).at(qi) for i in positions)
+    return ChainCheck(positions, terms, tuple(walked), bad, notes)
+
+
+def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
+                          into_f: dict[int, int], first_drop: int) -> list[str]:
     """Compute and re-check the codimensions of the triple (E, F, Q) along its chain.
 
-    ``ef_degree`` is deg_nonneg(E, F); ``qf_row`` keeps deg_nonneg(V, F) by
-    the position of V in ``members`` and already holds deg_nonneg(Q, F).
-    ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
+    ``into_f`` holds deg_nonneg(V, F) for every V of the chain, by position,
+    and ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
     """
-    bad: list[str] = []
     steps = checked.steps
-    qf_degree = qf_row[qi]
-    c = [c_value(e, f, q, term=checked.term, qf_degree=qf_degree, ef_degree=ef_degree)]
-    for step in steps:
-        i = step.position
-        degree = qf_row[i]
-        if degree is None:
-            degree = qf_row[i] = deg_nonneg(members[i], f)
-        c.append(c_value(members[i], f, q, term=step.term, qf_degree=qf_degree, ef_degree=degree))
+    f, q = members[fi], members[qi]
+    qf_degree = into_f[qi]
+    c = []
+    for i, term in zip(checked.positions, checked.terms):
+        c.append(c_value(members[i], f, q, term=term, qf_degree=qf_degree, ef_degree=into_f[i]))
+    bad: list[str] = []
     r = len(steps)
     for i in range(r):
         if c[i] < c[i + 1]:
@@ -620,10 +610,8 @@ def _codimension_problems(
         bad.append(f"no strict drop across the first two steps: {c}")
     if c[0] <= 0:
         bad.append(f"initial codimension {c[0]} not positive")
-
     if c[0] - c[1] != first_drop:
         bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
-
     for i in range(1, r):
         if c[i] == c[i + 1] and steps[i - 1].position != qi:
             s_dual = steps[i - 1].decomposition.e_complement.dual()
@@ -632,112 +620,68 @@ def _codimension_problems(
     return bad
 
 
-def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
-    """Trace every reduced triple and re-check all chain invariants.
-
-    The chain of a triple (E, F, Q) does not read F.  Its members after E
-    are pool bundles, named like E, F and Q by their pool position: E_1 is
-    built once per E, and each later step - the (M, R, S) decomposition of
-    (E_i, Q), the next member, the step's F-free invariants and
-    image_term(E_i, Q) - is taken once per (E_i, Q) and shared by every
-    chain that reaches it (:class:`_ChainSteps`).  A chain, with its
-    violations and findings labelled by step, is assembled once per (E, Q)
-    in a row by Q position that is dropped when the next E starts (E is
-    the stream's outermost loop).  deg_nonneg(V, F) is kept in a row per F
-    by V's position, for V = E, Q and every chain member, and
-    deg_nonneg(Q, Q) in one row, so per triple only list lookups and the
-    codimension checks remain.  deg(V^{>=0}) of the first-drop rule is
-    kept in one row by pool position, for V = F and Q.
-    """
+def _degeneration(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
-    pool = bundle_pool(spec)
+    pool = universe.pool
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-    qq_degrees: list[int | None] = [None] * len(pool)
-    qf_degrees: list[list[int | None] | None] = [None] * len(pool)
-    nonneg: list[int | None] = [None] * len(pool)
-    walks = _ChainSteps(pool, qq_degrees, qf_degrees)
-    members = walks.members
-    chains: list[ChainCheck | None] = []
-    current = start = None
-    for ei, fi, group in _triple_groups(pool, REDUCED_CONDITIONS, spec.sample_limit):
+
+    def chains_from(ei: int) -> _Table:
+        # E_1 is built once per E, at E's first triple.
+        start = _chain_start(universe, pool[ei])
+        return _Table(lambda qi: _chain(universe, ei, start, qi))
+
+    chains = _Table(chains_from)
+    members, degrees, nonneg = universe.members, universe.degrees, universe.nonneg
+    for ei, fi, group in _triple_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit):
         if not group:
             continue
-        e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(members))
-        if ei != current:
-            chains = [None] * len(pool)
-            current, start = ei, walks.start(e)
-        ef_degree = qf_row[ei]
-        if ef_degree is None:
-            ef_degree = qf_row[ei] = deg_nonneg(e, f)
-        if nonneg[fi] is None:
-            nonneg[fi] = f.filter(0, ">=").degree
         count += len(group)
+        from_e, into_f, nonnegs = chains.at(ei), degrees.at(fi), nonneg.filled((fi, *group))
         for qi in group:
-            q = pool[qi]
-            checked = chains[qi]
-            if checked is None:
-                checked = chains[qi] = walks.chain(e, start, q, qi)
+            checked = from_e.at(qi)
             bad, notes = checked.violations, checked.findings
             if checked.steps is not None:
-                if qf_row[qi] is None:
-                    qf_row[qi] = deg_nonneg(q, f)
-                if nonneg[qi] is None:
-                    nonneg[qi] = q.filter(0, ">=").degree
-                bad = bad + _codimension_problems(e, f, q, qi, checked, members, ef_degree,
-                                                  qf_row, nonneg[fi] - nonneg[qi])
+                bad = bad + _codimension_problems(members, fi, qi, checked,
+                                                  into_f.filled(checked.positions),
+                                                  nonnegs[fi] - nonnegs[qi])
             if bad or notes:
-                prefix = f"E={e} F={f} Q={q}"
+                prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
                 cex.extend(f"{prefix}: {item}" for item in bad)
                 findings.extend(f"{prefix}: {item}" for item in notes)
     return _report("degeneration", count, cex, started, findings)
 
 
-def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
-    """Top stratum over candidate images equals dim hom, attained at Q = E.
+def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
+    """Trace every reduced triple and re-check all chain invariants.
 
-    For every pair with no common slopes where F dominates E: the stratum
-    at Q = E has the full Hom dimension, no candidate exceeds it, and
-    (the key inequality in its stratum form) no candidate of strictly
-    smaller rank attains it.  The pairs and their candidates come from the
-    triple stream, read with (iv), (i), (ii) and (iii), zero included
-    among E, F and Q; a pair without a candidate is counted and reported
-    like any other.  With ``sample_limit`` set, the first that many pairs
-    are checked, each against all of its candidates.  Everything else is
-    kept by pool position and looked up once per call: deg_nonneg(Q, F) in
-    a row per F, deg_nonneg(Q, Q) in one row, and the F-free term of each
-    candidate's stratum dimension in a row per E.
+    The chain of a triple (E, F, Q) does not read F, so it is assembled once
+    per (E, Q), and each step once per (member, Q), shared by every chain
+    that reaches it.
     """
+    return _degeneration(Universe(spec))
+
+
+def _stratification(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
-    pool = bundle_pool(spec)
+    pool, degrees, terms = universe.pool, universe.degrees, universe.terms
     # Built at call time, so a test that rebinds a condition tuple sees every call.
     conditions = ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS, SUBBUNDLE_CONDITIONS)
     cex: list[str] = []
     count = 0
-    qq_degrees: list[int | None] = [None] * len(pool)
-    qf_degrees: list[list[int | None] | None] = [None] * len(pool)
-    terms: list[int | None] = []
-    current = None
-    for ei, fi, group in itertools.islice(_triple_groups(pool, conditions), spec.sample_limit):
+    for ei, fi, group in itertools.islice(_triple_groups(universe, conditions),
+                                          universe.spec.sample_limit):
         count += 1
-        if ei != current:
-            terms = [None] * len(pool)
-            current = ei
-        e, f, qf_row = pool[ei], pool[fi], _row(qf_degrees, fi, len(pool))
-        full = dim_hom(e, f)
+        e, f = pool[ei], pool[fi]
+        into_f, from_e = degrees.at(fi).filled((ei, *group)), terms.at(ei).filled(group)
+        full = dim_hom(e, f, ef_degree=into_f[ei])
         e_rank = e.rank
         best = None
         for qi in group:
             q = pool[qi]
-            term = terms[qi]
-            if term is None:
-                term = terms[qi] = _image_term(e, q, qi, qq_degrees)
-            qf_degree = qf_row[qi]
-            if qf_degree is None:
-                qf_degree = qf_row[qi] = deg_nonneg(q, f)
             try:
-                dim = stratum_dim(e, f, q, term=term, qf_degree=qf_degree)
+                dim = stratum_dim(e, f, q, term=from_e[qi], qf_degree=into_f[qi])
             except InternalConsistencyError as exc:
                 cex.append(f"E={e} F={f} Q={q}: {exc}")
                 continue
@@ -753,10 +697,24 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     return _report("stratification", count, cex, started)
 
 
-def verify_invariance(spec: UniverseSpec) -> VerificationReport:
-    """Stretch scales degrees and codimensions by C; integer twists fix them."""
+def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
+    """Top stratum over candidate images equals dim hom, attained at Q = E.
+
+    For every pair with no common slopes where F dominates E: the stratum
+    at Q = E has the full Hom dimension, no candidate exceeds it, and
+    (the key inequality in its stratum form) no candidate of strictly
+    smaller rank attains it.  The pairs and their candidates come from the
+    triple stream, read with (iv), (i), (ii) and (iii), zero included
+    among E, F and Q; a pair without a candidate is counted and reported
+    like any other.  With ``sample_limit`` set, the first that many pairs
+    are checked, each against all of its candidates.
+    """
+    return _stratification(Universe(spec))
+
+
+def _invariance(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
-    pool = bundle_pool(spec)
+    pool, spec = universe.pool, universe.spec
     rng = random.Random(spec.seed)
     trials = spec.sample_limit if spec.sample_limit is not None else 1000
     cex: list[str] = []
@@ -780,26 +738,39 @@ def verify_invariance(spec: UniverseSpec) -> VerificationReport:
     return _report("invariance", trials, cex, started)
 
 
-# name -> (runner, desk-scale default spec)
-CHECKS: dict[str, tuple] = {
-    "equivalence": (verify_equivalence, PAIR_UNIVERSE),
-    "oracles": (verify_oracles, PAIR_UNIVERSE),
-    "key-inequality": (verify_key_inequality, TRIPLE_UNIVERSE),
-    "degeneration": (verify_degeneration, TRIPLE_UNIVERSE),
-    "stratification": (verify_stratification_dimension, PAIR_UNIVERSE),
-    "invariance": (verify_invariance, PAIR_UNIVERSE),
+def verify_invariance(spec: UniverseSpec) -> VerificationReport:
+    """Stretch scales degrees and codimensions by C; integer twists fix them."""
+    return _invariance(Universe(spec))
+
+
+# name -> (check on a Universe, desk-scale default spec)
+CHECKS: dict[str, tuple[Callable[[Universe], VerificationReport], UniverseSpec]] = {
+    "equivalence": (_equivalence, PAIR_UNIVERSE),
+    "oracles": (_oracles, PAIR_UNIVERSE),
+    "key-inequality": (_key_inequality, TRIPLE_UNIVERSE),
+    "degeneration": (_degeneration, TRIPLE_UNIVERSE),
+    "stratification": (_stratification, PAIR_UNIVERSE),
+    "invariance": (_invariance, PAIR_UNIVERSE),
 }
 
 
 def run_checks(names: Iterable[str] | None = None,
                spec: UniverseSpec | None = None) -> list[VerificationReport]:
-    """Run the named checks (all by default) on ``spec`` or desk-scale defaults."""
+    """Run the named checks (all by default) on ``spec`` or desk-scale defaults.
+
+    Checks on the same spec share one :class:`Universe`.  A report's
+    ``elapsed`` covers its check alone, not the enumeration.
+    """
     selected = list(names) if names is not None else list(CHECKS)
+    universes: dict[UniverseSpec, Universe] = {}
     reports = []
     for name in selected:
         try:
-            runner, default_spec = CHECKS[name]
+            check, default_spec = CHECKS[name]
         except KeyError:
             raise ValueError(f"unknown check {name!r}; options: {', '.join(CHECKS)}")
-        reports.append(runner(spec if spec is not None else default_spec))
+        chosen = spec if spec is not None else default_spec
+        if chosen not in universes:
+            universes[chosen] = Universe(chosen)
+        reports.append(check(universes[chosen]))
     return reports

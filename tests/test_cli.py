@@ -147,12 +147,25 @@ def test_enumerate_command(capsys):
     assert all(parse_bundle(text) is not None for text in listed)
 
 
-def test_enumerate_ignores_samples(capsys):
-    assert run(["enumerate", "--max-rank", "2"]) == 0
-    whole = capsys.readouterr().out
-    assert run(["enumerate", "--samples", "3", "--max-rank", "2"]) == 0
-    assert capsys.readouterr().out == whole
-    assert len(whole.splitlines()) > 3
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--samples", "3"], ["enumerate", "--seed", "3"],
+    ["images", "0,-2", "1,-1", "--samples", "3"], ["images", "0,-2", "1,-1", "--seed", "3"],
+], ids=["enumerate-samples", "enumerate-seed", "images-samples", "images-seed"])
+def test_only_verify_takes_samples_and_seed(capsys, argv):
+    assert run(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--max-rank", "1"],
+                                     ["verify", "--check", "invariance", "--max-rank", "2"]],
+                         ids=["enumerate", "verify"])
+def test_a_huge_denominator_bound_past_the_rank_is_cheap(capsys, command):
+    # A slope with denominator q has rank q, so --max-den past --max-rank adds no slope.
+    started = time.perf_counter()
+    assert run([*command, "--max-den", "1000000"]) == 0
+    assert time.perf_counter() - started < 1.0
+    if command[0] == "enumerate":
+        assert capsys.readouterr().out.split() == ["2", "1", "0:1", "-1", "-2"]
 
 
 def test_verify_command_pass_and_json(capsys):

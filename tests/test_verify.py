@@ -558,39 +558,28 @@ def _counting_deg_nonneg(monkeypatch):
 
 
 def _once_each(*roles):
-    """Each distinct pair of each role once: the reads of a check that looks every value up once."""
-    expected = Counter()
-    for pairs in roles:
-        expected.update(set(pairs))
-    return expected
+    """Each distinct pair once, in whatever roles it is read: the reads of a check that looks every value up once."""
+    return Counter(set().union(*roles))
 
 
-def test_key_inequality_reads_each_pair_once(monkeypatch):
+def _key_inequality_degree_reads():
     triples = list(_admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
-    expected = _once_each(
+    assert len({(q, f) for _, f, q in triples}) < len(triples)
+    return _once_each(
         [(e, f) for e, f, _ in triples], [(q, f) for _, f, q in triples],
         [(q, q) for _, _, q in triples], [(e, q) for e, _, q in triples])
-    assert len({(q, f) for _, f, q in triples}) < len(triples)
-
-    calls = _counting_deg_nonneg(monkeypatch)
-    assert verify_key_inequality(SMALL_INT).passed
-    assert calls == expected
 
 
-def test_degeneration_reads_each_pair_once(monkeypatch):
+def _degeneration_degree_reads():
     triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
     # Every member V of a chain, E and Q included, is read into F and into Q.
     into_f = [(v, f) for e, f, q in triples for v in chains[e, q]]
-    expected = _once_each(into_f, [(v, q) for (e, q), chain in chains.items() for v in chain])
     assert len(set(into_f)) < len(into_f)
-
-    calls = _counting_deg_nonneg(monkeypatch)
-    assert verify_degeneration(SMALL_INT).passed
-    assert calls == expected
+    return _once_each(into_f, [(v, q) for (e, q), chain in chains.items() for v in chain])
 
 
-def test_stratification_reads_each_pair_once(monkeypatch):
+def _stratification_degree_reads():
     pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
     pairs = _stratification_pairs(pool)
     candidates = {(e, f): _candidate_images(pool, e, f) for e, f in pairs}
@@ -599,7 +588,32 @@ def test_stratification_reads_each_pair_once(monkeypatch):
         [(q, q) for qs in candidates.values() for q in qs],
         [(e, q) for (e, f), qs in candidates.items() for q in qs])
     assert len(expected) < sum(map(len, candidates.values()))
+    return expected
 
+
+DEGREE_READS = {
+    "key-inequality": _key_inequality_degree_reads,
+    "degeneration": _degeneration_degree_reads,
+    "stratification": _stratification_degree_reads,
+}
+
+
+def test_key_inequality_reads_each_pair_once(monkeypatch):
+    expected = _key_inequality_degree_reads()
+    calls = _counting_deg_nonneg(monkeypatch)
+    assert verify_key_inequality(SMALL_INT).passed
+    assert calls == expected
+
+
+def test_degeneration_reads_each_pair_once(monkeypatch):
+    expected = _degeneration_degree_reads()
+    calls = _counting_deg_nonneg(monkeypatch)
+    assert verify_degeneration(SMALL_INT).passed
+    assert calls == expected
+
+
+def test_stratification_reads_each_pair_once(monkeypatch):
+    expected = _stratification_degree_reads()
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_stratification_dimension(SMALL_INT).passed
     assert calls == expected
@@ -659,6 +673,34 @@ def test_each_image_verdict_is_computed_once_per_call(monkeypatch, name):
     calls = _counting_image_condition(monkeypatch)
     assert run_checks([name], SMALL_INT)[0].passed
     assert calls == Counter(expected)
+
+
+def _outcome(report):
+    return report.property_name, report.instances_checked, report.counterexamples, report.findings
+
+
+def test_one_run_shares_its_universe_between_the_triple_checks(monkeypatch):
+    names = list(DEGREE_READS)
+    alone = {name: _outcome(run_checks([name], SMALL_INT)[0]) for name in names}
+    # Each check's expected set, and their union: what the run asks, since the checks overlap.
+    per_check_reads = [set(reads()) for reads in DEGREE_READS.values()]
+    per_check_questions = [questions() for questions in IMAGE_QUESTIONS.values()]
+    degree_reads, image_questions = set().union(*per_check_reads), set().union(*per_check_questions)
+    assert len(degree_reads) < sum(map(len, per_check_reads))
+    assert len(image_questions) < sum(map(len, per_check_questions))
+    enumerate_bundles = verify.enumerate_bundles
+    for order in itertools.permutations(names):
+        enumerated = []
+        monkeypatch.setattr(verify, "enumerate_bundles", lambda *args, **kwargs: (
+            enumerated.append(args) or enumerate_bundles(*args, **kwargs)))
+        degree_calls = _counting_deg_nonneg(monkeypatch)
+        image_calls = _counting_image_condition(monkeypatch)
+        reports = run_checks(order, SMALL_INT)
+        monkeypatch.undo()
+        assert len(enumerated) == 1
+        assert degree_calls == Counter(degree_reads)
+        assert image_calls == Counter(image_questions)
+        assert [_outcome(report) for report in reports] == [alone[name] for name in order]
 
 
 # ----------------------------------------------------------------------
