@@ -1,10 +1,11 @@
 """Static SVG overlays of HN polygons.
 
-Up to eight polygons are drawn on one shared integer grid with marked
-vertices and a legend naming each bundle in the text grammar.  Output is a
-pure function of the input: coordinates are integers, colors come from a
-fixed palette, and no timestamps or randomness enter the document, so the
-bytes are reproducible.  This is a report artifact, not an interface.
+Up to eight polygons are drawn on one shared integer grid, of at most
+:data:`MAX_GRID_LINES` lines, with marked vertices and a legend naming each
+bundle in the text grammar.  Output is a pure function of the input:
+coordinates are integers, colors come from a fixed palette, and no
+timestamps or randomness enter the document, so the bytes are reproducible.
+This is a report artifact, not an interface.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from typing import Sequence
 
 from .bundle import HNBundle, PreconditionError, format_bundle
 
-__all__ = ["render_svg", "write_svg", "MAX_BUNDLES"]
+__all__ = ["render_svg", "write_svg", "MAX_BUNDLES", "MAX_GRID_LINES"]
 
 MAX_BUNDLES = 8
+# The grid has a line per unit of rank and per unit of degree, so without a cap a
+# short input of huge rank would build a document in proportion to that rank.
+MAX_GRID_LINES = 2_000
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -34,6 +38,10 @@ def render_svg(bundles: Sequence[HNBundle]) -> str:
     ys = [v.y for b in bundles for v in b.polygon] or [0]
     x_max = max(max(xs), 1)
     y_min, y_max = min(min(ys), 0), max(max(ys), 1)
+    lines = x_max + 1 + y_max - y_min + 1
+    if lines > MAX_GRID_LINES:
+        raise PreconditionError(f"the grid would need {lines} lines, more than the cap of "
+                                f"{MAX_GRID_LINES}")
 
     def px(x: int) -> int:
         return _MARGIN + x * _SCALE

@@ -221,47 +221,34 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
             yield q
 
 
-class _Table:
-    """Values by key, each computed by ``fill(key)`` at its first read and then kept.
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` and keeps it, unless the fill raises."""
 
-    A loop over many keys asks :meth:`filled` for them, then indexes the dict.
-    """
-
-    __slots__ = ("_cells", "_fill")
+    __slots__ = ("_fill",)
 
     def __init__(self, fill: Callable) -> None:
-        self._cells: dict = {}
+        super().__init__()
         self._fill = fill
 
-    def at(self, key):
-        """The value at ``key``."""
-        value = self._cells.get(key)
-        if value is None:
-            value = self._cells[key] = self._fill(key)
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
         return value
-
-    def filled(self, keys: Iterable) -> dict:
-        """Every value computed so far, by key, with those at ``keys`` among them."""
-        cells, fill = self._cells, self._fill
-        for key in keys:
-            if key not in cells:
-                cells[key] = fill(key)
-        return cells
 
 
 class Universe:
     """The pool of one spec, and every table the checks on it share, by position.
 
     ``members`` is the pool, then any chain member outside it (only a
-    faulty engine makes one), placed by :meth:`position`; the tables (see
-    the module docstring) read their bundles there.  ``by_rank`` lists the
-    pool positions stably sorted by rank, and ``ranks`` their ranks.  A row
-    of ``images`` is a list by Q position that :func:`_triple_groups`
-    fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``; one
-    table serves every condition set only because each set's (F, Q) group
-    is ``SUBBUNDLE_CONDITIONS``.  The fills look ``deg_nonneg`` up on this
-    module at call time and the tests are bound when the universe is built,
-    so a test or tracer that rebinds either before then sees every call.
+    faulty engine makes one), placed by :meth:`position`; each table (see
+    the module docstring) is a dict that fills a missing key from there.
+    ``by_rank`` lists the pool positions stably sorted by rank, and
+    ``ranks`` their ranks.  A row of ``images`` is a list by Q position
+    that :func:`_triple_groups` fills with ``image_tests``, the tests of
+    ``SUBBUNDLE_CONDITIONS``; one table serves every condition set only
+    because each set's (F, Q) group is ``SUBBUNDLE_CONDITIONS``.  The fills
+    look ``deg_nonneg`` up on this module at call time and the tests are
+    bound when the universe is built, so a test or tracer that rebinds
+    either before then sees every call.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
@@ -272,11 +259,12 @@ class Universe:
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
         self.image_tests = [c.test for c in SUBBUNDLE_CONDITIONS]
+        # List rows: Q is always a pool position; dict rows made warm rank-5 key-inequality slower.
         self.images = _Table(lambda f: [None] * len(pool))
 
         # The fills close over these locals, not over self, so a Universe forms no cycle.
         def term(v: int, q: int) -> int:
-            into_q = degrees.at(q).filled((q, v))
+            into_q = degrees[q]
             return image_term(members[v], members[q], qq_degree=into_q[q], eq_degree=into_q[v])
 
         self.degrees = degrees = _Table(
@@ -425,7 +413,7 @@ def _triple_groups(
                     # rank(Q) <= rank(E).
                     quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
                                  if _holds(quotient_tests, e, pool[qi])]
-                row = images.at(fi)
+                row = images[fi]
                 group = []
                 for qi in quotients:
                     admitted = row[qi]
@@ -465,7 +453,7 @@ def _key_inequality(universe: Universe) -> VerificationReport:
         if not group:
             continue
         e, f = pool[ei], pool[fi]
-        into_f, from_e = degrees.at(fi).filled((ei, *group)), terms.at(ei).filled(group)
+        into_f, from_e = degrees[fi], terms[ei]
         ef_degree = into_f[ei]
         count += len(group)
         for qi in group:
@@ -564,7 +552,7 @@ def _chain(universe: Universe, ei: int, start: tuple[int, bool] | str, qi: int) 
     e, q = members[ei], members[qi]
     try:
         walk, walked = degeneration.walk_chain(
-            e, q, first, qi, universe.steps.at(qi).at, partial(_advance, universe))
+            e, q, first, qi, universe.steps[qi].__getitem__, partial(_advance, universe))
     except (PreconditionError, InternalConsistencyError) as exc:
         return ChainCheck((), (), None, [f"trace failed: {exc}"], [])
     positions = (ei, *walk)
@@ -581,7 +569,7 @@ def _chain(universe: Universe, ei: int, start: tuple[int, bool] | str, qi: int) 
     notes = [] if degenerating else ["dual chain not degenerating at step 0"]
     notes.extend(f"dual chain not degenerating at step {i}"
                  for i, step in enumerate(walked[:-1], 1) if not step.degenerating)
-    terms = tuple(universe.terms.at(i).at(qi) for i in positions)
+    terms = tuple(universe.terms[i][qi] for i in positions)
     return ChainCheck(positions, terms, tuple(walked), bad, notes)
 
 
@@ -589,8 +577,8 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
                           into_f: dict[int, int], first_drop: int) -> list[str]:
     """Compute and re-check the codimensions of the triple (E, F, Q) along its chain.
 
-    ``into_f`` holds deg_nonneg(V, F) for every V of the chain, by position,
-    and ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
+    ``into_f`` is F's row of the universe's ``degrees``, deg_nonneg(V, F)
+    by V's position, and ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
     """
     steps = checked.steps
     f, q = members[fi], members[qi]
@@ -626,26 +614,21 @@ def _degeneration(universe: Universe) -> VerificationReport:
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-
-    def chains_from(ei: int) -> _Table:
-        # E_1 is built once per E, at E's first triple.
-        start = _chain_start(universe, pool[ei])
-        return _Table(lambda qi: _chain(universe, ei, start, qi))
-
-    chains = _Table(chains_from)
+    # E_1 is built once per E, at E's first triple.
+    chains = _Table(lambda ei: _Table(
+        partial(_chain, universe, ei, _chain_start(universe, pool[ei]))))
     members, degrees, nonneg = universe.members, universe.degrees, universe.nonneg
     for ei, fi, group in _triple_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit):
         if not group:
             continue
         count += len(group)
-        from_e, into_f, nonnegs = chains.at(ei), degrees.at(fi), nonneg.filled((fi, *group))
+        from_e, into_f = chains[ei], degrees[fi]
         for qi in group:
-            checked = from_e.at(qi)
+            checked = from_e[qi]
             bad, notes = checked.violations, checked.findings
             if checked.steps is not None:
-                bad = bad + _codimension_problems(members, fi, qi, checked,
-                                                  into_f.filled(checked.positions),
-                                                  nonnegs[fi] - nonnegs[qi])
+                bad = bad + _codimension_problems(members, fi, qi, checked, into_f,
+                                                  nonneg[fi] - nonneg[qi])
             if bad or notes:
                 prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
                 cex.extend(f"{prefix}: {item}" for item in bad)
@@ -674,7 +657,7 @@ def _stratification(universe: Universe) -> VerificationReport:
                                           universe.spec.sample_limit):
         count += 1
         e, f = pool[ei], pool[fi]
-        into_f, from_e = degrees.at(fi).filled((ei, *group)), terms.at(ei).filled(group)
+        into_f, from_e = degrees[fi], terms[ei]
         full = dim_hom(e, f, ef_degree=into_f[ei])
         e_rank = e.rank
         best = None

@@ -10,6 +10,7 @@ import pytest
 from hnbundles import parse_bundle, render_svg
 from hnbundles.bundle import PreconditionError
 from hnbundles.cli import run
+from hnbundles.render import MAX_GRID_LINES
 from hnbundles.verify import CANDIDATE_POOL_LIMIT
 
 B = parse_bundle
@@ -205,6 +206,15 @@ def test_render_too_many_bundles(capsys):
     capsys.readouterr()
 
 
+def test_render_past_the_grid_cap_exits_3_quickly(tmp_path, capsys):
+    target = tmp_path / "huge.svg"
+    started = time.perf_counter()
+    assert run(["render", str(target), "1/1000000000000", "0:1000000000000"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert str(MAX_GRID_LINES) in capsys.readouterr().err
+    assert not target.exists()
+
+
 # ----------------------------------------------------------------------
 # renderer internals via the library surface
 
@@ -222,6 +232,13 @@ def test_render_svg_overlay_and_empty():
     assert "<svg" in empty and "<polyline" not in empty
     with pytest.raises(PreconditionError):
         render_svg([B("1")] * 9)
+
+
+def test_render_svg_draws_at_most_the_grid_cap():
+    # rank 1997 and degrees 0..1: 1,998 vertical lines and 2 horizontal ones
+    assert render_svg([B("0:1997")]).count("<line ") == MAX_GRID_LINES
+    with pytest.raises(PreconditionError):
+        render_svg([B("0:1998")])
 
 
 def test_render_overlay_preserves_dominance_shape():

@@ -515,12 +515,17 @@ def test_a_member_outside_the_pool_is_reported_as_by_the_reference(monkeypatch):
     assert {line.split(": ", 1)[0] for line in outcome[1]} >= through
 
 
-def test_a_faulty_shared_step_is_labelled_by_each_chain(monkeypatch):
+def _q_reached_by_chains_of_different_lengths():
+    """SMALL_INT's reduced triples, and a nonzero Q that chains of different lengths reach."""
     triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
-    # A Q reached by chains of different lengths: they share the step at Q, at different indices.
     q0 = next(q for _, q in chains if not q.is_zero
               and len({len(chain) for (_, q2), chain in chains.items() if q2 == q}) > 1)
+    return triples, q0
+
+
+def test_a_faulty_shared_step_is_labelled_by_each_chain(monkeypatch):
+    _, q0 = _q_reached_by_chains_of_different_lengths()
     original = degeneration.decompose_mrs
 
     def faulty(e_i, q):
@@ -534,6 +539,25 @@ def test_a_faulty_shared_step_is_labelled_by_each_chain(monkeypatch):
     assert outcome == _reference_degeneration(SMALL_INT)
     labels = {line.split(": ")[1] for line in outcome[1] if "complement vanishing" in line}
     assert len(labels) > 1
+
+
+def test_a_shared_step_that_raises_fails_every_chain_to_its_q(monkeypatch):
+    # The raising step is kept by no table, so every chain that reaches it asks it again.
+    triples, q0 = _q_reached_by_chains_of_different_lengths()
+    original = degeneration.decompose_mrs
+
+    def raising(e_i, q):
+        if (e_i, q) == (q0, q0):
+            raise InternalConsistencyError("injected")
+        return original(e_i, q)
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", raising)
+    outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    assert outcome == _reference_degeneration(SMALL_INT)
+    failed = {line for line in outcome[1] if line.endswith(": trace failed: injected")}
+    assert failed == {f"E={e} F={f} Q={q0}: trace failed: injected"
+                      for e, f, q in triples if q == q0}
+    assert len(failed) > 1
 
 
 # ----------------------------------------------------------------------
