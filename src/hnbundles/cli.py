@@ -16,11 +16,10 @@ Exit status contract:
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .bundle import (
     BundleParseError,
@@ -32,18 +31,18 @@ from .bundle import (
     parse_bundle,
 )
 from .criteria import is_quotient, is_subbundle, slopewise_dominates
-from .degeneration import degeneration_trace
-from .degrees import c_value, dim_hom, stratum_report
-from .render import write_svg
-from .verify import (
-    CHECKS,
-    UniverseSpec,
-    bundle_pool,
-    enumerate_candidate_images,
-    run_checks,
-)
+
+# Every other module (and json, dataclasses) is imported by the command body
+# that uses it, so that a `check-*` call loads only `bundle` and `criteria`.
+if TYPE_CHECKING:
+    from .verify import UniverseSpec
 
 __all__ = ["run", "main", "build_parser"]
+
+# The `--check` choices, ``tuple(sorted(verify.CHECKS))``, written out so that
+# building the parser does not import `verify`; a test pins the two together.
+CHECK_NAMES = ("degeneration", "equivalence", "invariance", "key-inequality", "oracles",
+               "stratification")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +79,10 @@ def _add_universe_flags(parser: argparse.ArgumentParser) -> None:
 
 def _universe_from_flags(args: argparse.Namespace) -> UniverseSpec | None:
     """Spec built from the given flags, or None when no universe flag was given."""
+    from dataclasses import fields
+
+    from .verify import UniverseSpec
+
     given = {field.name: getattr(args, field.name) for field in fields(UniverseSpec)
              if getattr(args, field.name, None) is not None}
     return UniverseSpec(**given) if given else None
@@ -145,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the verification harness")
-    p.add_argument("--check", action="append", choices=sorted(CHECKS), default=None,
+    p.add_argument("--check", action="append", choices=CHECK_NAMES, default=None,
                    help="check to run (repeatable; default: all)")
     _add_universe_flags(p)
     p.add_argument("--samples", dest="sample_limit", type=int, default=None, metavar="N",
@@ -166,9 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # command bodies
 
+def _dumps(payload) -> str:
+    import json
+
+    return json.dumps(payload)
+
+
 def _emit_bool(value: bool, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps({"result": value}))
+        print(_dumps({"result": value}))
     else:
         print("true" if value else "false")
     return 0 if value else 1
@@ -189,6 +198,8 @@ def _cmd_check_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
+    from .degrees import dim_hom, stratum_report
+
     e, f = parse_bundle(args.e), parse_bundle(args.f)
     payload: dict = {"hom": dim_hom(e, f)}
     if args.q is not None:
@@ -196,7 +207,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         payload["stratum"] = report.stratum_dimension
         payload["c"] = report.c_value
     if args.format == "json":
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         for key, value in payload.items():
             print(f"{key} {value}")
@@ -204,15 +215,19 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_c(args: argparse.Namespace) -> int:
+    from .degrees import c_value
+
     value = c_value(parse_bundle(args.e), parse_bundle(args.f), parse_bundle(args.q))
-    print(json.dumps({"c": value}) if args.format == "json" else value)
+    print(_dumps({"c": value}) if args.format == "json" else value)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .degeneration import degeneration_trace
+
     trace = degeneration_trace(parse_bundle(args.e), parse_bundle(args.f), parse_bundle(args.q))
     if args.format == "json":
-        print(json.dumps(trace.to_json_dict()))
+        print(_dumps(trace.to_json_dict()))
         return 0
     for i, member in enumerate(trace.chain):
         line = f"step {i}: E={format_bundle(member)} c={trace.c_values[i]}"
@@ -233,6 +248,8 @@ def _default_image_spec(e: HNBundle, f: HNBundle) -> UniverseSpec | None:
     Candidate slopes lie in [mu_min(e), mu_max(f)] with denominators at
     most rank(e), so this spec covers every possible candidate image.
     """
+    from .verify import UniverseSpec
+
     if e.is_zero or f.is_zero or e.mu_min > f.mu_max:
         return None
     return UniverseSpec(
@@ -244,6 +261,9 @@ def _default_image_spec(e: HNBundle, f: HNBundle) -> UniverseSpec | None:
 
 
 def _cmd_images(args: argparse.Namespace) -> int:
+    from .degrees import stratum_report
+    from .verify import enumerate_candidate_images
+
     e, f = parse_bundle(args.e), parse_bundle(args.f)
     spec = _universe_from_flags(args)
     if spec is None:
@@ -252,7 +272,7 @@ def _cmd_images(args: argparse.Namespace) -> int:
     reports = [stratum_report(e, f, q) for q in candidates]
     reports.sort(key=lambda r: (-r.stratum_dimension, r.image.rank, format_bundle(r.image)))
     if args.format == "json":
-        print(json.dumps([
+        print(_dumps([
             {
                 "image": format_bundle(r.image),
                 "stratum_dim": r.stratum_dimension,
@@ -267,11 +287,13 @@ def _cmd_images(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .verify import UniverseSpec, bundle_pool
+
     spec = _universe_from_flags(args) or UniverseSpec()
     pool = bundle_pool(spec)
     bundles = [format_bundle(b) for b in (pool if args.zero else pool[1:])]
     if args.format == "json":
-        print(json.dumps(bundles))
+        print(_dumps(bundles))
     else:
         for text in bundles:
             print(text)
@@ -279,10 +301,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks
+
     spec = _universe_from_flags(args)
     reports = run_checks(args.check, spec)
     if args.format == "json":
-        print(json.dumps([report.to_json_dict() for report in reports]))
+        print(_dumps([report.to_json_dict() for report in reports]))
     else:
         for report in reports:
             print(report.summary())
@@ -296,6 +320,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import write_svg
+
     bundles = [parse_bundle(text) for text in args.bundles]
     write_svg(bundles, args.output)
     return 0

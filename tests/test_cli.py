@@ -1,15 +1,23 @@
-"""CLI surface: parsing, outputs, exit-status contract, rendering."""
+"""CLI surface: parsing, outputs, exit-status contract, rendering, and the
+modules a cold call and ``import hnbundles`` load."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hnbundles
 from hnbundles import parse_bundle, render_svg
 from hnbundles.bundle import PreconditionError
-from hnbundles.cli import run
+from hnbundles.cli import CHECK_NAMES, run
+from hnbundles.verify import CHECKS
 from hnbundles.render import MAX_GRID_LINES
 from hnbundles.verify import CANDIDATE_POOL_LIMIT
 
@@ -90,6 +98,81 @@ def test_usage_error_exit(capsys):
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_check_names_are_the_sorted_checks():
+    assert CHECK_NAMES == tuple(sorted(CHECKS))
+
+
+def test_an_unknown_check_is_refused_naming_every_check_in_order(capsys):
+    assert run(["verify", "--check", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --check: invalid choice: 'nope'" in err
+    positions = [err.index(f"'{name}'") for name in sorted(CHECKS)]
+    assert positions == sorted(positions)
+
+
+def test_a_cold_check_sub_loads_only_bundle_criteria_and_cli():
+    # The benchmark's cold-start line in a fresh interpreter; only hnbundles
+    # modules are compared, since `site` may preload stdlib ones.
+    program = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from hnbundles.cli import run; "
+        "code = run(['check-sub', '0:1', '1,-1']); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'hnbundles'), "
+        "file=sys.stderr); sys.exit(code)"
+    )
+    src = Path(hnbundles.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", program, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "true\n"
+    loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+    assert set(loaded) == {"hnbundles", "hnbundles.bundle", "hnbundles.criteria",
+                           "hnbundles.cli"}
+
+
+PACKAGE_EXPORTS = {
+    "bundle": [
+        "BundleParseError", "HNBundle", "InternalConsistencyError", "PolygonVertex",
+        "PreconditionError", "SegmentVector", "ZERO", "bundle_from_json", "bundle_to_json",
+        "canonicalize", "format_bundle", "parse_bundle", "stable", "summand_difference",
+    ],
+    "criteria": [
+        "hn_common_prefix", "is_quotient", "is_subbundle", "rank_condition",
+        "slopewise_dominates", "strip_common_slopes",
+    ],
+    "degeneration": [
+        "DecompositionTriple", "DegenerationTrace", "NormalizationStep", "NormalizedTriple",
+        "build_e1", "decompose_mrs", "degeneration_chain", "degeneration_step",
+        "degeneration_trace", "max_slope_reduction", "normalize_triple",
+    ],
+    "degrees": [
+        "StratumReport", "c_value", "deg_nonneg", "deg_nonneg_oracle", "dim_hom",
+        "image_term", "stratum_dim", "stratum_report",
+    ],
+    "render": ["render_svg", "write_svg"],
+    "verify": [
+        "CHECKS", "PAIR_UNIVERSE", "TRIPLE_UNIVERSE", "UniverseSpec", "VerificationReport",
+        "admissible_slopes", "enumerate_bundles", "enumerate_candidate_images", "run_checks",
+        "verify_degeneration", "verify_equivalence", "verify_invariance",
+        "verify_key_inequality", "verify_oracles", "verify_stratification_dimension",
+    ],
+}
+
+
+def test_the_package_resolves_each_public_name_from_its_module():
+    names = [name for names in PACKAGE_EXPORTS.values() for name in names]
+    assert len(names) == 56
+    assert sorted(hnbundles.__all__) == sorted(names)
+    listed = dir(hnbundles)
+    for module, exported in PACKAGE_EXPORTS.items():
+        source = importlib.import_module(f"hnbundles.{module}")
+        assert getattr(hnbundles, module) is source
+        for name in exported:
+            assert getattr(hnbundles, name) is getattr(source, name), name
+            assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hnbundles.no_such_name
 
 
 def test_negative_bundle_tokens_parse_as_positionals(capsys):
