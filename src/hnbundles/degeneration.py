@@ -128,23 +128,23 @@ class Condition(NamedTuple):
 
 
 class ConditionSet(NamedTuple):
-    """Conditions on E alone, on the pair (E, F), on (E, Q) and on (F, Q).
+    """Conditions on E alone, on the pair (E, F) and on (E, Q); every set also holds (iii).
 
-    An entry placed in several groups is one condition and is named once
-    among the violations.
+    Condition (iii), ``SUBBUNDLE_CONDITIONS``, is the (F, Q) test of every
+    triple.  An entry placed in several groups is one condition and is
+    named once among the violations.
     """
 
     on_e: tuple[Condition, ...]
     on_pair: tuple[Condition, ...]
     on_quotient: tuple[Condition, ...]
-    on_image: tuple[Condition, ...]
 
     def violations(self, e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
         """The failing conditions as (name, requirement) pairs, sorted by name."""
         failed = [c for c in self.on_e if not c.test(e)]
         failed += [c for c in self.on_pair if not c.test(e, f)]
         failed += [c for c in self.on_quotient if not c.test(e, q)]
-        failed += [c for c in self.on_image if not c.test(f, q)]
+        failed += [c for c in SUBBUNDLE_CONDITIONS if not c.test(f, q)]
         return tuple(sorted({(c.name, c.requirement) for c in failed}))
 
 
@@ -173,7 +173,7 @@ SUBBUNDLE_CONDITIONS = (
 GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
     Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank),
     *QUOTIENT_CONDITIONS,
-), SUBBUNDLE_CONDITIONS)
+))
 
 REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO, _INTEGER_SLOPES), (
     _INTEGER_SLOPES, *PAIR_CONDITIONS,
@@ -181,7 +181,7 @@ REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO, _INTEGER_SLOPES), (
     Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1),
     _INTEGER_SLOPES,
     *QUOTIENT_CONDITIONS,
-), SUBBUNDLE_CONDITIONS)
+))
 
 
 def general_violations(e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:

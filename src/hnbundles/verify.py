@@ -54,7 +54,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import ceil, floor
+from math import ceil, floor, gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
@@ -132,15 +133,22 @@ PAIR_UNIVERSE = UniverseSpec(max_rank=4, slope_min=Fraction(-2), slope_max=Fract
 TRIPLE_UNIVERSE = UniverseSpec(max_rank=4, slope_min=Fraction(-3), slope_max=Fraction(3), max_denominator=1)
 
 
-def admissible_slopes(spec: UniverseSpec) -> tuple[Fraction, ...]:
-    """All reduced slopes inside the universe bounds, in descending order."""
-    found: set[Fraction] = set()
+def _reduced_slopes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
+    """Every p/q in lowest terms in [slope_min, slope_max] with q <= max_denominator, by q."""
     for q in range(1, spec.max_denominator + 1):
         for p in range(ceil(spec.slope_min * q), floor(spec.slope_max * q) + 1):
-            lam = Fraction(p, q)
-            if lam.denominator == q:
-                found.add(lam)
-    return tuple(sorted(found, reverse=True))
+            if gcd(p, q) == 1:
+                yield p, q
+
+
+def admissible_slopes(spec: UniverseSpec) -> tuple[Fraction, ...]:
+    """All reduced slopes inside the universe bounds, in descending order."""
+    return tuple(sorted(itertools.starmap(Fraction, _reduced_slopes(spec)), reverse=True))
+
+
+def _member_spec(spec: UniverseSpec) -> UniverseSpec:
+    """``spec`` with the denominators its bundles can use: q <= max_rank, as O(p/q) has rank q."""
+    return replace(spec, max_denominator=min(spec.max_denominator, spec.max_rank))
 
 
 def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterator[HNBundle]:
@@ -149,9 +157,7 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
     The stream is always exhaustive; ``sample_limit`` only affects how the
     verification runs draw instances from it.
     """
-    # A slope with denominator q has rank q, so no bundle of the universe uses q > max_rank.
-    slopes = admissible_slopes(
-        replace(spec, max_denominator=min(spec.max_denominator, spec.max_rank)))
+    slopes = admissible_slopes(_member_spec(spec))
     widths = [lam.denominator for lam in slopes]
 
     def rec(start: int, budget: int) -> Iterator[tuple[tuple[Fraction, int], ...]]:
@@ -185,13 +191,16 @@ def bundle_pool(spec: UniverseSpec) -> list[HNBundle]:
     Every check and every command that lists a universe reads it through
     this function.  A universe of more than :data:`CANDIDATE_POOL_LIMIT`
     bundles raises :class:`PreconditionError` as soon as the enumeration
-    passes the cap.
+    passes the cap, or before it starts when the slopes alone pass it:
+    each slope p/q is a member, O(p/q), besides zero.
     """
-    pool = list(itertools.islice(enumerate_bundles(spec, include_zero=True),
-                                 CANDIDATE_POOL_LIMIT + 1))
-    if len(pool) > CANDIDATE_POOL_LIMIT:
-        raise PreconditionError(f"bundle pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
-    return pool
+    slopes = _reduced_slopes(_member_spec(spec))
+    if next(itertools.islice(slopes, CANDIDATE_POOL_LIMIT - 1, None), None) is None:
+        pool = list(itertools.islice(enumerate_bundles(spec, include_zero=True),
+                                     CANDIDATE_POOL_LIMIT + 1))
+        if len(pool) <= CANDIDATE_POOL_LIMIT:
+            return pool
+    raise PreconditionError(f"bundle pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
 
 
 def _holds(tests: list[Callable[..., bool]], *bundles: HNBundle) -> bool:
@@ -239,15 +248,14 @@ class Universe:
     """The pool of one spec, and every table the checks on it share, by position.
 
     ``members`` is the pool, then any chain member outside it (only a
-    faulty engine makes one), placed by :meth:`position`; each table (see
-    the module docstring) is a dict that fills a missing key from there.
-    ``by_rank`` lists the pool positions stably sorted by rank, and
-    ``ranks`` their ranks.  A row of ``images`` is a list by Q position
-    that :func:`_triple_groups` fills with ``image_tests``, the tests of
-    ``SUBBUNDLE_CONDITIONS``; one table serves every condition set only
-    because each set's (F, Q) group is ``SUBBUNDLE_CONDITIONS``.  The fills
-    look ``deg_nonneg`` up on this module at call time and the tests are
-    bound when the universe is built, so a test or tracer that rebinds
+    faulty engine makes one), placed by ``position(bundle)``, which
+    returns the bundle's position; each table (see the module docstring)
+    is a dict that fills a missing key from there.  ``by_rank`` lists the
+    pool positions stably sorted by rank, and ``ranks`` their ranks.  A
+    row of ``images`` is a list by Q position that :func:`_triple_groups`
+    fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``.  The
+    fills look ``deg_nonneg`` up on this module at call time and the tests
+    are bound when the universe is built, so a test or tracer that rebinds
     either before then sees every call.
     """
 
@@ -255,7 +263,7 @@ class Universe:
         self.spec = spec
         self.pool = pool = bundle_pool(spec)
         self.members = members = list(pool)
-        self._where = {bundle: i for i, bundle in enumerate(pool)}
+        where = {bundle: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
         self.image_tests = [c.test for c in SUBBUNDLE_CONDITIONS]
@@ -263,6 +271,13 @@ class Universe:
         self.images = _Table(lambda f: [None] * len(pool))
 
         # The fills close over these locals, not over self, so a Universe forms no cycle.
+        def position(bundle: HNBundle) -> int:
+            i = where.get(bundle)
+            if i is None:
+                i = where[bundle] = len(members)
+                members.append(bundle)
+            return i
+
         def term(v: int, q: int) -> int:
             into_q = degrees[q]
             return image_term(members[v], members[q], qq_degree=into_q[q], eq_degree=into_q[v])
@@ -271,15 +286,9 @@ class Universe:
             lambda w: _Table(lambda v: deg_nonneg(members[v], members[w])))
         self.terms = _Table(lambda v: _Table(lambda q: term(v, q)))
         self.nonneg = _Table(lambda v: members[v].filter(0, ">=").degree)
-        self.steps = _Table(lambda q: _Table(lambda v: _chain_step(v, members[v], members[q])))
-
-    def position(self, bundle: HNBundle) -> int:
-        """The position of ``bundle`` in ``members``, appending it when it is new."""
-        i = self._where.get(bundle)
-        if i is None:
-            i = self._where[bundle] = len(self.members)
-            self.members.append(bundle)
-        return i
+        self.steps = _Table(lambda q: _Table(
+            lambda v: _chain_step(members[v], members[q], position)))
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -385,7 +394,8 @@ def _triple_groups(
 
     E, F and Q are named by pool position.  E and F run over the pool in
     its order and Q over its rank order, so the flattened groups are the
-    triples meeting every condition of ``conditions`` in a fixed order.
+    triples meeting every condition of ``conditions``, and (iii), in a
+    fixed order.
     Each group of conditions is tested in the outermost loop that holds its
     bundles, in entry order up to the first that fails: the (E, Q) group
     filters the Q positions once per E, at E's first admissible F, and the
@@ -395,7 +405,7 @@ def _triple_groups(
     functions are bound once per call, so a caller that rebinds a
     condition set or one of its entries sees every call.
     """
-    e_tests, pair_tests, quotient_tests = ([c.test for c in group] for group in conditions[:3])
+    e_tests, pair_tests, quotient_tests = ([c.test for c in group] for group in conditions)
     pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
     images, image_tests = universe.images, universe.image_tests
     remaining = limit
@@ -468,22 +478,19 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     return _key_inequality(Universe(spec))
 
 
-@dataclass(slots=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One step of the chains to one Q, from one member: everything about it that does not read F.
 
     ``decomposition`` is decompose_mrs(member, Q) and ``problems`` are the
-    step's violations without their "step i" label.  ``following``, the
-    next member's position, and ``degenerating``, whether dual(member)
-    dominates its dual, are filled when a chain first walks on from the
-    member, which never happens at Q.
+    step's violations without their "step i" label.  ``following`` is the
+    next member's position and ``degenerating`` whether dual(member)
+    dominates its dual; both are None at Q, where the chain ends.
     """
 
-    position: int
     decomposition: DecompositionTriple
     problems: tuple[str, ...]
-    following: int | None = None
-    degenerating: bool | None = None
+    following: int | None
+    degenerating: bool | None
 
 
 class ChainCheck(NamedTuple):
@@ -498,15 +505,16 @@ class ChainCheck(NamedTuple):
     positions: tuple[int, ...]
     terms: tuple[int, ...]
     steps: tuple[ChainStep, ...] | None
-    violations: list[str]
-    findings: list[str]
+    violations: tuple[str, ...]
+    findings: tuple[str, ...]
 
 
-def _chain_step(i: int, member: HNBundle, q: HNBundle) -> ChainStep:
-    """Decompose (member, Q) and check every invariant of the step that does not read F.
+def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], int]) -> ChainStep:
+    """Decompose (member, Q), check every invariant of the step that does not read F, and step on.
 
-    The chain functions look the engine up on its module at call time, so
-    a tracer or a test that rebinds it sees every call.
+    ``position`` names the next member.  The chain functions look the
+    engine up on its module at call time, so a tracer or a test that
+    rebinds it sees every call.
     """
     triple = degeneration.decompose_mrs(member, q)
     m, rr, s = triple.common, triple.q_complement, triple.e_complement
@@ -522,39 +530,29 @@ def _chain_step(i: int, member: HNBundle, q: HNBundle) -> ChainStep:
             bad.append("mu_max(S) <= mu_max(R)")
         if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
             bad.append("mu_min(M) < mu_max(S)")
-    return ChainStep(i, triple, tuple(bad))
+    if member == q:
+        return ChainStep(triple, tuple(bad), None, None)
+    following = degeneration._next_member(triple)
+    return ChainStep(triple, tuple(bad), position(following),
+                     slopewise_dominates(member.dual(), following.dual()))
 
 
-def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool] | str:
-    """E_1's position and whether dual(E) dominates dual(E_1), or why E_1 could not be built."""
-    try:
-        e1 = degeneration.build_e1(e)
-    except (PreconditionError, InternalConsistencyError) as exc:
-        return f"trace failed: {exc}"
+def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool]:
+    """E_1's position and whether dual(E) dominates dual(E_1); raises what build_e1 raises."""
+    e1 = degeneration.build_e1(e)
     return universe.position(e1), slopewise_dominates(e.dual(), e1.dual())
 
 
-def _advance(universe: Universe, step: ChainStep) -> int:
-    if step.following is None:
-        following = degeneration._next_member(step.decomposition)
-        step.degenerating = slopewise_dominates(
-            universe.members[step.position].dual(), following.dual())
-        step.following = universe.position(following)
-    return step.following
-
-
-def _chain(universe: Universe, ei: int, start: tuple[int, bool] | str, qi: int) -> ChainCheck:
-    """Walk the chain of (E, Q) from ``start`` (see :func:`_chain_start`) and check it without F."""
-    if isinstance(start, str):
-        return ChainCheck((), (), None, [start], [])
-    first, degenerating = start
+def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
+    """Walk the chain of (E, Q) from E_1, ``starts[ei]``, and check it without F."""
     members = universe.members
     e, q = members[ei], members[qi]
     try:
+        first, degenerating = starts[ei]
         walk, walked = degeneration.walk_chain(
-            e, q, first, qi, universe.steps[qi].__getitem__, partial(_advance, universe))
+            e, q, first, qi, universe.steps[qi].__getitem__, attrgetter("following"))
     except (PreconditionError, InternalConsistencyError) as exc:
-        return ChainCheck((), (), None, [f"trace failed: {exc}"], [])
+        return ChainCheck((), (), None, (f"trace failed: {exc}",), ())
     positions = (ei, *walk)
     chain = tuple(members[i] for i in positions)
     bad: list[str] = []
@@ -570,7 +568,7 @@ def _chain(universe: Universe, ei: int, start: tuple[int, bool] | str, qi: int) 
     notes.extend(f"dual chain not degenerating at step {i}"
                  for i, step in enumerate(walked[:-1], 1) if not step.degenerating)
     terms = tuple(universe.terms[i][qi] for i in positions)
-    return ChainCheck(positions, terms, tuple(walked), bad, notes)
+    return ChainCheck(positions, terms, tuple(walked), tuple(bad), tuple(notes))
 
 
 def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
@@ -601,7 +599,7 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
     if c[0] - c[1] != first_drop:
         bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
     for i in range(1, r):
-        if c[i] == c[i + 1] and steps[i - 1].position != qi:
+        if c[i] == c[i + 1] and checked.positions[i] != qi:
             s_dual = steps[i - 1].decomposition.e_complement.dual()
             if s_dual.rank != f.filter(s_dual.mu_min, ">").rank:
                 bad.append(f"step {i}: codimension stalled without the rank equality")
@@ -615,8 +613,8 @@ def _degeneration(universe: Universe) -> VerificationReport:
     findings: list[str] = []
     count = 0
     # E_1 is built once per E, at E's first triple.
-    chains = _Table(lambda ei: _Table(
-        partial(_chain, universe, ei, _chain_start(universe, pool[ei]))))
+    starts = _Table(lambda ei: _chain_start(universe, pool[ei]))
+    chains = _Table(lambda ei: _Table(partial(_chain, universe, starts, ei)))
     members, degrees, nonneg = universe.members, universe.degrees, universe.nonneg
     for ei, fi, group in _triple_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit):
         if not group:
@@ -627,8 +625,8 @@ def _degeneration(universe: Universe) -> VerificationReport:
             checked = from_e[qi]
             bad, notes = checked.violations, checked.findings
             if checked.steps is not None:
-                bad = bad + _codimension_problems(members, fi, qi, checked, into_f,
-                                                  nonneg[fi] - nonneg[qi])
+                bad = (*bad, *_codimension_problems(members, fi, qi, checked, into_f,
+                                                    nonneg[fi] - nonneg[qi]))
             if bad or notes:
                 prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
                 cex.extend(f"{prefix}: {item}" for item in bad)
@@ -650,7 +648,7 @@ def _stratification(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
     pool, degrees, terms = universe.pool, universe.degrees, universe.terms
     # Built at call time, so a test that rebinds a condition tuple sees every call.
-    conditions = ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS, SUBBUNDLE_CONDITIONS)
+    conditions = ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS)
     cex: list[str] = []
     count = 0
     for ei, fi, group in itertools.islice(_triple_groups(universe, conditions),

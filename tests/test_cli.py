@@ -197,11 +197,26 @@ def test_images_default_pool_at_rank_six(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 394
 
 
-def test_images_over_the_pool_cap_exits_3_quickly(capsys):
-    started = time.perf_counter()
-    assert run(["images", "0:30", "2:30"]) == 3
-    assert time.perf_counter() - started < 1.0
-    assert str(CANDIDATE_POOL_LIMIT) in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["images", "0:30", "2:30"],
+    # The default image spec sets max_den = max_rank = rank(E): the slopes alone pass the cap.
+    ["images", "1/3000", "2"],
+    ["images", "0:1000000000000", "1"],
+    ["enumerate", "--max-rank", "2", "--slope-min", "-1000000000", "--slope-max", "1000000000"],
+], ids=["images-rank-30", "images-rank-3000", "images-rank-10^12", "enumerate-wide-slopes"])
+def test_a_pool_over_the_cap_exits_3_quickly(argv):
+    # In a child process, so that a run without bound fails at the timeout instead of hanging.
+    program = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); from hnbundles.cli import run; "
+        "started = time.perf_counter(); code = run(sys.argv[2:]); "
+        "print(time.perf_counter() - started); sys.exit(code)"
+    )
+    src = Path(hnbundles.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", program, str(src), *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert float(proc.stdout) < 1.0
+    assert str(CANDIDATE_POOL_LIMIT) in proc.stderr
 
 
 @pytest.mark.parametrize("command", [["verify", "--check", "invariance"], ["enumerate"]],
