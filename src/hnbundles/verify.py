@@ -135,6 +135,11 @@ TRIPLE_UNIVERSE = UniverseSpec(max_rank=4, slope_min=Fraction(-3), slope_max=Fra
 
 def _reduced_slopes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
     """Every p/q in lowest terms in [slope_min, slope_max] with q <= max_denominator, by q."""
+    if spec.slope_min == spec.slope_max:
+        # One slope: scanning every q up to max_denominator for it could run without bound.
+        if spec.slope_min.denominator <= spec.max_denominator:
+            yield spec.slope_min.numerator, spec.slope_min.denominator
+        return
     for q in range(1, spec.max_denominator + 1):
         for p in range(ceil(spec.slope_min * q), floor(spec.slope_max * q) + 1):
             if gcd(p, q) == 1:
@@ -251,8 +256,19 @@ class Universe:
     faulty engine makes one), placed by ``position(bundle)``, which
     returns the bundle's position; each table (see the module docstring)
     is a dict that fills a missing key from there.  ``by_rank`` lists the
-    pool positions stably sorted by rank, and ``ranks`` their ranks.  A
-    row of ``images`` is a list by Q position that :func:`_triple_groups`
+    pool positions stably sorted by rank, and ``ranks`` their ranks.
+
+    ``levels`` is the top-slope index: by pool position, the dense rank of
+    mu_max among the pool's top slopes, and -1 for zero, so that two
+    levels compare as their mu_max do.  For nonzero E, (i) "F dominates
+    E" compares the polygons on [0, 1] first, so F is nonzero and
+    mu_max(F) >= mu_max(E); (iv) "no common slope" rules out equality.
+    So every F that passes both has a level above E's, and
+    :func:`_triple_groups` skips every other F by that integer compare.
+    Zero E keeps every F, zero included: every F dominates it and shares
+    no slope with it.
+
+    A row of ``images`` is a list by Q position that :func:`_triple_groups`
     fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``.  The
     fills look ``deg_nonneg`` up on this module at call time and the tests
     are bound when the universe is built, so a test or tracer that rebinds
@@ -266,6 +282,10 @@ class Universe:
         where = {bundle: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
+        tops = sorted({bundle._key[0][:2] for bundle in pool if bundle._key},
+                      key=lambda top: Fraction(*top))
+        level = {top: i for i, top in enumerate(tops)}
+        self.levels = [level[bundle._key[0][:2]] if bundle._key else -1 for bundle in pool]
         self.image_tests = [c.test for c in SUBBUNDLE_CONDITIONS]
         # List rows: Q is always a pool position; dict rows made warm rank-5 key-inequality slower.
         self.images = _Table(lambda f: [None] * len(pool))
@@ -404,16 +424,29 @@ def _triple_groups(
     it; the groups hold at most ``limit`` triples in all.  The test
     functions are bound once per call, so a caller that rebinds a
     condition set or one of its entries sees every call.
+
+    For nonzero E, the universe's top-slope index skips every F whose
+    level is not above E's before any pair condition is asked: by (i) and
+    (iv), mu_max(F) > mu_max(E) for every admissible F (see
+    :class:`Universe`).  The index is sound only because every condition
+    set this stream reads holds ``PAIR_CONDITIONS``, (iv) and (i), in
+    ``on_pair``.  It skips only pairs that those conditions reject, so the
+    stream, its order and its ``limit`` prefixes are those of a scan of
+    every F.
     """
     e_tests, pair_tests, quotient_tests = ([c.test for c in group] for group in conditions)
     pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
-    images, image_tests = universe.images, universe.image_tests
+    images, image_tests, levels = universe.images, universe.image_tests, universe.levels
+    positions = range(len(pool))
     remaining = limit
     for ei, e in enumerate(pool):
         if not _holds(e_tests, e):
             continue
         quotients = None
-        for fi, f in enumerate(pool):
+        # Zero E (level -1) keeps every F, zero F included.
+        bar = -2 if e.is_zero else levels[ei]
+        for fi in itertools.compress(positions, map(bar.__lt__, levels)):
+            f = pool[fi]
             for test in pair_tests:
                 if not test(e, f):
                     break

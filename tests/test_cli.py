@@ -203,7 +203,12 @@ def test_images_default_pool_at_rank_six(capsys):
     ["images", "1/3000", "2"],
     ["images", "0:1000000000000", "1"],
     ["enumerate", "--max-rank", "2", "--slope-min", "-1000000000", "--slope-max", "1000000000"],
-], ids=["images-rank-30", "images-rank-3000", "images-rank-10^12", "enumerate-wide-slopes"])
+    # One slope and max_den = 10^12: the slope list has one entry, the pool O^k for every k.
+    ["images", "0:1000000000000", "0:5"],
+    ["enumerate", "--max-rank", "1000000000000", "--max-den", "1000000000000",
+     "--slope-min", "0", "--slope-max", "0"],
+], ids=["images-rank-30", "images-rank-3000", "images-rank-10^12", "enumerate-wide-slopes",
+        "images-one-slope", "enumerate-one-slope"])
 def test_a_pool_over_the_cap_exits_3_quickly(argv):
     # In a child process, so that a run without bound fails at the timeout instead of hanging.
     program = (

@@ -773,8 +773,15 @@ def _counting_asks(monkeypatch, names):
 
 
 def _expected_asks(conditions):
-    """The (E, F) asked (i) and the (E, Q) asked (ii) by a stream that short-circuits each group."""
+    """The (E, F) asked (i) and the (E, Q) asked (ii) by a stream that short-circuits each group.
+
+    Before any pair condition, the top-slope index leaves nonzero E only the nonzero F with
+    mu_max(F) > mu_max(E); zero E keeps every F.
+    """
     pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
+
+    def indexed(e, f):
+        return e.is_zero or (not f.is_zero and f.mu_max > e.mu_max)
 
     def before(group, name):
         return group[:[c.name for c in group].index(name)]
@@ -786,7 +793,8 @@ def _expected_asks(conditions):
     for e in pool:
         if not holds(conditions.on_e, e):
             continue
-        asked_i += [(e, f) for f in pool if holds(before(conditions.on_pair, "(i)"), e, f)]
+        asked_i += [(e, f) for f in pool
+                    if indexed(e, f) and holds(before(conditions.on_pair, "(i)"), e, f)]
         if any(holds(conditions.on_pair, e, f) for f in pool):
             # The stream scans only Q with rank(Q) <= rank(E), which (ii) requires.
             asked_ii += [(e, q) for q in pool if q.rank <= e.rank
@@ -810,6 +818,69 @@ def test_each_pair_and_quotient_condition_is_asked_once_after_the_earlier_ones(m
     assert calls["(i)"] == expected_i and set(expected_i.values()) == {1}
     assert all(e.slope_pairs.isdisjoint(f.slope_pairs) for e, f in calls["(i)"])
     assert calls["(ii)"] == expected_ii and set(expected_ii.values()) == {1}
+
+
+# ----------------------------------------------------------------------
+# the top-slope index skips only pairs that (iv) and (i) reject
+
+TRIPLES_SHAPED = UniverseSpec(max_rank=4, slope_min=-2, slope_max=2, max_denominator=1)
+RANK_5 = UniverseSpec(max_rank=5, slope_min=-3, slope_max=3, max_denominator=1)
+
+
+def _unindexed_groups(universe, conditions, limit=None):
+    """The stream as a plain scan of every F in pool order, with the same condition groups."""
+    pool = universe.pool
+    by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
+    remaining = limit
+    for ei, e in enumerate(pool):
+        if not all(c.test(e) for c in conditions.on_e):
+            continue
+        quotients = [qi for qi in by_rank
+                     if all(c.test(e, pool[qi]) for c in conditions.on_quotient)]
+        for fi, f in enumerate(pool):
+            if not all(c.test(e, f) for c in conditions.on_pair):
+                continue
+            group = [qi for qi in quotients if slopewise_dominates(f, pool[qi])]
+            if remaining is not None:
+                group = group[:remaining]
+                remaining -= len(group)
+            yield ei, fi, group
+            if remaining == 0:
+                return
+
+
+def test_the_top_slope_levels_order_the_pool_by_mu_max():
+    universe = verify.Universe(SMALL)
+    pool, levels = universe.pool, universe.levels
+    assert pool[0].is_zero and levels[0] == -1
+    assert sorted(set(levels[1:])) == list(range(len(set(levels[1:]))))
+    for i, j in itertools.product(range(1, len(pool)), repeat=2):
+        assert (levels[i] < levels[j]) == (pool[i].mu_max < pool[j].mu_max)
+
+
+@pytest.mark.parametrize("spec", [SMALL_INT, TRIPLES_SHAPED], ids=["small-int", "triples"])
+@pytest.mark.parametrize("name", list(ASKED_CONDITIONS))
+def test_the_top_slope_index_keeps_the_stream(spec, name):
+    universe = verify.Universe(spec)
+    conditions = ASKED_CONDITIONS[name]
+    for limit in (None, 1, 7, 100):
+        streamed = list(verify._triple_groups(universe, conditions, limit))
+        assert streamed == list(_unindexed_groups(universe, conditions, limit))
+
+
+def test_the_top_slope_index_keeps_the_rank_5_pairs():
+    # One universe and one plain scan per distinct pair group keep this test to a few seconds.
+    universe = verify.Universe(RANK_5)
+    pool = universe.pool
+    unindexed = {}
+    for conditions in ASKED_CONDITIONS.values():
+        groups = conditions.on_e, conditions.on_pair
+        if groups not in unindexed:
+            unindexed[groups] = [
+                (ei, fi) for ei, e in enumerate(pool) if all(c.test(e) for c in conditions.on_e)
+                for fi, f in enumerate(pool) if all(c.test(e, f) for c in conditions.on_pair)]
+        streamed = [(ei, fi) for ei, fi, _ in verify._triple_groups(universe, conditions)]
+        assert streamed == unindexed[groups]
 
 
 def _key_inequality_reads():
