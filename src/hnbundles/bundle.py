@@ -14,11 +14,16 @@ so nothing in this package ever rounds; ``summands``, ``slopes()``,
 :class:`fractions.Fraction` values when read, and no bundle stores one.
 The key is hashed once, when the value is made; equality and hashing
 compare it.  ``dual()`` is memoized on the instance, with a back-link, so
-``v.dual().dual() is v``.  Only outside input is validated: the public
-constructor, :func:`stable`, :func:`canonicalize`, :func:`parse_bundle` and
-:func:`bundle_from_json` check it through ``Fraction`` and reject, while the
-library's own operations, whose results are canonical by construction,
-build their keys without re-checking them.
+``v.dual().dual() is v``; zero is its own dual.  A ``verify.Universe`` links
+the duals of its pool in advance (:func:`_link_duals`): a member whose dual
+is also a member gets that member as its dual, not an equal copy, so a
+cache keyed by pool members finds a dual by identity.
+
+Only outside input is validated: the public constructor, :func:`stable`,
+:func:`canonicalize`, :func:`parse_bundle` and :func:`bundle_from_json`
+check it through ``Fraction`` and reject, while the library's own
+operations, whose results are canonical by construction, build their keys
+without re-checking them.
 
 Bundles also have a bit-exact text form used by the CLI and by all JSON
 reports::
@@ -107,10 +112,6 @@ class SegmentVector(NamedTuple):
     @property
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
-
-    def cross(self, other: "SegmentVector") -> int:
-        """Two-dimensional cross product ``rank*degree' - degree*rank'``."""
-        return self.rank * other.degree - self.degree * other.rank
 
 
 class PolygonVertex(NamedTuple):
@@ -229,12 +230,15 @@ class HNBundle:
         """Slopewise negation; an involution preserving rank, negating degree.
 
         Computed once per instance: the dual links back, so
-        ``v.dual().dual() is v``.
+        ``v.dual().dual() is v``, and zero is its own dual.
         """
         dual = self._dual
         if dual is None:
-            dual = _trusted(tuple([(-p, q, m) for p, q, m in reversed(self._key)]))
-            dual.__dict__["_dual"] = self
+            if self._key:
+                dual = _trusted(_dual_key(self._key))
+                dual.__dict__["_dual"] = self
+            else:
+                dual = self
             self.__dict__["_dual"] = dual
         return dual
 
@@ -371,6 +375,28 @@ def _trusted(key: tuple[tuple[int, int, int], ...]) -> HNBundle:
     bundle = object.__new__(HNBundle)
     _settle(bundle, key)
     return bundle
+
+
+def _dual_key(key: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:
+    """The key of the dual: every slope negated, so the order reverses."""
+    return tuple([(-p, q, m) for p, q, m in reversed(key)])
+
+
+def _link_duals(bundles: list[HNBundle]) -> None:
+    """Make each bundle's dual the one of ``bundles`` equal to it, where there is one.
+
+    Both ends are linked at once, and only where neither dual is computed
+    yet, so ``v.dual().dual() is v`` keeps holding; a bundle whose dual is
+    not among ``bundles`` is left alone.  Zero, when present, is linked to
+    itself.
+    """
+    by_key = {v._key: v for v in bundles}
+    for v in bundles:
+        if v._dual is None:
+            twin = by_key.get(_dual_key(v._key))
+            if twin is not None and twin._dual is None:
+                v.__dict__["_dual"] = twin
+                twin.__dict__["_dual"] = v
 
 
 _DESCENDING = cmp_to_key(lambda s, t: t[0] * s[1] - s[0] * t[1])

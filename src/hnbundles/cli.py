@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("check-sub", help="is E a subbundle of F?")
+    p = sub.add_parser("check-sub", help="is E a subbundle of F, i.e. is there an injective "
+                                          "map E -> F? (its cokernel may have torsion)")
     p.add_argument("e", metavar="E")
     p.add_argument("f", metavar="F")
     _add_format(p)

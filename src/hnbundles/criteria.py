@@ -1,6 +1,8 @@
 """Decision procedures for subbundles, quotients, and slopewise dominance.
 
-Two equivalent tests decide whether E embeds into F as a subbundle:
+Two equivalent tests decide whether E embeds into F as a subbundle, that
+is, whether there is an injective bundle map E -> F; its cokernel may have
+torsion, so the image need not be saturated:
 
 * rank condition: rank(E^{>=mu}) <= rank(F^{>=mu}) for every rational mu;
 * slopewise dominance: on each unit interval [i-1, i] with i <= rank(E),
@@ -11,8 +13,11 @@ universes is one of the harness's flagship exhaustive checks.
 
 :func:`is_quotient` decides the dual criterion, dual(E) slopewise
 dominating dual(Q).  That is necessary for Q to be a quotient of E but
-not sufficient: it holds for Q = O(1), E = O (equal rank) and for
-Q = O(-1), E = O + O(-2), neither of which is a quotient.
+not sufficient: dualizing a surjection E -> Q gives a *saturated*
+injection dual(Q) -> dual(E), while dominance decides injections, which
+may have torsion cokernels.  So it over-approves quotients: it holds for
+Q = O(1), E = O (equal rank) and for Q = O(-1), E = O + O(-2), neither of
+which is a quotient.
 
 Conventions for degenerate inputs (the classification lives on nonzero
 bundles; these are the unique extensions consistent with the rank
@@ -58,35 +63,42 @@ def rank_condition(e: HNBundle, f: HNBundle) -> bool:
 @lru_cache(maxsize=None)
 def slopewise_dominates(f: HNBundle, e: HNBundle) -> bool:
     """True when the HN polygon of f runs above that of e on [0, rank(e)]."""
-    if e.is_zero:
+    if not e._key:
         return True
     if e.rank > f.rank:
         return False
     # Both polygons are linear between vertices, so it suffices to compare the
     # two segment slopes on each stretch where neither polygon has a vertex:
-    # O(number of summands), whatever the ranks.
-    e_segs, f_segs = e.segment_vectors, f.segment_vectors
-    i = j = 0
-    e_left, f_left = e_segs[0].rank, f_segs[0].rank
-    while True:
-        (er, ed), (fr, fd) = e_segs[i], f_segs[j]
-        if ed * fr > fd * er:
-            return False
-        step = min(e_left, f_left)
-        e_left -= step
-        f_left -= step
-        if not e_left:
-            i += 1
-            if i == len(e_segs):
-                return True
-            e_left = e_segs[i].rank
-        if not f_left:
-            j += 1
-            f_left = f_segs[j].rank
+    # O(number of summands), whatever the ranks.  e_left and f_left are the
+    # widths of the current segments still ahead of the last vertex.
+    f_segments = iter(f.segment_vectors)
+    f_rank, f_degree = next(f_segments)
+    f_left = f_rank
+    for e_rank, e_degree in e.segment_vectors:
+        e_left = e_rank
+        while True:
+            if e_degree * f_rank > f_degree * e_rank:
+                return False
+            if e_left < f_left:
+                f_left -= e_left
+                break
+            e_left -= f_left
+            # F's segment ends here.  rank(e) <= rank(f), so F runs out only
+            # where E does, after its last segment; the default is never compared.
+            f_rank, f_degree = next(f_segments, (1, 0))
+            f_left = f_rank
+            if not e_left:
+                break
+    return True
 
 
 def is_subbundle(e: HNBundle, f: HNBundle) -> bool:
-    """Whether e embeds into f as a subbundle (image a direct summand locally)."""
+    """Whether there is an injective bundle map e -> f; its cokernel may have torsion.
+
+    The image need not be saturated (a direct summand locally): O(-1) is a
+    subbundle of O in this sense, and so is every line bundle of smaller
+    slope.
+    """
     return slopewise_dominates(f, e)
 
 

@@ -60,11 +60,12 @@ __all__ = [
 def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
     """Degree of the slope->=0 part of Hom(v, w), by segment cross products."""
     total = 0
-    for a in v.segment_vectors:
-        for b in w.segment_vectors:
-            # Ranks are positive, so the cross product is >= 0 exactly when
-            # slope(a) <= slope(b); equal slopes contribute 0 either way.
-            cross = a.cross(b)
+    w_segments = w.segment_vectors
+    for a_rank, a_degree in v.segment_vectors:
+        for b_rank, b_degree in w_segments:
+            # Ranks are positive, so the cross product a x b is >= 0 exactly
+            # when slope(a) <= slope(b); equal slopes contribute 0 either way.
+            cross = a_rank * b_degree - a_degree * b_rank
             if cross > 0:
                 total += cross
     return total

@@ -47,6 +47,7 @@ remain, and no value is computed that a per-triple check would not compute.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -54,11 +55,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import ceil, floor, gcd
+from math import floor
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO
+from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO, _link_duals
 from .criteria import rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -134,16 +135,50 @@ TRIPLE_UNIVERSE = UniverseSpec(max_rank=4, slope_min=Fraction(-3), slope_max=Fra
 
 
 def _reduced_slopes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
-    """Every p/q in lowest terms in [slope_min, slope_max] with q <= max_denominator, by q."""
-    if spec.slope_min == spec.slope_max:
-        # One slope: scanning every q up to max_denominator for it could run without bound.
-        if spec.slope_min.denominator <= spec.max_denominator:
-            yield spec.slope_min.numerator, spec.slope_min.denominator
-        return
-    for q in range(1, spec.max_denominator + 1):
-        for p in range(ceil(spec.slope_min * q), floor(spec.slope_max * q) + 1):
-            if gcd(p, q) == 1:
-                yield p, q
+    """Every p/q in lowest terms in [slope_min, slope_max] with q <= max_denominator, by q, then p.
+
+    The fractions come off the Stern-Brocot tree of the box shifted by an
+    integer into [0, oo), every fraction but 0/1 once, in a heap by (q, p).
+    A node is the open interval between two fractions and holds their
+    mediant.  Where the box lies wholly on one side of a mediant, the
+    descent takes every step to that side at once (a continued-fraction
+    step), so each yield costs O(log max_denominator) nodes, however many
+    q in between have no slope: a narrow box with a huge denominator bound
+    is not walked q by q.
+    """
+    shift = floor(spec.slope_min)
+    lo, hi = spec.slope_min - shift, spec.slope_max - shift  # 0 <= lo < 1
+    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    top = spec.max_denominator
+    nodes: list[tuple[int, int, int, int, int, int]] = []
+
+    def descend(a: int, b: int, c: int, d: int) -> None:
+        # The interval (a/b, c/d) meets the box; find its first node whose mediant is inside.
+        while b + d <= top:
+            p, q = a + c, b + d
+            if p * lo_d < lo_n * q:
+                # Below the box: the largest k with (a + kc)/(b + kd) < lo.
+                k = (lo_n * b - a * lo_d - 1) // (c * lo_d - lo_n * d)
+                a, b = a + k * c, b + k * d
+            elif p * hi_d > hi_n * q:
+                # Above the box: the largest k with (ka + c)/(kb + d) > hi.
+                k = (c * hi_d - hi_n * d - 1) // (hi_n * b - a * hi_d)
+                c, d = c + k * a, d + k * b
+            else:
+                heapq.heappush(nodes, (q, p, a, b, c, d))
+                return
+
+    if lo_n == 0:
+        yield shift, 1
+    if hi_n > 0:
+        descend(0, 1, 1, 0)
+    while nodes:
+        q, p, a, b, c, d = heapq.heappop(nodes)
+        yield p + shift * q, q
+        if p * lo_d > lo_n * q:
+            descend(a, b, p, q)
+        if p * hi_d < hi_n * q:
+            descend(p, q, c, d)
 
 
 def admissible_slopes(spec: UniverseSpec) -> tuple[Fraction, ...]:
@@ -268,6 +303,11 @@ class Universe:
     Zero E keeps every F, zero included: every F dominates it and shares
     no slope with it.
 
+    The pool's duals are linked first: each member whose dual is also a
+    member gets that member as ``dual()``, so the dominance asks of (ii)
+    and of the chain steps are keyed by pool members and a cache lookup
+    hits by identity, without an ``__eq__`` call.
+
     A row of ``images`` is a list by Q position that :func:`_triple_groups`
     fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``.  The
     fills look ``deg_nonneg`` up on this module at call time and the tests
@@ -278,6 +318,7 @@ class Universe:
     def __init__(self, spec: UniverseSpec) -> None:
         self.spec = spec
         self.pool = pool = bundle_pool(spec)
+        _link_duals(pool)
         self.members = members = list(pool)
         where = {bundle: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)

@@ -3,6 +3,7 @@ modules a cold call and ``import hnbundles`` load."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import json
@@ -16,7 +17,7 @@ import pytest
 import hnbundles
 from hnbundles import parse_bundle, render_svg
 from hnbundles.bundle import PreconditionError
-from hnbundles.cli import CHECK_NAMES, run
+from hnbundles.cli import CHECK_NAMES, build_parser, run
 from hnbundles.verify import CHECKS
 from hnbundles.render import MAX_GRID_LINES
 from hnbundles.verify import CANDIDATE_POOL_LIMIT
@@ -28,6 +29,15 @@ def test_check_sub_true_false(capsys):
     assert run(["check-sub", "0:1", "1,-1"]) == 0
     assert capsys.readouterr().out.strip() == "true"
     assert run(["check-sub", "1", "0:1"]) == 1
+    assert capsys.readouterr().out.strip() == "false"
+
+
+def test_check_sub_decides_an_injective_map_whose_cokernel_may_have_torsion(capsys):
+    # O(-1) -> O is injective with a torsion cokernel: a subbundle in the sense check-sub
+    # decides, though a saturated subbundle of equal rank would be the whole bundle.
+    assert run(["check-sub", "-1", "0:1"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert run(["check-sub", "0:1", "-1"]) == 1
     assert capsys.readouterr().out.strip() == "false"
 
 
@@ -207,21 +217,66 @@ def test_images_default_pool_at_rank_six(capsys):
     ["images", "0:1000000000000", "0:5"],
     ["enumerate", "--max-rank", "1000000000000", "--max-den", "1000000000000",
      "--slope-min", "0", "--slope-max", "0"],
+    # Two slopes, 0 and 1/10^12, and no slope at any q strictly between 1 and 10^12.
+    ["enumerate", "--max-rank", "1000000000000", "--max-den", "1000000000000",
+     "--slope-min", "0", "--slope-max", "1/1000000000000"],
 ], ids=["images-rank-30", "images-rank-3000", "images-rank-10^12", "enumerate-wide-slopes",
-        "images-one-slope", "enumerate-one-slope"])
+        "images-one-slope", "enumerate-one-slope", "enumerate-narrow-box"])
 def test_a_pool_over_the_cap_exits_3_quickly(argv):
-    # In a child process, so that a run without bound fails at the timeout instead of hanging.
+    code, seconds, err = _run_in_child(argv)
+    assert code == 3, err
+    assert seconds < 1.0
+    assert str(CANDIDATE_POOL_LIMIT) in err
+
+
+def _run_in_child(argv):
+    """(exit status, seconds inside ``run``, stderr) of one ``run(argv)`` in a child process.
+
+    A child, so that a run without bound fails at the timeout instead of hanging.
+    """
     program = (
         "import sys, time; sys.path.insert(0, sys.argv[1]); from hnbundles.cli import run; "
         "started = time.perf_counter(); code = run(sys.argv[2:]); "
-        "print(time.perf_counter() - started); sys.exit(code)"
+        "print(time.perf_counter() - started, file=sys.stderr); sys.exit(code)"
     )
     src = Path(hnbundles.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", program, str(src), *argv],
                           capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 3, proc.stderr
-    assert float(proc.stdout) < 1.0
-    assert str(CANDIDATE_POOL_LIMIT) in proc.stderr
+    err, _, seconds = proc.stderr.rstrip("\n").rpartition("\n")
+    return proc.returncode, float(seconds), err
+
+
+HUGE = 10**12
+NARROW_BOX = ["--max-rank", f"{HUGE}", "--max-den", f"{HUGE}",
+              "--slope-min", "0", "--slope-max", f"1/{HUGE}"]
+HOSTILE = {
+    "check-sub": ["check-sub", f"1/{HUGE},0:{HUGE}", f"1:{HUGE},0:{HUGE}"],
+    "check-dominate": ["check-dominate", f"1:{HUGE},0", f"0:{HUGE}"],
+    "check-quotient": ["check-quotient", f"1/{HUGE}", f"0:{HUGE},-1"],
+    "dims": ["dims", f"0:{HUGE},-1", f"1:{HUGE},1/{HUGE}", f"1/{HUGE}"],
+    "c": ["c", f"0:{HUGE},-1", f"1:{HUGE},1/{HUGE}", f"-1/{HUGE}"],
+    "trace": ["trace", f"0:{HUGE},-1", f"1:{HUGE + 2}", f"0:{HUGE - 1},-1"],
+    "images": ["images", f"0:{HUGE}", f"1/{HUGE}:{HUGE}", *NARROW_BOX],
+    "enumerate": ["enumerate", *NARROW_BOX],
+    "verify": ["verify", "--check", "stratification", *NARROW_BOX],
+    "render": ["render", "hostile.svg", f"0:{HUGE}", f"1/{HUGE}"],
+}
+
+
+def test_the_hostile_sweep_covers_every_subcommand():
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(HOSTILE) == set(commands)
+    assert all(argv[0] == name for name, argv in HOSTILE.items())
+
+
+@pytest.mark.parametrize("name", list(HOSTILE))
+def test_every_subcommand_answers_rank_10_12_input_quickly(tmp_path, name):
+    argv = [str(tmp_path / arg) if arg.endswith(".svg") else arg for arg in HOSTILE[name]]
+    code, seconds, err = _run_in_child(argv)
+    assert code in (0, 2, 3), err
+    assert seconds < 1.0
+    assert not (tmp_path / "hostile.svg").exists()
 
 
 @pytest.mark.parametrize("command", [["verify", "--check", "invariance"], ["enumerate"]],

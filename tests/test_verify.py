@@ -883,6 +883,46 @@ def test_the_top_slope_index_keeps_the_rank_5_pairs():
         assert streamed == unindexed[groups]
 
 
+# ----------------------------------------------------------------------
+# a universe links the duals of its pool
+
+ASYMMETRIC = UniverseSpec(max_rank=4, slope_min=-3, slope_max=1, max_denominator=1)
+
+
+def test_every_dual_of_a_symmetric_pool_is_a_pool_member():
+    pool = verify.Universe(TRIPLES_SHAPED).pool
+    members = {id(v) for v in pool}
+    assert all(id(v.dual()) in members for v in pool)
+    assert pool[0] is ZERO and ZERO.dual() is ZERO
+
+
+def test_linked_duals_stay_an_involution_across_universes():
+    first, second = verify.Universe(TRIPLES_SHAPED), verify.Universe(TRIPLES_SHAPED)
+    # The second pool is built anew, but for the shared ZERO, and its duals are its own members.
+    assert first.pool[1] is not second.pool[1]
+    for v in (*first.pool, *second.pool, ZERO):
+        assert v.dual().dual() is v
+    assert all(v.dual() is not w for v in second.pool[1:] for w in first.pool)
+
+
+def test_duals_outside_an_asymmetric_pool_are_left_alone():
+    pool = verify.Universe(ASYMMETRIC).pool
+    members = {id(v) for v in pool}
+    unlinked = [v for v in pool if v._dual is None]
+    # Slopes in [-3, 1]: exactly the members with a slope below -1 have their dual outside.
+    assert 0 < len(unlinked) == sum(1 for v in pool if v._key and v._key[-1][0] < -1)
+    assert all(v._key[-1][0] < -1 for v in unlinked)
+    assert all(id(v.dual()) in members for v in pool if v._dual is not None)
+    assert all(v.dual() not in pool and v.dual().dual() is v for v in unlinked)
+
+
+def test_an_asymmetric_pool_keeps_the_triple_reports():
+    reports = run_checks(["key-inequality", "degeneration", "stratification"], ASYMMETRIC)
+    assert [_outcome(report) for report in reports] == [
+        ("key-inequality", 14683, (), ()), ("degeneration", 2055, (), ()),
+        ("stratification", 1167, (), ())]
+
+
 def _key_inequality_reads():
     return {f"E={e} F={f} Q={q}": {(e, f), (q, q), (e, q), (q, f)}
             for e, f, q in _admissible_triples(SMALL_INT, GENERAL_CONDITIONS)}
