@@ -32,8 +32,8 @@ _EXPORTS = {
         "degeneration_trace", "max_slope_reduction", "normalize_triple",
     ),
     "degrees": (
-        "StratumReport", "c_value", "deg_nonneg", "deg_nonneg_oracle", "dim_hom",
-        "image_term", "stratum_dim", "stratum_report",
+        "StratumReport", "c_value", "codimension", "deg_nonneg", "deg_nonneg_oracle",
+        "dim_hom", "image_term", "stratum_dim", "stratum_dimension", "stratum_report",
     ),
     "render": ("render_svg", "write_svg"),
     "verify": (

@@ -138,7 +138,7 @@ class HNBundle:
         key: list[tuple[int, int, int]] = []
         for lam, mult in summands:
             p, q = _as_slope(lam)
-            if not isinstance(mult, int) or mult < 1:
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
             if key and p * key[-1][1] >= key[-1][0] * q:
                 raise ValueError("summand slopes must be strictly descending")
@@ -420,7 +420,7 @@ def canonicalize(pairs: Iterable[tuple[SlopeLike, int]]) -> HNBundle:
     tally: dict[tuple[int, int], int] = {}
     for lam, mult in pairs:
         slope = _as_slope(lam)
-        if not isinstance(mult, int) or mult < 0:
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 0:
             raise ValueError(f"multiplicity must be a nonnegative integer, got {mult!r}")
         if mult:
             tally[slope] = tally.get(slope, 0) + mult
@@ -525,7 +525,7 @@ def bundle_from_json(data: dict) -> HNBundle:
             raise BundleParseError(f"bad summand entry {entry!r}")
         if not isinstance(slope_text, str) or not _SLOPE_RE.fullmatch(slope_text.strip()):
             raise BundleParseError(f"bad slope {slope_text!r}")
-        if not isinstance(mult, int):
+        if isinstance(mult, bool) or not isinstance(mult, int):
             raise BundleParseError(f"bad multiplicity {mult!r}")
         pairs.append((Fraction(slope_text.strip()), mult))
     try:

@@ -13,28 +13,23 @@ nonnegative integer and vanishes whenever mu_min(V) >= mu_max(W).
 degree).  The two routes are kept independent on purpose; the verification
 harness checks them against each other over entire universes.
 
-Derived quantities:
+Derived quantities, each stated once on integers, as a function of the
+deg_nonneg values it reads:
 
-* ``dim_hom(E, F)``   = deg_nonneg(E, F), the dimension of the space of
-  maps E -> F.
-* ``stratum_dim(E, F, Q)`` = dimension of the locus of maps whose image is
-  Q, when that locus is nonempty:
-  deg_nonneg(E, Q) + deg_nonneg(Q, F) - deg_nonneg(Q, Q).
-* ``c_value(E, F, Q)`` = dim_hom(E, F) - stratum_dim(E, F, Q), the
-  codimension of the Q-stratum.  It is total in all three arguments so the
-  harness can probe boundary behavior.
+* ``image_term(qq, eq)`` = qq - eq, the part of both stratum formulas that
+  does not read F, for qq = deg_nonneg(Q, Q) and eq = deg_nonneg(E, Q);
+* ``stratum_dimension(qf, term)`` = qf - term, the dimension of the locus
+  of maps E -> F whose image is Q, when that locus is nonempty, for qf =
+  deg_nonneg(Q, F) and term = image_term(qq, eq);
+* ``codimension(ef, term, qf)`` = ef + term - qf, the codimension of that
+  locus inside Hom(E, F), for ef = deg_nonneg(E, F).
 
-Both stratum formulas split into a part that reads F and one that does not:
-``image_term(E, Q)`` = deg_nonneg(Q, Q) - deg_nonneg(E, Q), and then
-stratum_dim = deg_nonneg(Q, F) - image_term and c_value = deg_nonneg(E, F)
-+ image_term - deg_nonneg(Q, F).  Every degree a formula reads can be
-passed in as a keyword instead of looked up: ``qq_degree`` (deg_nonneg(Q,
-Q)) and ``eq_degree`` (deg_nonneg(E, Q)) to image_term, ``term`` and
-``qf_degree`` (deg_nonneg(Q, F)) to both stratum formulas, and
-``ef_degree`` (deg_nonneg(E, F)) to c_value and dim_hom.  A caller that
-evaluates many triples keeps each value where it is shared - deg_nonneg
-per pair, the term per (E, Q) - and looks each up once; the formulas stay
-stated here only.
+The bundle forms read the degrees and apply them: ``dim_hom(E, F)`` =
+deg_nonneg(E, F), the dimension of the space of maps E -> F, and
+``stratum_dim(E, F, Q)`` and ``c_value(E, F, Q)``, so that c_value =
+dim_hom - stratum_dim.  c_value is total in all three arguments so the
+harness can probe boundary behavior.  A caller that evaluates many triples
+keeps each degree where it is shared and calls the integer forms.
 """
 
 from __future__ import annotations
@@ -47,8 +42,10 @@ from .bundle import HNBundle, InternalConsistencyError
 __all__ = [
     "deg_nonneg",
     "deg_nonneg_oracle",
-    "dim_hom",
     "image_term",
+    "stratum_dimension",
+    "codimension",
+    "dim_hom",
     "stratum_dim",
     "c_value",
     "StratumReport",
@@ -76,65 +73,48 @@ def deg_nonneg_oracle(v: HNBundle, w: HNBundle) -> int:
     return v.dual().tensor(w).filter(0, ">=").degree
 
 
-def dim_hom(e: HNBundle, f: HNBundle, *, ef_degree: int | None = None) -> int:
-    """Dimension of the space of bundle maps e -> f.
-
-    ``ef_degree``, when given, must be ``deg_nonneg(e, f)``.
-    """
-    return deg_nonneg(e, f) if ef_degree is None else ef_degree
-
-
-def image_term(e: HNBundle, q: HNBundle, *, qq_degree: int | None = None,
-               eq_degree: int | None = None) -> int:
-    """deg_nonneg(q, q) - deg_nonneg(e, q), the part of both stratum formulas without F.
-
-    ``qq_degree`` and ``eq_degree``, when given, must be ``deg_nonneg(q, q)``
-    and ``deg_nonneg(e, q)``.
-    """
-    if qq_degree is None:
-        qq_degree = deg_nonneg(q, q)
-    if eq_degree is None:
-        eq_degree = deg_nonneg(e, q)
+def image_term(qq_degree: int, eq_degree: int) -> int:
+    """deg_nonneg(Q, Q) - deg_nonneg(E, Q), the part of both stratum formulas without F."""
     return qq_degree - eq_degree
 
 
-def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None,
-                qf_degree: int | None = None) -> int:
+def stratum_dimension(qf_degree: int, term: int) -> int:
+    """deg_nonneg(Q, F) - image_term, the dimension of the Q-stratum when it is nonempty."""
+    return qf_degree - term
+
+
+def codimension(ef_degree: int, term: int, qf_degree: int) -> int:
+    """deg_nonneg(E, F) + image_term - deg_nonneg(Q, F), the codimension of the Q-stratum."""
+    return ef_degree + term - qf_degree
+
+
+def _negative_stratum(e: HNBundle, f: HNBundle, q: HNBundle, value: int) -> str:
+    """The internal error's text for a negative stratum dimension of (e, f, q)."""
+    return f"stratum dimension formula gave {value} < 0 for E={e}, F={f}, Q={q}"
+
+
+def dim_hom(e: HNBundle, f: HNBundle) -> int:
+    """Dimension of the space of bundle maps e -> f."""
+    return deg_nonneg(e, f)
+
+
+def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle) -> int:
     """Dimension of the stratum of maps e -> f with image q.
 
     Pure arithmetic in all three arguments; the caller decides whether the
     stratum is nonempty (see the criteria module).  A negative value cannot
     arise for an admissible q and is reported as an internal error.
-    ``term`` and ``qf_degree``, when given, must be ``image_term(e, q)``
-    and ``deg_nonneg(q, f)``.
     """
-    if term is None:
-        term = image_term(e, q)
-    if qf_degree is None:
-        qf_degree = deg_nonneg(q, f)
-    value = qf_degree - term
+    value = stratum_dimension(deg_nonneg(q, f), image_term(deg_nonneg(q, q), deg_nonneg(e, q)))
     if value < 0:
-        raise InternalConsistencyError(
-            f"stratum dimension formula gave {value} < 0 for E={e}, F={f}, Q={q}"
-        )
+        raise InternalConsistencyError(_negative_stratum(e, f, q, value))
     return value
 
 
-def c_value(e: HNBundle, f: HNBundle, q: HNBundle, *, term: int | None = None,
-            qf_degree: int | None = None, ef_degree: int | None = None) -> int:
-    """Codimension of the q-stratum inside Hom(e, f); total in all arguments.
-
-    ``term``, ``qf_degree`` and ``ef_degree``, when given, must be
-    ``image_term(e, q)``, ``deg_nonneg(q, f)`` and ``deg_nonneg(e, f)``; a
-    caller that already holds them passes them.
-    """
-    if term is None:
-        term = image_term(e, q)
-    if qf_degree is None:
-        qf_degree = deg_nonneg(q, f)
-    if ef_degree is None:
-        ef_degree = deg_nonneg(e, f)
-    return ef_degree + term - qf_degree
+def c_value(e: HNBundle, f: HNBundle, q: HNBundle) -> int:
+    """Codimension of the q-stratum inside Hom(e, f); total in all arguments."""
+    term = image_term(deg_nonneg(q, q), deg_nonneg(e, q))
+    return codimension(deg_nonneg(e, f), term, deg_nonneg(q, f))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ value at its first read and keep it, a row per first position:
 
 * ``degrees`` - deg_nonneg(V, W), by W, then V;
 * ``images``  - condition (iii), "F dominates Q", by F, then Q;
-* ``terms``   - image_term(V, Q), the F-free codimension term, by V, then Q;
+* ``terms``   - the F-free codimension term deg_nonneg(Q, Q) - deg_nonneg(V, Q),
+                by V, then Q;
 * ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule;
 * ``steps``   - degeneration's chain step from the member V to Q, by Q,
                 then V.
@@ -41,8 +42,9 @@ A ``verify_*`` call builds its own Universe; :func:`run_checks` builds one
 per distinct spec and hands it to every check on that spec, so a run asks
 each of these questions once, whichever checks read the answer.  The three
 triple checks read one stream, :func:`_triple_groups`, each with its own
-conditions; per triple only table lookups and the codimension arithmetic
-remain, and no value is computed that a per-triple check would not compute.
+conditions; per triple only table lookups and the integer codimension
+formulas of :mod:`hnbundles.degrees` remain, and no value is computed that a
+per-triple check would not compute.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ from .degeneration import (
     ConditionSet,
     DecompositionTriple,
 )
-from .degrees import c_value, deg_nonneg, deg_nonneg_oracle, dim_hom, image_term, stratum_dim
+from .degrees import (
+    _negative_stratum, c_value, codimension, deg_nonneg, deg_nonneg_oracle, image_term,
+    stratum_dimension,
+)
 
 __all__ = [
     "UniverseSpec",
@@ -341,7 +346,7 @@ class Universe:
 
         def term(v: int, q: int) -> int:
             into_q = degrees[q]
-            return image_term(members[v], members[q], qq_degree=into_q[q], eq_degree=into_q[v])
+            return image_term(into_q[q], into_q[v])
 
         self.degrees = degrees = _Table(
             lambda w: _Table(lambda v: deg_nonneg(members[v], members[w])))
@@ -513,21 +518,6 @@ def _triple_groups(
                     return
 
 
-def _admissible_triples(
-    spec: UniverseSpec, conditions: ConditionSet
-) -> Iterator[tuple[HNBundle, HNBundle, HNBundle]]:
-    """The triples of the universe meeting every condition of ``conditions``, one by one.
-
-    The same stream as :func:`_triple_groups` (which the checks read),
-    with the positions resolved to bundles.
-    """
-    universe = Universe(spec)
-    pool = universe.pool
-    for ei, fi, group in _triple_groups(universe, conditions):
-        for qi in group:
-            yield pool[ei], pool[fi], pool[qi]
-
-
 def _key_inequality(universe: Universe) -> VerificationReport:
     started = time.perf_counter()
     pool, degrees, terms = universe.pool, universe.degrees, universe.terms
@@ -536,14 +526,13 @@ def _key_inequality(universe: Universe) -> VerificationReport:
     for ei, fi, group in _triple_groups(universe, GENERAL_CONDITIONS, universe.spec.sample_limit):
         if not group:
             continue
-        e, f = pool[ei], pool[fi]
         into_f, from_e = degrees[fi], terms[ei]
         ef_degree = into_f[ei]
         count += len(group)
         for qi in group:
-            c = c_value(e, f, pool[qi], term=from_e[qi], qf_degree=into_f[qi], ef_degree=ef_degree)
+            c = codimension(ef_degree, from_e[qi], into_f[qi])
             if c <= 0:
-                cex.append(f"E={e} F={f} Q={pool[qi]}: c={c}")
+                cex.append(f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}: c={c}")
     return _report("key-inequality", count, cex, started)
 
 
@@ -571,7 +560,7 @@ class ChainCheck(NamedTuple):
     """The chain of one (E, Q) and everything about it that does not read F.
 
     ``positions`` are those of E = E_0, E_1, ..., E_r = Q, ``terms`` their
-    image_term(E_i, Q), and ``steps[i-1]`` is the step from E_i.  ``steps``
+    F-free terms with Q, and ``steps[i-1]`` is the step from E_i.  ``steps``
     is None when the chain could not be built, and ``violations`` then
     says why.
     """
@@ -652,12 +641,10 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
     ``into_f`` is F's row of the universe's ``degrees``, deg_nonneg(V, F)
     by V's position, and ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
     """
-    steps = checked.steps
-    f, q = members[fi], members[qi]
+    steps, f = checked.steps, members[fi]
     qf_degree = into_f[qi]
-    c = []
-    for i, term in zip(checked.positions, checked.terms):
-        c.append(c_value(members[i], f, q, term=term, qf_degree=qf_degree, ef_degree=into_f[i]))
+    c = [codimension(into_f[i], term, qf_degree)
+         for i, term in zip(checked.positions, checked.terms)]
     bad: list[str] = []
     r = len(steps)
     for i in range(r):
@@ -730,15 +717,14 @@ def _stratification(universe: Universe) -> VerificationReport:
         count += 1
         e, f = pool[ei], pool[fi]
         into_f, from_e = degrees[fi], terms[ei]
-        full = dim_hom(e, f, ef_degree=into_f[ei])
+        full = into_f[ei]
         e_rank = e.rank
         best = None
         for qi in group:
             q = pool[qi]
-            try:
-                dim = stratum_dim(e, f, q, term=from_e[qi], qf_degree=into_f[qi])
-            except InternalConsistencyError as exc:
-                cex.append(f"E={e} F={f} Q={q}: {exc}")
+            dim = stratum_dimension(into_f[qi], from_e[qi])
+            if dim < 0:
+                cex.append(f"E={e} F={f} Q={q}: {_negative_stratum(e, f, q, dim)}")
                 continue
             if best is None or dim > best:
                 best = dim

@@ -84,6 +84,14 @@ def test_canonicalize_rejects_negative_multiplicity():
         canonicalize([(1, -1)])
 
 
+def test_a_boolean_is_not_a_multiplicity():
+    # bool is a subclass of int: True would pass as 1, and a False summand would vanish.
+    for build in (HNBundle, canonicalize):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="multiplicity"):
+                build([(1, flag)])
+
+
 # ----------------------------------------------------------------------
 # rank, degree, slope
 
@@ -286,7 +294,9 @@ def test_json_round_trip():
 
 def test_json_rejects_garbage():
     for bad in ({}, {"summands": 3}, {"summands": [{"slope": 1, "mult": 1}]},
-                {"summands": [{"slope": "1"}]}, {"summands": [{"slope": "1", "mult": "2"}]}):
+                {"summands": [{"slope": "1"}]}, {"summands": [{"slope": "1", "mult": "2"}]},
+                {"summands": [{"slope": "1", "mult": True}]},
+                {"summands": [{"slope": "1", "mult": False}]}):
         with pytest.raises(BundleParseError):
             bundle_from_json(bad)
 

@@ -157,8 +157,8 @@ PACKAGE_EXPORTS = {
         "degeneration_trace", "max_slope_reduction", "normalize_triple",
     ],
     "degrees": [
-        "StratumReport", "c_value", "deg_nonneg", "deg_nonneg_oracle", "dim_hom",
-        "image_term", "stratum_dim", "stratum_report",
+        "StratumReport", "c_value", "codimension", "deg_nonneg", "deg_nonneg_oracle",
+        "dim_hom", "image_term", "stratum_dim", "stratum_dimension", "stratum_report",
     ],
     "render": ["render_svg", "write_svg"],
     "verify": [
@@ -172,7 +172,7 @@ PACKAGE_EXPORTS = {
 
 def test_the_package_resolves_each_public_name_from_its_module():
     names = [name for names in PACKAGE_EXPORTS.values() for name in names]
-    assert len(names) == 56
+    assert len(names) == 58
     assert sorted(hnbundles.__all__) == sorted(names)
     listed = dir(hnbundles)
     for module, exported in PACKAGE_EXPORTS.items():

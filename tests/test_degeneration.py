@@ -22,7 +22,8 @@ from hnbundles import (
     slopewise_dominates,
 )
 from hnbundles.degeneration import GENERAL_CONDITIONS, general_violations, reduced_violations
-from hnbundles.verify import UniverseSpec, _admissible_triples
+from hnbundles.verify import UniverseSpec
+from triples import admissible_triples
 
 B = parse_bundle
 
@@ -262,7 +263,7 @@ def test_normalize_transcript_relations():
 
 def test_normalize_then_trace_on_every_general_triple():
     spec = UniverseSpec(max_rank=3, slope_min=-1, slope_max=1, max_denominator=2)
-    triples = list(_admissible_triples(spec, GENERAL_CONDITIONS))
+    triples = list(admissible_triples(spec, GENERAL_CONDITIONS))
     assert len(triples) == 377
     ops = Counter()
     for e, f, q in triples:

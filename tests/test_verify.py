@@ -55,7 +55,8 @@ from hnbundles.degeneration import (
     general_violations,
     reduced_violations,
 )
-from hnbundles.verify import CANDIDATE_POOL_LIMIT, _admissible_triples
+from hnbundles.verify import CANDIDATE_POOL_LIMIT
+from triples import admissible_triples
 
 B = parse_bundle
 
@@ -187,13 +188,13 @@ def test_general_triples_agree_with_general_violations():
     assert len(list(enumerate_bundles(AGREE, include_zero=True))) == 28
     expected = _brute_force_triples(general_violations)
     assert len(expected) == 377
-    assert list(_admissible_triples(AGREE, GENERAL_CONDITIONS)) == expected
+    assert list(admissible_triples(AGREE, GENERAL_CONDITIONS)) == expected
 
 
 def test_reduced_triples_agree_with_reduced_violations():
     expected = _brute_force_triples(reduced_violations)
     assert len(expected) == 32
-    assert list(_admissible_triples(AGREE, REDUCED_CONDITIONS)) == expected
+    assert list(admissible_triples(AGREE, REDUCED_CONDITIONS)) == expected
 
 
 def test_candidate_images_agree_with_quotient_and_subbundle():
@@ -432,7 +433,7 @@ def test_stratification_check_matches_one_pool_scan_per_pair():
 
 
 def test_a_broken_chain_is_reported_for_each_of_its_triples(monkeypatch):
-    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    triples = list(admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
 
     def visited_elsewhere(e, q, member):
@@ -460,7 +461,7 @@ def test_a_broken_chain_is_reported_for_each_of_its_triples(monkeypatch):
 
 
 def test_degeneration_check_takes_each_chain_step_once(monkeypatch):
-    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    triples = list(admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
     steps = Counter({(member, q) for (e, q), chain in chains.items() for member in chain[1:]})
     peels = Counter({e for e, _ in chains})
@@ -496,7 +497,7 @@ def test_degeneration_check_takes_each_chain_step_once(monkeypatch):
 
 def test_a_member_outside_the_pool_is_reported_as_by_the_reference(monkeypatch):
     pool = set(enumerate_bundles(SMALL_INT, include_zero=True))
-    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    triples = list(admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
     e, q = next((e, q) for (e, q), chain in chains.items() if len(chain) > 3)
     stuck = degeneration.decompose_mrs(chains[e, q][1], q)
@@ -519,7 +520,7 @@ def test_a_member_outside_the_pool_is_reported_as_by_the_reference(monkeypatch):
 
 def _q_reached_by_chains_of_different_lengths():
     """SMALL_INT's reduced triples, and a nonzero Q that chains of different lengths reach."""
-    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    triples = list(admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
     q0 = next(q for _, q in chains if not q.is_zero
               and len({len(chain) for (_, q2), chain in chains.items() if q2 == q}) > 1)
@@ -566,7 +567,7 @@ def test_a_shared_step_that_raises_fails_every_chain_to_its_q(monkeypatch):
 # which deg_nonneg values each triple check reads
 
 def _patch_deg_nonneg(monkeypatch, fn):
-    # c_value, stratum_dim, image_term and dim_hom read it from degrees; verify reads deg(Q, F).
+    # c_value, stratum_dim and dim_hom read it from degrees; verify's tables read it from verify.
     monkeypatch.setattr(degrees, "deg_nonneg", fn)
     monkeypatch.setattr(verify, "deg_nonneg", fn)
 
@@ -589,7 +590,7 @@ def _once_each(*roles):
 
 
 def _key_inequality_degree_reads():
-    triples = list(_admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
+    triples = list(admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
     assert len({(q, f) for _, f, q in triples}) < len(triples)
     return _once_each(
         [(e, f) for e, f, _ in triples], [(q, f) for _, f, q in triples],
@@ -597,7 +598,7 @@ def _key_inequality_degree_reads():
 
 
 def _degeneration_degree_reads():
-    triples = list(_admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    triples = list(admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
     chains = {(e, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
     # Every member V of a chain, E and Q included, is read into F and into Q.
     into_f = [(v, f) for e, f, q in triples for v in chains[e, q]]
@@ -925,12 +926,12 @@ def test_an_asymmetric_pool_keeps_the_triple_reports():
 
 def _key_inequality_reads():
     return {f"E={e} F={f} Q={q}": {(e, f), (q, q), (e, q), (q, f)}
-            for e, f, q in _admissible_triples(SMALL_INT, GENERAL_CONDITIONS)}
+            for e, f, q in admissible_triples(SMALL_INT, GENERAL_CONDITIONS)}
 
 
 def _degeneration_reads():
     reads = {}
-    for e, f, q in _admissible_triples(SMALL_INT, REDUCED_CONDITIONS):
+    for e, f, q in admissible_triples(SMALL_INT, REDUCED_CONDITIONS):
         chain = degeneration_trace(e, f, q).chain
         reads[f"E={e} F={f} Q={q}"] = ({(q, f), (q, q)} | {(m, f) for m in chain}
                                        | {(m, q) for m in chain})
@@ -962,7 +963,7 @@ def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch,
     # A (Q, F) of a reduced triple that share a slope, with rank(F) > rank(Q).  Sharing a slope
     # keeps it from being an admissible pair (E, F), and the ranks keep it from being read as
     # deg(E, Q) or deg(Q, Q): each remaining read moves a codimension the way the sign says.
-    q0, f0 = next((q, f) for _, f, q in _admissible_triples(SMALL_INT, REDUCED_CONDITIONS)
+    q0, f0 = next((q, f) for _, f, q in admissible_triples(SMALL_INT, REDUCED_CONDITIONS)
                   if not q.is_zero and f.rank > q.rank
                   and not q.slope_pairs.isdisjoint(f.slope_pairs))
     reads = reads_of()
@@ -1043,18 +1044,22 @@ def test_sampled_degeneration_makes_rows_only_for_the_f_it_reads():
 
 def test_stratification_samples_the_first_pairs_with_their_whole_groups(monkeypatch):
     calls = []
+    stream, stratum = verify._triple_groups, verify.stratum_dimension
 
-    def recording(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, *args))
-            return fn(*args, **kwargs)
-        return wrapped
+    def pairs(*args):
+        for ei, fi, group in stream(*args):
+            calls.append(("pair", ei, fi))
+            yield ei, fi, group
 
-    for name in ("dim_hom", "stratum_dim"):
-        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    def strata(*degrees):
+        calls.append(("stratum", *degrees))
+        return stratum(*degrees)
+
+    monkeypatch.setattr(verify, "_triple_groups", pairs)
+    monkeypatch.setattr(verify, "stratum_dimension", strata)
     samples = 100
     assert verify_stratification_dimension(SMALL).instances_checked > samples
-    pair_starts = [i for i, call in enumerate(calls) if call[0] == "dim_hom"]
+    pair_starts = [i for i, call in enumerate(calls) if call[0] == "pair"]
     expected = calls[:pair_starts[samples]]
     calls.clear()
     sampled = verify_stratification_dimension(replace(SMALL, sample_limit=samples))
