@@ -19,11 +19,13 @@ the duals of its pool in advance (:func:`_link_duals`): a member whose dual
 is also a member gets that member as its dual, not an equal copy, so a
 cache keyed by pool members finds a dual by identity.
 
-Only outside input is validated: the public constructor, :func:`stable`,
-:func:`canonicalize`, :func:`parse_bundle` and :func:`bundle_from_json`
-check it through ``Fraction`` and reject, while the library's own
-operations, whose results are canonical by construction, build their keys
-without re-checking them.
+Only outside input is validated, and one function, ``_as_slope``, reads
+every slope from outside, at every entry point from the constructor to
+:func:`parse_bundle`, :func:`bundle_from_json`, the CLI slope flags and
+``verify.UniverseSpec``: it takes an ``int``, a ``Fraction`` or a string in
+the grammar's slope form below, and refuses floats and bools.  The
+library's own operations, whose results are canonical by construction,
+build their keys without re-checking them.
 
 Bundles also have a bit-exact text form used by the CLI and by all JSON
 reports::
@@ -68,7 +70,7 @@ __all__ = [
 
 
 class BundleParseError(ValueError):
-    """Text or JSON input does not describe a bundle."""
+    """Text, JSON or a slope from outside does not describe a bundle."""
 
 
 class PreconditionError(ValueError):
@@ -88,14 +90,30 @@ class InternalConsistencyError(RuntimeError):
     """An identity that is guaranteed by construction failed to hold."""
 
 
+# The slope token of the bundle grammar (see the module docstring).
+_SLOPE_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+
+
 def _as_slope(value: SlopeLike) -> tuple[int, int]:
-    """``value`` in lowest terms as ``(numerator, denominator)``, denominator > 0."""
-    if not isinstance(value, (int, Fraction)):
-        try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"not a rational slope: {value!r}") from exc
-    return value.numerator, value.denominator
+    """``value`` in lowest terms as ``(numerator, denominator)``, denominator > 0.
+
+    The one reader of slopes from outside: an ``int`` but not a ``bool``, a
+    ``Fraction``, or a string holding the grammar's slope token (whitespace
+    around it allowed).  Anything else, a zero denominator included, raises
+    :class:`BundleParseError`.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    match = _SLOPE_RE.fullmatch(value.strip()) if isinstance(value, str) else None
+    if match is None:
+        raise BundleParseError(f"not a rational slope: {value!r}")
+    p, q = int(match[1]), int(match[2] or 1)
+    if not q:
+        raise BundleParseError(f"zero denominator in slope {value.strip()!r}")
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _slope_text(p: int, q: int) -> str:
@@ -298,7 +316,7 @@ class HNBundle:
         ``(factor*p/g)/(q/g)`` with multiplicity ``m*g``, where ``g =
         gcd(factor*p, q)``, so the width ``m*q`` of every segment is kept.
         """
-        if not isinstance(factor, int) or factor < 1:
+        if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
             raise PreconditionError(f"stretch factor must be a positive integer, got {factor!r}")
         out: list[tuple[int, int, int]] = []
         for p, q, m in self._key:
@@ -450,7 +468,6 @@ def summand_difference(whole: HNBundle, part: HNBundle) -> HNBundle:
 # ----------------------------------------------------------------------
 # text grammar and JSON form
 
-_SLOPE_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
 _MULT_RE = re.compile(r"\d+\Z")
 
 
@@ -467,17 +484,12 @@ def parse_bundle(text: str) -> HNBundle:
         raise BundleParseError("empty bundle string")
     if body == "0":
         return ZERO
-    pairs: list[tuple[Fraction, int]] = []
+    pairs: list[tuple[str, int]] = []
     for token in body.split(","):
-        token = token.strip()
         slope_text, colon, mult_text = token.partition(":")
         slope_text = slope_text.strip()
         if not _SLOPE_RE.fullmatch(slope_text):
             raise BundleParseError(f"bad slope {slope_text!r} in bundle {text!r}")
-        try:
-            lam = Fraction(slope_text)
-        except ZeroDivisionError:
-            raise BundleParseError(f"zero denominator in slope {slope_text!r}")
         if colon:
             mult_text = mult_text.strip()
             if not _MULT_RE.fullmatch(mult_text):
@@ -485,7 +497,7 @@ def parse_bundle(text: str) -> HNBundle:
             mult = int(mult_text)
         else:
             mult = 1
-        pairs.append((lam, mult))
+        pairs.append((slope_text, mult))
     return canonicalize(pairs)
 
 
@@ -516,18 +528,15 @@ def bundle_from_json(data: dict) -> HNBundle:
     entries = data["summands"]
     if not isinstance(entries, list):
         raise BundleParseError("'summands' must be a list")
-    pairs: list[tuple[Fraction, int]] = []
+    pairs: list[tuple[str, int]] = []
     for entry in entries:
         try:
-            slope_text = entry["slope"]
-            mult = entry["mult"]
+            slope_text, mult = entry["slope"], entry["mult"]
         except (TypeError, KeyError):
             raise BundleParseError(f"bad summand entry {entry!r}")
-        if not isinstance(slope_text, str) or not _SLOPE_RE.fullmatch(slope_text.strip()):
+        if not isinstance(slope_text, str):
             raise BundleParseError(f"bad slope {slope_text!r}")
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise BundleParseError(f"bad multiplicity {mult!r}")
-        pairs.append((Fraction(slope_text.strip()), mult))
+        pairs.append((slope_text, mult))
     try:
         return canonicalize(pairs)
     except ValueError as exc:

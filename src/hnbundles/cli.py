@@ -27,6 +27,7 @@ from .bundle import (
     InternalConsistencyError,
     PreconditionError,
     ZERO,
+    _as_slope,
     format_bundle,
     parse_bundle,
 )
@@ -55,8 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(*_as_slope(text))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 

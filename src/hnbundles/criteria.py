@@ -28,7 +28,6 @@ whenever rank(E) > rank(F).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .bundle import HNBundle, _trusted, summand_difference
@@ -47,15 +46,16 @@ def rank_condition(e: HNBundle, f: HNBundle) -> bool:
     """rank(e^{>=mu}) <= rank(f^{>=mu}) for every rational mu.
 
     rank(V^{>=mu}) is a step function of mu jumping only at slopes of V, so
-    checking at the slopes occurring in either bundle plus one integer probe
-    below both minima decides the condition for all mu.
+    checking at the slopes occurring in either bundle, plus below both
+    minima, where it is the whole rank, decides the condition for all mu.
+    At a probe a/b it is the sum of the ranks q*m of the summands p/q with
+    p*b >= a*q, read off the key.
     """
-    slopes = e.slope_pairs | f.slope_pairs
-    probes = [Fraction(p, q) for p, q in slopes]
-    if slopes:
-        probes.append(min(p // q for p, q in slopes) - 1)
-    for mu in probes:
-        if e.filter(mu, ">=").rank > f.filter(mu, ">=").rank:
+    if e.rank > f.rank:
+        return False
+    for a, b in e.slope_pairs | f.slope_pairs:
+        if (sum([q * m for p, q, m in e._key if p * b >= a * q])
+                > sum([q * m for p, q, m in f._key if p * b >= a * q])):
             return False
     return True
 

@@ -61,7 +61,8 @@ from math import floor
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .bundle import HNBundle, InternalConsistencyError, PreconditionError, ZERO, _link_duals
+from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _as_slope,
+                     _link_duals)
 from .criteria import rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -121,8 +122,8 @@ class UniverseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slope_min", Fraction(self.slope_min))
-        object.__setattr__(self, "slope_max", Fraction(self.slope_max))
+        object.__setattr__(self, "slope_min", Fraction(*_as_slope(self.slope_min)))
+        object.__setattr__(self, "slope_max", Fraction(*_as_slope(self.slope_max)))
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
         if self.max_denominator < 1:

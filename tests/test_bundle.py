@@ -51,6 +51,7 @@ def test_stable_rank_degree():
     assert (stable(1).rank, stable(1).degree) == (1, 1)
     assert (stable(0).rank, stable(0).degree) == (1, 0)
     assert (stable("3/2").rank, stable("3/2").degree) == (2, 3)
+    assert (stable(" 3/6 ").rank, stable(" 3/6 ").degree) == (2, 1)
     assert (stable(Fraction(-2, 3)).rank, stable(Fraction(-2, 3)).degree) == (3, -2)
 
 
@@ -90,6 +91,15 @@ def test_a_boolean_is_not_a_multiplicity():
         for flag in (True, False):
             with pytest.raises(ValueError, match="multiplicity"):
                 build([(1, flag)])
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.1, "1.5", "1e3", "+1", "1/0"])
+def test_a_slope_is_an_int_a_fraction_or_a_grammar_token(bad):
+    # A float would be read bit by bit (0.1 is a slope of rank 2^55), a bool as 0 or 1.
+    for read in (lambda lam: HNBundle([(lam, 1)]), stable, lambda lam: canonicalize([(lam, 1)]),
+                 lambda lam: B("1").filter(lam, ">="), B("1").twist):
+        with pytest.raises(ValueError):
+            read(bad)
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +208,8 @@ def test_vertical_stretch_composes_and_preserves_widths():
         assert v.vertical_stretch(5).rank == v.rank
     with pytest.raises(PreconditionError):
         B("1").vertical_stretch(0)
+    with pytest.raises(PreconditionError):
+        B("1").vertical_stretch(True)
 
 
 def test_tensor_examples():
@@ -296,7 +308,8 @@ def test_json_rejects_garbage():
     for bad in ({}, {"summands": 3}, {"summands": [{"slope": 1, "mult": 1}]},
                 {"summands": [{"slope": "1"}]}, {"summands": [{"slope": "1", "mult": "2"}]},
                 {"summands": [{"slope": "1", "mult": True}]},
-                {"summands": [{"slope": "1", "mult": False}]}):
+                {"summands": [{"slope": "1", "mult": False}]},
+                *({"summands": [{"slope": slope, "mult": 1}]} for slope in ("1/0", "1.5", "1e3"))):
         with pytest.raises(BundleParseError):
             bundle_from_json(bad)
 
@@ -316,6 +329,7 @@ def test_equal_values_by_every_route_hash_equal():
         HNBundle(((Fraction(3, 2), 2), (Fraction(0), 1), (Fraction(-1, 2), 1))),
         HNBundle((("3/2", 2), (0, 1), ("-1/2", 1))),
         canonicalize([(0, 1), ("-1/2", 1), (Fraction(3, 2), 1), ("3/2", 1)]),
+        canonicalize([(" 6/4 ", 2), ("0", 1), ("-2/4", 1)]),
         parse_bundle("-1/2,3/2:2,0"),
         bundle_from_json(bundle_to_json(v)),
         v.dual().dual(),

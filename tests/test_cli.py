@@ -229,6 +229,18 @@ def test_a_pool_over_the_cap_exits_3_quickly(argv):
     assert str(CANDIDATE_POOL_LIMIT) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["images", "0:1", "1"], ["enumerate", "--max-rank", "1"],
+    ["verify", "--check", "invariance", "--max-rank", "1"],
+], ids=["images", "enumerate", "verify"])
+def test_an_exponent_slope_flag_exits_2_at_once(argv):
+    # Read as a number, 1e1000000 is a million-digit integer bound.
+    code, seconds, err = _run_in_child([*argv, "--slope-max", "1e1000000"])
+    assert code == 2, err
+    assert seconds < 1.0
+    assert "not a rational number: '1e1000000'" in err
+
+
 def _run_in_child(argv):
     """(exit status, seconds inside ``run``, stderr) of one ``run(argv)`` in a child process.
 

@@ -96,6 +96,10 @@ def test_universe_spec_validation():
         UniverseSpec(sample_limit=0)
     with pytest.raises(ValueError):
         UniverseSpec(seed=-1)
+    for slopes in ({"slope_min": "0.5"}, {"slope_max": 0.5}, {"slope_max": True},
+                   {"slope_max": "1e3"}):
+        with pytest.raises(ValueError):
+            UniverseSpec(**slopes)
 
 
 def test_admissible_slopes():
