@@ -16,8 +16,9 @@ The key is hashed once, when the value is made; equality and hashing
 compare it.  ``dual()`` is memoized on the instance, with a back-link, so
 ``v.dual().dual() is v``; zero is its own dual.  A ``verify.Universe`` links
 the duals of its pool in advance (:func:`_link_duals`): a member whose dual
-is also a member gets that member as its dual, not an equal copy, so a
-cache keyed by pool members finds a dual by identity.
+is also a member gets that member as its dual, so ``dual()`` builds no
+second, equal copy, and the ``deg_nonneg`` memo, keyed by pool members,
+finds a dual by identity.
 
 Only outside input is validated, and one function, ``_as_slope``, reads
 every slope from outside, at every entry point from the constructor to
@@ -34,6 +35,7 @@ reports::
     summand := slope (":" mult)?
     slope   := ["-"] digits ("/" digits)?
     mult    := digits
+    digits  := [0-9]+
 
 ``"1,-1"`` is O(1) + O(-1), ``"3/2:2"`` is O(3/2) with multiplicity 2, and
 the lone token ``"0"`` is the zero bundle.  Because ``"0"`` is reserved,
@@ -91,7 +93,7 @@ class InternalConsistencyError(RuntimeError):
 
 
 # The slope token of the bundle grammar (see the module docstring).
-_SLOPE_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+_SLOPE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def _as_slope(value: SlopeLike) -> tuple[int, int]:
@@ -468,7 +470,7 @@ def summand_difference(whole: HNBundle, part: HNBundle) -> HNBundle:
 # ----------------------------------------------------------------------
 # text grammar and JSON form
 
-_MULT_RE = re.compile(r"\d+\Z")
+_MULT_RE = re.compile(r"[0-9]+\Z")
 
 
 def parse_bundle(text: str) -> HNBundle:

@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
     # pass as positional arguments instead of being read as option flags.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?(:\d+)?(,.*)?$")
+        self._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?(:[0-9]+)?(,.*)?$")
 
 
 def _fraction(text: str) -> Fraction:

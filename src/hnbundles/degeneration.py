@@ -33,7 +33,8 @@ from .bundle import (
     HNBundle,
     InternalConsistencyError,
     PreconditionError,
-    canonicalize,
+    ZERO,
+    _trusted,
     format_bundle,
     summand_difference,
 )
@@ -217,7 +218,8 @@ def max_slope_reduction(v: HNBundle, w: HNBundle) -> HNBundle:
     if not slopewise_dominates(v, w):
         raise PreconditionError(f"{v} does not slopewise dominate {w}")
     top = w._key[0][0]  # mu_max(w), an integer
-    return v.filter(top, "<=").direct_sum(canonicalize([(top, v.filter(top, ">").rank)]))
+    flattened = v.filter(top, ">").rank
+    return v.filter(top, "<=").direct_sum(_trusted(((top, 1, flattened),)) if flattened else ZERO)
 
 
 def build_e1(e: HNBundle) -> HNBundle:
@@ -228,7 +230,7 @@ def build_e1(e: HNBundle) -> HNBundle:
     """
     if not _TOP_SLOPE_ZERO.test(e):
         raise PreconditionError("peeling requires mu_max(E) = 0 (a trivial summand present)")
-    return summand_difference(e, canonicalize([(0, 1)]))
+    return summand_difference(e, _trusted(((0, 1, 1),)))
 
 
 def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:

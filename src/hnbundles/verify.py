@@ -249,14 +249,6 @@ def bundle_pool(spec: UniverseSpec) -> list[HNBundle]:
     raise PreconditionError(f"bundle pool exceeds the cap of {CANDIDATE_POOL_LIMIT} bundles")
 
 
-def _holds(tests: list[Callable[..., bool]], *bundles: HNBundle) -> bool:
-    """Whether every test holds of ``bundles``, asked in order up to the first that fails."""
-    for test in tests:
-        if not test(*bundles):
-            return False
-    return True
-
-
 def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> Iterator[HNBundle]:
     """Universe members satisfying the necessary conditions for a nonempty stratum.
 
@@ -272,7 +264,8 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
     e_rank = e.rank
     for q in bundle_pool(spec):
         # The rank test is only a prune: (ii) already forces rank(Q) <= rank(E).
-        if q.rank <= e_rank and _holds(quotient_tests, e, q) and _holds(image_tests, f, q):
+        if (q.rank <= e_rank and all(test(e, q) for test in quotient_tests)
+                and all(test(f, q) for test in image_tests)):
             yield q
 
 
@@ -309,10 +302,11 @@ class Universe:
     Zero E keeps every F, zero included: every F dominates it and shares
     no slope with it.
 
-    The pool's duals are linked first: each member whose dual is also a
-    member gets that member as ``dual()``, so the dominance asks of (ii)
-    and of the chain steps are keyed by pool members and a cache lookup
-    hits by identity, without an ``__eq__`` call.
+    Dominance has no memo: each question is asked once per cell of the
+    universe.  The pool's duals are linked first: each member whose dual is
+    also a member gets that member as ``dual()``, so ``dual()`` builds no
+    second copy, and the ``deg_nonneg`` memo, keyed by pool members, hits
+    by identity, without an ``__eq__`` call.
 
     A row of ``images`` is a list by Q position that :func:`_triple_groups`
     fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``.  The
@@ -487,7 +481,7 @@ def _triple_groups(
     positions = range(len(pool))
     remaining = limit
     for ei, e in enumerate(pool):
-        if not _holds(e_tests, e):
+        if not all(test(e) for test in e_tests):
             continue
         quotients = None
         # Zero E (level -1) keeps every F, zero F included.
@@ -499,18 +493,27 @@ def _triple_groups(
                     break
             else:
                 if quotients is None:
+                    quotients = []
                     # Only a prune: every condition set holds (ii), which requires
                     # rank(Q) <= rank(E).
-                    quotients = [qi for qi in by_rank[:bisect_right(ranks, e.rank)]
-                                 if _holds(quotient_tests, e, pool[qi])]
+                    for qi in by_rank[:bisect_right(ranks, e.rank)]:
+                        q = pool[qi]
+                        for test in quotient_tests:
+                            if not test(e, q):
+                                break
+                        else:
+                            quotients.append(qi)
                 row = images[fi]
-                group = []
                 for qi in quotients:
-                    admitted = row[qi]
-                    if admitted is None:
-                        admitted = row[qi] = _holds(image_tests, f, pool[qi])
-                    if admitted:
-                        group.append(qi)
+                    if row[qi] is None:
+                        q = pool[qi]
+                        for test in image_tests:
+                            if not test(f, q):
+                                row[qi] = False
+                                break
+                        else:
+                            row[qi] = True
+                group = [qi for qi in quotients if row[qi]]
                 if remaining is not None:
                     group = group[:remaining]
                     remaining -= len(group)
@@ -590,10 +593,17 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
             bad.append(f"S={s} does not dominate R={rr}")
         if s.is_zero != rr.is_zero or s.is_zero != (member == q):
             bad.append("complement vanishing inconsistent")
-        if not s.is_zero and not s.mu_max > rr.mu_max:
-            bad.append("mu_max(S) <= mu_max(R)")
-        if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
-            bad.append("mu_min(M) < mu_max(S)")
+        if s._key:
+            # Slopes compared on the keys by cross-multiplying (denominators are positive).
+            if not rr._key:  # what reading rr.mu_max raises
+                raise PreconditionError("mu_max of the zero bundle is undefined")
+            (sp, sq, _), (rp, rq, _) = s._key[0], rr._key[0]
+            if sp * rq <= rp * sq:
+                bad.append("mu_max(S) <= mu_max(R)")
+            if m._key:
+                mp, mq, _ = m._key[-1]
+                if mp * sq < sp * mq:
+                    bad.append("mu_min(M) < mu_max(S)")
     if member == q:
         return ChainStep(triple, tuple(bad), None, None)
     following = degeneration._next_member(triple)

@@ -93,7 +93,7 @@ def test_a_boolean_is_not_a_multiplicity():
                 build([(1, flag)])
 
 
-@pytest.mark.parametrize("bad", [True, False, 0.1, "1.5", "1e3", "+1", "1/0"])
+@pytest.mark.parametrize("bad", [True, False, 0.1, "1.5", "1e3", "+1", "1/0", "٣", "١/٢"])
 def test_a_slope_is_an_int_a_fraction_or_a_grammar_token(bad):
     # A float would be read bit by bit (0.1 is a slope of rank 2^55), a bool as 0 or 1.
     for read in (lambda lam: HNBundle([(lam, 1)]), stable, lambda lam: canonicalize([(lam, 1)]),
@@ -291,7 +291,9 @@ def test_format_is_canonical_and_round_trips():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1//2", "1:", "1:x", "0,", "1/0", "1.5", "+1", "--1"):
+    # Digits are ASCII: int() would read the Arabic-Indic digits as 1/2:3.
+    for bad in ("", "x", "1//2", "1:", "1:x", "0,", "1/0", "1.5", "+1", "--1",
+                "١/٢:٣", "٣", "1/٢", "1:٣", "-١"):
         with pytest.raises(BundleParseError):
             parse_bundle(bad)
 

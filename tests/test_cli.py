@@ -104,6 +104,13 @@ def test_parse_error_exit(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    assert run(["check-sub", "١", "2"]) == 2
+    assert "hnb: parse error" in capsys.readouterr().err
+    assert run(["enumerate", "--max-rank", "1", "--slope-max", "٣"]) == 2
+    assert "not a rational number: '٣'" in capsys.readouterr().err
+
+
 def test_usage_error_exit(capsys):
     assert run([]) == 2
     assert run(["no-such-command"]) == 2

@@ -567,6 +567,40 @@ def test_a_shared_step_that_raises_fails_every_chain_to_its_q(monkeypatch):
     assert len(failed) > 1
 
 
+def _reference_step_slope_problems(m, rr, s):
+    """The slope rules of one chain step on its decomposition, read through Fraction slopes."""
+    bad = []
+    if not s.is_zero and not s.mu_max > rr.mu_max:  # raises when S is nonzero and R is zero
+        bad.append("mu_max(S) <= mu_max(R)")
+    if not m.is_zero and not s.is_zero and not m.mu_min >= s.mu_max:
+        bad.append("mu_min(M) < mu_max(S)")
+    return bad
+
+
+def test_a_chain_step_compares_slopes_as_fractions_do(monkeypatch):
+    # Any decomposition (M, R, S) that reassembles the duals of Q = dual(M + R) and
+    # member = dual(M + S), fractional slopes and zero parts included.
+    parts = list(enumerate_bundles(TINY, include_zero=True)) + [B("1/2"), B("-1/2,-3/2")]
+    faults = {}
+    monkeypatch.setattr(degeneration, "decompose_mrs", lambda member, q: faults[member, q])
+    monkeypatch.setattr(degeneration, "_next_member", lambda triple: ZERO)
+    checked = raised = 0
+    for m, rr, s in itertools.product(parts, repeat=3):
+        q, member = m.direct_sum(rr).dual(), m.direct_sum(s).dual()
+        faults[member, q] = DecompositionTriple(m, rr, s)
+        try:
+            expected = _reference_step_slope_problems(m, rr, s)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError, match=str(exc)):
+                verify._chain_step(member, q, lambda bundle: 0)
+            raised += 1
+            continue
+        problems = verify._chain_step(member, q, lambda bundle: 0).problems
+        assert [p for p in problems if p.startswith("mu_")] == expected
+        checked += 1
+    assert checked and raised
+
+
 # ----------------------------------------------------------------------
 # which deg_nonneg values each triple check reads
 
@@ -823,6 +857,17 @@ def test_each_pair_and_quotient_condition_is_asked_once_after_the_earlier_ones(m
     assert calls["(i)"] == expected_i and set(expected_i.values()) == {1}
     assert all(e.slope_pairs.isdisjoint(f.slope_pairs) for e, f in calls["(i)"])
     assert calls["(ii)"] == expected_ii and set(expected_ii.values()) == {1}
+
+
+def test_dominance_keeps_no_memo_across_the_triple_checks():
+    # A universe asks each dominance question once per cell, so a memo would only
+    # hold its keys; the wrapper is a zero-size lru_cache, which keeps none.
+    slopewise_dominates.cache_clear()
+    reports = run_checks(["key-inequality", "degeneration", "stratification"], SMALL_INT)
+    assert all(report.passed for report in reports)
+    info = slopewise_dominates.cache_info()
+    assert info.misses > 0
+    assert (info.currsize, info.hits) == (0, 0)
 
 
 # ----------------------------------------------------------------------
