@@ -37,9 +37,10 @@ reports::
     mult    := digits
     digits  := [0-9]+
 
-``"1,-1"`` is O(1) + O(-1), ``"3/2:2"`` is O(3/2) with multiplicity 2, and
-the lone token ``"0"`` is the zero bundle.  Because ``"0"`` is reserved,
-the trivial line bundle O prints as ``"0:1"``.
+ASCII whitespace (``string.whitespace``) may surround any token; no other
+space is read.  ``"1,-1"`` is O(1) + O(-1), ``"3/2:2"`` is O(3/2) with
+multiplicity 2, and the lone token ``"0"`` is the zero bundle.  Because
+``"0"`` is reserved, the trivial line bundle O prints as ``"0:1"``.
 """
 
 from __future__ import annotations
@@ -92,28 +93,30 @@ class InternalConsistencyError(RuntimeError):
     """An identity that is guaranteed by construction failed to hold."""
 
 
-# The slope token of the bundle grammar (see the module docstring).
+# The slope token of the bundle grammar (see the module docstring), and the whitespace
+# around its tokens: ``string.whitespace``, as ``str.strip()`` strips every Unicode space.
 _SLOPE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 def _as_slope(value: SlopeLike) -> tuple[int, int]:
     """``value`` in lowest terms as ``(numerator, denominator)``, denominator > 0.
 
     The one reader of slopes from outside: an ``int`` but not a ``bool``, a
-    ``Fraction``, or a string holding the grammar's slope token (whitespace
-    around it allowed).  Anything else, a zero denominator included, raises
-    :class:`BundleParseError`.
+    ``Fraction``, or a string holding the grammar's slope token (ASCII
+    whitespace around it allowed).  Anything else, a zero denominator
+    included, raises :class:`BundleParseError`.
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
-    match = _SLOPE_RE.fullmatch(value.strip()) if isinstance(value, str) else None
+    match = _SLOPE_RE.fullmatch(value.strip(_WHITESPACE)) if isinstance(value, str) else None
     if match is None:
         raise BundleParseError(f"not a rational slope: {value!r}")
     p, q = int(match[1]), int(match[2] or 1)
     if not q:
-        raise BundleParseError(f"zero denominator in slope {value.strip()!r}")
+        raise BundleParseError(f"zero denominator in slope {value.strip(_WHITESPACE)!r}")
     g = gcd(p, q)
     return p // g, q // g
 
@@ -481,7 +484,7 @@ def parse_bundle(text: str) -> HNBundle:
     """
     if not isinstance(text, str):
         raise BundleParseError(f"expected a bundle string, got {type(text).__name__}")
-    body = text.strip()
+    body = text.strip(_WHITESPACE)
     if not body:
         raise BundleParseError("empty bundle string")
     if body == "0":
@@ -489,11 +492,11 @@ def parse_bundle(text: str) -> HNBundle:
     pairs: list[tuple[str, int]] = []
     for token in body.split(","):
         slope_text, colon, mult_text = token.partition(":")
-        slope_text = slope_text.strip()
+        slope_text = slope_text.strip(_WHITESPACE)
         if not _SLOPE_RE.fullmatch(slope_text):
             raise BundleParseError(f"bad slope {slope_text!r} in bundle {text!r}")
         if colon:
-            mult_text = mult_text.strip()
+            mult_text = mult_text.strip(_WHITESPACE)
             if not _MULT_RE.fullmatch(mult_text):
                 raise BundleParseError(f"bad multiplicity {mult_text!r} in bundle {text!r}")
             mult = int(mult_text)

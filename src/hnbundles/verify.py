@@ -38,13 +38,14 @@ value at its first read and keep it, a row per first position:
 * ``steps``   - degeneration's chain step from the member V to Q, by Q,
                 then V.
 
-A ``verify_*`` call builds its own Universe; :func:`run_checks` builds one
-per distinct spec and hands it to every check on that spec, so a run asks
-each of these questions once, whichever checks read the answer.  The three
-triple checks read one stream, :func:`_triple_groups`, each with its own
-conditions; per triple only table lookups and the integer codimension
-formulas of :mod:`hnbundles.degrees` remain, and no value is computed that a
-per-triple check would not compute.
+:func:`run_checks` is the one runner: it builds one Universe per distinct
+spec and hands it to every check body on that spec, so a run asks each of
+these questions once, whichever checks read the answer; it times each body
+and builds its report.  ``verify_X(spec)`` is ``run_checks([X], spec)[0]``.
+The three triple checks read one stream, :func:`_triple_groups`, each with
+its own conditions; per triple only table lookups and the integer
+codimension formulas of :mod:`hnbundles.degrees` remain, and no value is
+computed that a per-triple check would not compute.
 """
 
 from __future__ import annotations
@@ -286,6 +287,8 @@ class _Table(dict):
 class Universe:
     """The pool of one spec, and every table the checks on it share, by position.
 
+    :func:`run_checks` builds one per distinct spec, outside any check's clock.
+
     ``members`` is the pool, then any chain member outside it (only a
     faulty engine makes one), placed by ``position(bundle)``, which
     returns the bundle's position; each table (see the module docstring)
@@ -391,15 +394,8 @@ class VerificationReport:
         }
 
 
-def _report(name: str, count: int, cex: list[str], started: float,
-            findings: list[str] | None = None) -> VerificationReport:
-    return VerificationReport(
-        name,
-        count,
-        tuple(sorted(cex)),
-        time.perf_counter() - started,
-        tuple(sorted(findings or [])),
-    )
+# What a check body returns: (instances, counterexamples, findings); run_checks sorts the lists.
+_Outcome = tuple[int, list[str], list[str]]
 
 
 def _pair_stream(universe: Universe) -> Iterator[tuple[HNBundle, HNBundle]]:
@@ -412,8 +408,7 @@ def _pair_stream(universe: Universe) -> Iterator[tuple[HNBundle, HNBundle]]:
             yield rng.choice(pool), rng.choice(pool)
 
 
-def _equivalence(universe: Universe) -> VerificationReport:
-    started = time.perf_counter()
+def _equivalence(universe: Universe) -> _Outcome:
     cex: list[str] = []
     count = 0
     for e, f in _pair_stream(universe):
@@ -422,16 +417,15 @@ def _equivalence(universe: Universe) -> VerificationReport:
         by_slopes = slopewise_dominates(f, e)
         if by_ranks != by_slopes:
             cex.append(f"E={e} F={f}: rank_condition={by_ranks} slopewise_dominates={by_slopes}")
-    return _report("equivalence", count, cex, started)
+    return count, cex, []
 
 
 def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
     """rank_condition(E, F) agrees with slopewise_dominates(F, E) on all pairs."""
-    return _equivalence(Universe(spec))
+    return run_checks(["equivalence"], spec)[0]
 
 
-def _oracles(universe: Universe) -> VerificationReport:
-    started = time.perf_counter()
+def _oracles(universe: Universe) -> _Outcome:
     cex: list[str] = []
     count = 0
     for v, w in _pair_stream(universe):
@@ -440,12 +434,12 @@ def _oracles(universe: Universe) -> VerificationReport:
         slow = deg_nonneg_oracle(v, w)
         if fast != slow:
             cex.append(f"V={v} W={w}: cross-product={fast} tensor-route={slow}")
-    return _report("oracles", count, cex, started)
+    return count, cex, []
 
 
 def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     """Cross-product degree calculus agrees with the tensor route on all pairs."""
-    return _oracles(Universe(spec))
+    return run_checks(["oracles"], spec)[0]
 
 
 def _triple_groups(
@@ -522,8 +516,7 @@ def _triple_groups(
                     return
 
 
-def _key_inequality(universe: Universe) -> VerificationReport:
-    started = time.perf_counter()
+def _key_inequality(universe: Universe) -> _Outcome:
     pool, degrees, terms = universe.pool, universe.degrees, universe.terms
     cex: list[str] = []
     count = 0
@@ -537,12 +530,12 @@ def _key_inequality(universe: Universe) -> VerificationReport:
             c = codimension(ef_degree, from_e[qi], into_f[qi])
             if c <= 0:
                 cex.append(f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}: c={c}")
-    return _report("key-inequality", count, cex, started)
+    return count, cex, []
 
 
 def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
     """c_value > 0 on every triple satisfying the five general conditions."""
-    return _key_inequality(Universe(spec))
+    return run_checks(["key-inequality"], spec)[0]
 
 
 class ChainStep(NamedTuple):
@@ -678,8 +671,7 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
     return bad
 
 
-def _degeneration(universe: Universe) -> VerificationReport:
-    started = time.perf_counter()
+def _degeneration(universe: Universe) -> _Outcome:
     pool = universe.pool
     cex: list[str] = []
     findings: list[str] = []
@@ -703,7 +695,7 @@ def _degeneration(universe: Universe) -> VerificationReport:
                 prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
                 cex.extend(f"{prefix}: {item}" for item in bad)
                 findings.extend(f"{prefix}: {item}" for item in notes)
-    return _report("degeneration", count, cex, started, findings)
+    return count, cex, findings
 
 
 def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
@@ -713,11 +705,10 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     per (E, Q), and each step once per (member, Q), shared by every chain
     that reaches it.
     """
-    return _degeneration(Universe(spec))
+    return run_checks(["degeneration"], spec)[0]
 
 
-def _stratification(universe: Universe) -> VerificationReport:
-    started = time.perf_counter()
+def _stratification(universe: Universe) -> _Outcome:
     pool, degrees, terms = universe.pool, universe.degrees, universe.terms
     # Built at call time, so a test that rebinds a condition tuple sees every call.
     conditions = ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS)
@@ -746,7 +737,7 @@ def _stratification(universe: Universe) -> VerificationReport:
                            f"reaches dim hom {full}")
         if best != full:
             cex.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
-    return _report("stratification", count, cex, started)
+    return count, cex, []
 
 
 def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
@@ -761,11 +752,10 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     like any other.  With ``sample_limit`` set, the first that many pairs
     are checked, each against all of its candidates.
     """
-    return _stratification(Universe(spec))
+    return run_checks(["stratification"], spec)[0]
 
 
-def _invariance(universe: Universe) -> VerificationReport:
-    started = time.perf_counter()
+def _invariance(universe: Universe) -> _Outcome:
     pool, spec = universe.pool, universe.spec
     rng = random.Random(spec.seed)
     trials = spec.sample_limit if spec.sample_limit is not None else 1000
@@ -787,16 +777,16 @@ def _invariance(universe: Universe) -> VerificationReport:
             cex.append(f"{prefix}: stretch by {factor} broke the codimension scaling")
         if c_value(te, tf, tq) != base_c:
             cex.append(f"{prefix}: twist by {shift} moved the codimension")
-    return _report("invariance", trials, cex, started)
+    return trials, cex, []
 
 
 def verify_invariance(spec: UniverseSpec) -> VerificationReport:
     """Stretch scales degrees and codimensions by C; integer twists fix them."""
-    return _invariance(Universe(spec))
+    return run_checks(["invariance"], spec)[0]
 
 
-# name -> (check on a Universe, desk-scale default spec)
-CHECKS: dict[str, tuple[Callable[[Universe], VerificationReport], UniverseSpec]] = {
+# name -> (check body on a Universe, desk-scale default spec)
+CHECKS: dict[str, tuple[Callable[[Universe], _Outcome], UniverseSpec]] = {
     "equivalence": (_equivalence, PAIR_UNIVERSE),
     "oracles": (_oracles, PAIR_UNIVERSE),
     "key-inequality": (_key_inequality, TRIPLE_UNIVERSE),
@@ -810,8 +800,10 @@ def run_checks(names: Iterable[str] | None = None,
                spec: UniverseSpec | None = None) -> list[VerificationReport]:
     """Run the named checks (all by default) on ``spec`` or desk-scale defaults.
 
-    Checks on the same spec share one :class:`Universe`.  A report's
-    ``elapsed`` covers its check alone, not the enumeration.
+    The one runner of every check: checks on the same spec share one
+    :class:`Universe`, and each report is built here from its body's
+    outcome, counterexamples and findings sorted.  A report's ``elapsed``
+    covers its body alone, not the enumeration.
     """
     selected = list(names) if names is not None else list(CHECKS)
     universes: dict[UniverseSpec, Universe] = {}
@@ -824,5 +816,9 @@ def run_checks(names: Iterable[str] | None = None,
         chosen = spec if spec is not None else default_spec
         if chosen not in universes:
             universes[chosen] = Universe(chosen)
-        reports.append(check(universes[chosen]))
+        started = time.perf_counter()
+        count, cex, findings = check(universes[chosen])
+        elapsed = time.perf_counter() - started
+        reports.append(VerificationReport(name, count, tuple(sorted(cex)), elapsed,
+                                          tuple(sorted(findings))))
     return reports

@@ -93,7 +93,8 @@ def test_a_boolean_is_not_a_multiplicity():
                 build([(1, flag)])
 
 
-@pytest.mark.parametrize("bad", [True, False, 0.1, "1.5", "1e3", "+1", "1/0", "٣", "١/٢"])
+@pytest.mark.parametrize("bad", [True, False, 0.1, "1.5", "1e3", "+1", "1/0", "٣", "١/٢",
+                                 "\u30001", "\u20031/2", "1\xa0", "\x1c1"])
 def test_a_slope_is_an_int_a_fraction_or_a_grammar_token(bad):
     # A float would be read bit by bit (0.1 is a slope of rank 2^55), a bool as 0 or 1.
     for read in (lambda lam: HNBundle([(lam, 1)]), stable, lambda lam: canonicalize([(lam, 1)]),
@@ -277,6 +278,7 @@ def test_parse_examples():
     assert B("0") == ZERO
     assert B("0:1") == stable(0)
     assert B(" -1 , 0 ") == B("0,-1")
+    assert B("\t1 :\x0b2\x0c,\r\n-1/2 ") == B("1:2,-1/2")
     assert B("1,1") == B("1:2")
 
 
@@ -292,8 +294,11 @@ def test_format_is_canonical_and_round_trips():
 
 def test_parse_rejects_garbage():
     # Digits are ASCII: int() would read the Arabic-Indic digits as 1/2:3.
+    # So is whitespace: str.strip() would drop the em, ideographic and no-break spaces
+    # and the \x1c separator, reading the last five as 2,1, 2,1, 1, 1 and 1:2.
     for bad in ("", "x", "1//2", "1:", "1:x", "0,", "1/0", "1.5", "+1", "--1",
-                "١/٢:٣", "٣", "1/٢", "1:٣", "-١"):
+                "١/٢:٣", "٣", "1/٢", "1:٣", "-١",
+                "\u20031, 2", "1,\u30002", "\xa01", "\x1c1", "1:\u20032"):
         with pytest.raises(BundleParseError):
             parse_bundle(bad)
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import hnbundles
-from hnbundles import parse_bundle, render_svg
-from hnbundles.bundle import PreconditionError
+from hnbundles import degeneration, parse_bundle, render_svg, verify
+from hnbundles.bundle import InternalConsistencyError, PreconditionError
 from hnbundles.cli import CHECK_NAMES, build_parser, run
 from hnbundles.verify import CHECKS
 from hnbundles.render import MAX_GRID_LINES
@@ -109,6 +109,45 @@ def test_non_ascii_digits_exit_2(capsys):
     assert "hnb: parse error" in capsys.readouterr().err
     assert run(["enumerate", "--max-rank", "1", "--slope-max", "٣"]) == 2
     assert "not a rational number: '٣'" in capsys.readouterr().err
+
+
+def test_non_ascii_whitespace_exits_2(capsys):
+    # str.strip() would drop the em space and read 1 and 2, as it did the no-break space.
+    for bundle in ("\u20031", "1,\xa02"):
+        assert run(["check-sub", bundle, "2"]) == 2
+        assert "hnb: parse error" in capsys.readouterr().err
+    assert run(["enumerate", "--max-rank", "1", "--slope-max", "\u20031"]) == 2
+    assert "not a rational number: '\\u20031'" in capsys.readouterr().err
+
+
+def test_an_internal_consistency_failure_exits_3(capsys, monkeypatch):
+    def broken(member, q):
+        raise InternalConsistencyError("decomposition does not reassemble")
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", broken)
+    assert run(["trace", "0,-2", "1,-1", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hnb: internal consistency failure: decomposition does not reassemble\n"
+
+
+def test_an_invalid_value_exits_2(capsys):
+    assert run(["verify", "--max-rank", "0"]) == 2
+    assert capsys.readouterr().err == "hnb: invalid input: max_rank must be >= 1\n"
+
+
+def test_verify_text_prints_ten_counterexamples_then_the_rest_counted_then_findings(
+        capsys, monkeypatch):
+    def body(universe):
+        return 12, [f"case {i:02}" for i in reversed(range(12))], ["note b", "note a"]
+
+    monkeypatch.setitem(verify.CHECKS, "invariance", (body, verify.PAIR_UNIVERSE))
+    assert run(["verify", "--check", "invariance", "--max-rank", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL invariance: 12 instances, 12 counterexamples, ")
+    assert lines[0].endswith("s, 2 findings")
+    assert lines[1:] == [*(f"  counterexample: case {i:02}" for i in range(10)), "  ... 2 more",
+                         "  finding: note a", "  finding: note b"]
 
 
 def test_usage_error_exit(capsys):

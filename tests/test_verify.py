@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
 import sys
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -108,6 +110,30 @@ def test_admissible_slopes():
     assert Fraction(1, 2) in slopes and Fraction(-3, 2) in slopes
     assert Fraction(2, 2) not in set(slopes) - {Fraction(1)}  # no duplicates
     assert list(slopes) == sorted(slopes, reverse=True)
+
+
+def _slopes_by_brute_force(lo: Fraction, hi: Fraction, top: int) -> list[tuple[int, int]]:
+    """Every p/q in lowest terms in [lo, hi] with q <= top, by q, then p, read q by q."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return [(p, q) for q in range(1, top + 1)
+            for p in range(-(-a * q // b), c * q // d + 1) if math.gcd(p, q) == 1]
+
+
+def test_the_slope_walk_matches_brute_force_with_its_jumps_on_both_sides():
+    # Each narrow box forces one long jump: above the box, 1/0 to 1/333 on [1/1000, 3/1000],
+    # and below it, 0/1 to 332/333 on [997/1000, 1].  The seeded boxes jump below 172 times
+    # and above 468 times.
+    rng = random.Random(20)
+    boxes = [(Fraction(1, 1000), Fraction(3, 1000), 1000), (Fraction(997, 1000), Fraction(1), 1000)]
+    for _ in range(400):
+        lo = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        boxes.append((lo, lo + Fraction(rng.randint(0, 6), rng.randint(1, 12)), rng.randint(1, 30)))
+    for lo, hi, top in boxes:
+        spec = UniverseSpec(max_rank=1, slope_min=lo, slope_max=hi, max_denominator=top)
+        expected = _slopes_by_brute_force(lo, hi, top)
+        assert list(verify._reduced_slopes(spec)) == expected, (lo, hi, top)
+        assert admissible_slopes(spec) == tuple(
+            sorted(itertools.starmap(Fraction, expected), reverse=True))
 
 
 def test_enumerate_counts_against_dp_oracle():
@@ -279,6 +305,27 @@ def test_run_checks_selection_and_unknown():
     assert [r.property_name for r in reports] == ["equivalence", "oracles"]
     with pytest.raises(ValueError):
         run_checks(["nonsense"], TINY)
+
+
+def test_run_checks_times_each_body_alone_and_builds_its_report(monkeypatch):
+    # A verify_* call runs the body registered in CHECKS through run_checks; the
+    # universe build stays out of elapsed, and the lists come back sorted.
+    def slow_universe(spec):
+        time.sleep(0.4)
+        return built(spec)
+
+    def body(universe):
+        assert universe.spec == TINY
+        time.sleep(0.05)
+        return 3, ["b", "a"], ["y", "x"]
+
+    built = verify.Universe
+    monkeypatch.setattr(verify, "Universe", slow_universe)
+    monkeypatch.setitem(verify.CHECKS, "invariance", (body, PAIR_UNIVERSE))
+    report = verify_invariance(TINY)
+    assert (report.property_name, report.instances_checked) == ("invariance", 3)
+    assert (report.counterexamples, report.findings) == (("a", "b"), ("x", "y"))
+    assert 0.05 <= report.elapsed < 0.4
 
 
 def test_run_checks_default_runs_everything():
@@ -775,7 +822,8 @@ def test_a_universe_is_freed_without_the_cycle_collector():
     try:
         universe = verify.Universe(SMALL_INT)
         for name in DEGREE_READS:
-            assert verify.CHECKS[name][0](universe).passed
+            _, counterexamples, _ = verify.CHECKS[name][0](universe)
+            assert not counterexamples
         assert universe.steps
         freed = weakref.ref(universe)
         del universe
