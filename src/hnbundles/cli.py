@@ -33,8 +33,9 @@ from .bundle import (
 )
 from .criteria import is_quotient, is_subbundle, slopewise_dominates
 
-# Every other module (and json, dataclasses) is imported by the command body
-# that uses it, so that a `check-*` call loads only `bundle` and `criteria`.
+# Every other module (and dataclasses) is imported by the command body that
+# uses it, and json by `run` for --format json alone, so that a `check-*` call
+# loads only `bundle` and `criteria`.
 if TYPE_CHECKING:
     from .verify import UniverseSpec
 
@@ -170,36 +171,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 # command bodies
+#
+# Each body computes one answer and returns (exit status, JSON payload, text
+# lines); `run` prints the form that --format asks for.
 
-def _dumps(payload) -> str:
-    import json
-
-    return json.dumps(payload)
-
-
-def _emit_bool(value: bool, fmt: str) -> int:
-    if fmt == "json":
-        print(_dumps({"result": value}))
-    else:
-        print("true" if value else "false")
-    return 0 if value else 1
+_Answer = tuple[int, object, list[str]]
 
 
-def _cmd_check_sub(args: argparse.Namespace) -> int:
-    return _emit_bool(is_subbundle(parse_bundle(args.e), parse_bundle(args.f)), args.format)
+def _answer(value: bool) -> _Answer:
+    """A check-* predicate: status 0 or 1, ``{"result": value}``, and "true" or "false"."""
+    return (0 if value else 1), {"result": value}, ["true" if value else "false"]
 
 
-def _cmd_check_dominate(args: argparse.Namespace) -> int:
-    return _emit_bool(
-        slopewise_dominates(parse_bundle(args.f), parse_bundle(args.e)), args.format
-    )
+def _cmd_check_sub(args: argparse.Namespace) -> _Answer:
+    return _answer(is_subbundle(parse_bundle(args.e), parse_bundle(args.f)))
 
 
-def _cmd_check_quotient(args: argparse.Namespace) -> int:
-    return _emit_bool(is_quotient(parse_bundle(args.q), parse_bundle(args.e)), args.format)
+def _cmd_check_dominate(args: argparse.Namespace) -> _Answer:
+    return _answer(slopewise_dominates(parse_bundle(args.f), parse_bundle(args.e)))
 
 
-def _cmd_dims(args: argparse.Namespace) -> int:
+def _cmd_check_quotient(args: argparse.Namespace) -> _Answer:
+    return _answer(is_quotient(parse_bundle(args.q), parse_bundle(args.e)))
+
+
+def _cmd_dims(args: argparse.Namespace) -> _Answer:
     from .degrees import dim_hom, stratum_report
 
     e, f = parse_bundle(args.e), parse_bundle(args.f)
@@ -208,40 +204,27 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         report = stratum_report(e, f, parse_bundle(args.q))
         payload["stratum"] = report.stratum_dimension
         payload["c"] = report.c_value
-    if args.format == "json":
-        print(_dumps(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key} {value}")
-    return 0
+    return 0, payload, [f"{key} {value}" for key, value in payload.items()]
 
 
-def _cmd_c(args: argparse.Namespace) -> int:
+def _cmd_c(args: argparse.Namespace) -> _Answer:
     from .degrees import c_value
 
     value = c_value(parse_bundle(args.e), parse_bundle(args.f), parse_bundle(args.q))
-    print(_dumps({"c": value}) if args.format == "json" else value)
-    return 0
+    return 0, {"c": value}, [str(value)]
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> _Answer:
     from .degeneration import degeneration_trace
 
     trace = degeneration_trace(parse_bundle(args.e), parse_bundle(args.f), parse_bundle(args.q))
-    if args.format == "json":
-        print(_dumps(trace.to_json_dict()))
-        return 0
-    for i, member in enumerate(trace.chain):
-        line = f"step {i}: E={format_bundle(member)} c={trace.c_values[i]}"
-        if i >= 1:
-            step = trace.steps[i - 1]
-            line += (
-                f" M={format_bundle(step.common)}"
-                f" R={format_bundle(step.q_complement)}"
-                f" S={format_bundle(step.e_complement)}"
-            )
-        print(line)
-    return 0
+    payload = trace.to_json_dict()
+    lines = [f"step {i}: E={member} c={c}"
+             for i, (member, c) in enumerate(zip(payload["chain"], payload["c"]))]
+    # steps[i - 1] decomposes chain member i >= 1.
+    for i, step in enumerate(payload["steps"], 1):
+        lines[i] += f" M={step['M']} R={step['R']} S={step['S']}"
+    return 0, payload, lines
 
 
 def _default_image_spec(e: HNBundle, f: HNBundle) -> UniverseSpec | None:
@@ -262,7 +245,7 @@ def _default_image_spec(e: HNBundle, f: HNBundle) -> UniverseSpec | None:
     )
 
 
-def _cmd_images(args: argparse.Namespace) -> int:
+def _cmd_images(args: argparse.Namespace) -> _Answer:
     from .degrees import stratum_report
     from .verify import enumerate_candidate_images
 
@@ -273,74 +256,63 @@ def _cmd_images(args: argparse.Namespace) -> int:
     candidates = [ZERO] if spec is None else list(enumerate_candidate_images(e, f, spec))
     reports = [stratum_report(e, f, q) for q in candidates]
     reports.sort(key=lambda r: (-r.stratum_dimension, r.image.rank, format_bundle(r.image)))
-    if args.format == "json":
-        print(_dumps([
-            {
-                "image": format_bundle(r.image),
-                "stratum_dim": r.stratum_dimension,
-                "c": r.c_value,
-            }
-            for r in reports
-        ]))
-    else:
-        for r in reports:
-            print(f"Q={format_bundle(r.image)} stratum={r.stratum_dimension} c={r.c_value}")
-    return 0
+    rows = [{"image": format_bundle(r.image), "stratum_dim": r.stratum_dimension, "c": r.c_value}
+            for r in reports]
+    return 0, rows, [f"Q={row['image']} stratum={row['stratum_dim']} c={row['c']}" for row in rows]
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> _Answer:
     from .verify import UniverseSpec, bundle_pool
 
     spec = _universe_from_flags(args) or UniverseSpec()
     pool = bundle_pool(spec)
     bundles = [format_bundle(b) for b in (pool if args.zero else pool[1:])]
-    if args.format == "json":
-        print(_dumps(bundles))
-    else:
-        for text in bundles:
-            print(text)
-    return 0
+    return 0, bundles, bundles
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Answer:
     from .verify import run_checks
 
-    spec = _universe_from_flags(args)
-    reports = run_checks(args.check, spec)
-    if args.format == "json":
-        print(_dumps([report.to_json_dict() for report in reports]))
-    else:
-        for report in reports:
-            print(report.summary())
-            for item in report.counterexamples[:10]:
-                print(f"  counterexample: {item}")
-            if len(report.counterexamples) > 10:
-                print(f"  ... {len(report.counterexamples) - 10} more")
-            for item in report.findings[:10]:
-                print(f"  finding: {item}")
-    return 0 if all(report.passed for report in reports) else 1
+    reports = run_checks(args.check, _universe_from_flags(args))
+    lines = []
+    for report in reports:
+        lines.append(report.summary())
+        for label, items in (("counterexample", report.counterexamples),
+                             ("finding", report.findings)):
+            lines += [f"  {label}: {item}" for item in items[:10]]
+            if len(items) > 10:
+                lines.append(f"  ... {len(items) - 10} more")
+    status = 0 if all(report.passed for report in reports) else 1
+    return status, [report.to_json_dict() for report in reports], lines
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> _Answer:
     from .render import write_svg
 
-    bundles = [parse_bundle(text) for text in args.bundles]
-    write_svg(bundles, args.output)
-    return 0
+    write_svg([parse_bundle(text) for text in args.bundles], args.output)
+    return 0, None, []
 
 
 # ----------------------------------------------------------------------
 # entry points
 
 def run(argv: list[str]) -> int:
-    """Parse and execute one invocation; returns the exit status."""
+    """Parse and execute one invocation, print its answer; returns the exit status."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status, payload, lines = args.func(args)
+        # `render` has no --format: it writes a file and prints no answer.
+        if getattr(args, "format", "text") == "json":
+            import json
+
+            print(json.dumps(payload))
+        elif lines:
+            print("\n".join(lines))
+        return status
     except BundleParseError as exc:
         print(f"hnb: parse error: {exc}", file=sys.stderr)
         return 2

@@ -62,8 +62,8 @@ from math import floor
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _as_slope,
-                     _link_duals)
+from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
+                     _as_slope, _link_duals)
 from .criteria import rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -112,7 +112,9 @@ class UniverseSpec:
     that many seeded random instances (for the total properties) or the
     first that many admissible instances (for the filtered ones) instead of
     the full product; sampled instances are always drawn from the
-    exhaustive universe.
+    exhaustive universe.  A random sample larger than the universe's own
+    count (pool² ordered pairs, or pool³ triples for invariance) raises
+    :class:`PreconditionError` before the first draw.
     """
 
     max_rank: int = 4
@@ -190,7 +192,7 @@ def _reduced_slopes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
 
 def admissible_slopes(spec: UniverseSpec) -> tuple[Fraction, ...]:
     """All reduced slopes inside the universe bounds, in descending order."""
-    return tuple(sorted(itertools.starmap(Fraction, _reduced_slopes(spec)), reverse=True))
+    return tuple(itertools.starmap(Fraction, sorted(_reduced_slopes(spec), key=_DESCENDING)))
 
 
 def _member_spec(spec: UniverseSpec) -> UniverseSpec:
@@ -308,8 +310,8 @@ class Universe:
     Dominance has no memo: each question is asked once per cell of the
     universe.  The pool's duals are linked first: each member whose dual is
     also a member gets that member as ``dual()``, so ``dual()`` builds no
-    second copy, and the ``deg_nonneg`` memo, keyed by pool members, hits
-    by identity, without an ``__eq__`` call.
+    second, equal object per member.  The links change no ``deg_nonneg``
+    memo hit and no ``__eq__`` call; they save the objects.
 
     A row of ``images`` is a list by Q position that :func:`_triple_groups`
     fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``.  The
@@ -398,13 +400,25 @@ class VerificationReport:
 _Outcome = tuple[int, list[str], list[str]]
 
 
+def _bounded_samples(n: int, count: int, what: str) -> int:
+    """``n``, or PreconditionError when ``n`` draws pass the universe's ``count`` ``what``.
+
+    The draws are made with replacement, so without this bound their cost
+    would grow with ``sample_limit`` and not with the universe.
+    """
+    if n > count:
+        raise PreconditionError(f"a sample of {n} exceeds the universe's {count} {what}")
+    return n
+
+
 def _pair_stream(universe: Universe) -> Iterator[tuple[HNBundle, HNBundle]]:
     pool, spec = universe.pool, universe.spec
     if spec.sample_limit is None:
         yield from itertools.product(pool, repeat=2)
     else:
+        draws = _bounded_samples(spec.sample_limit, len(pool) ** 2, "ordered pairs")
         rng = random.Random(spec.seed)
-        for _ in range(spec.sample_limit):
+        for _ in range(draws):
             yield rng.choice(pool), rng.choice(pool)
 
 
@@ -757,8 +771,9 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
 
 def _invariance(universe: Universe) -> _Outcome:
     pool, spec = universe.pool, universe.spec
+    trials = (1000 if spec.sample_limit is None
+              else _bounded_samples(spec.sample_limit, len(pool) ** 3, "triples"))
     rng = random.Random(spec.seed)
-    trials = spec.sample_limit if spec.sample_limit is not None else 1000
     cex: list[str] = []
     for _ in range(trials):
         e, f, q = (rng.choice(pool) for _ in range(3))

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import importlib
 import json
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -139,15 +142,93 @@ def test_an_invalid_value_exits_2(capsys):
 def test_verify_text_prints_ten_counterexamples_then_the_rest_counted_then_findings(
         capsys, monkeypatch):
     def body(universe):
-        return 12, [f"case {i:02}" for i in reversed(range(12))], ["note b", "note a"]
+        return (12, [f"case {i:02}" for i in reversed(range(12))],
+                [f"note {i:02}" for i in reversed(range(12))])
 
     monkeypatch.setitem(verify.CHECKS, "invariance", (body, verify.PAIR_UNIVERSE))
     assert run(["verify", "--check", "invariance", "--max-rank", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL invariance: 12 instances, 12 counterexamples, ")
-    assert lines[0].endswith("s, 2 findings")
+    assert lines[0].endswith("s, 12 findings")
     assert lines[1:] == [*(f"  counterexample: case {i:02}" for i in range(10)), "  ... 2 more",
-                         "  finding: note a", "  finding: note b"]
+                         *(f"  finding: note {i:02}" for i in range(10)), "  ... 2 more"]
+
+
+# One or more argv per subcommand but `render`, which writes a file and has no
+# --format: true and false predicates, `enumerate --zero`, `images`, and a parse,
+# a precondition and a pool-cap error.
+TEXT_AND_JSON = [
+    ["check-sub", "0:1", "1,-1"], ["check-sub", "1", "0:1"],
+    ["check-dominate", "1,-1", "0,-2"], ["check-dominate", "0,-2", "1,-1"],
+    ["check-quotient", "-1", "0,-2"], ["check-quotient", "1:2", "1"],
+    ["dims", "0,-2", "1,-1"], ["dims", "0,-2", "1,-1", "-1"],
+    ["c", "0,-2", "1,-1", "-1"],
+    ["trace", "0,-2", "1,-1", "-1"], ["trace", "0:3,-2", "2,1:2,-1", "-1:2,-2"],
+    ["images", "0,-2", "1,-1"], ["images", "0", "1,-1"],
+    ["enumerate", "--max-rank", "2", "--slope-min", "-1", "--slope-max", "1", "--max-den", "2",
+     "--zero"],
+    ["verify", "--check", "equivalence", "--check", "invariance", "--max-rank", "2"],
+    ["check-sub", "garbage", "1"],
+    ["trace", "0,-1", "1,-1", "0:1"],
+    ["enumerate", "--max-rank", "60", "--max-den", "3"],
+]
+
+_SUMMARY = re.compile(r"(PASS|FAIL) (\S+): (\d+) instances, (\d+) counterexamples, "
+                      r"\d+\.\d\ds(?:, (\d+) findings)?")
+
+
+def _text_values(command, lines):
+    """The values the text lines print, in the shape of the JSON payload."""
+    if command.startswith("check-"):
+        (line,) = lines
+        return {"result": {"true": True, "false": False}[line]}
+    if command == "dims":
+        return {key: int(value) for key, value in (line.split(" ") for line in lines)}
+    if command == "c":
+        (line,) = lines
+        return {"c": int(line)}
+    if command == "trace":
+        rows = [re.fullmatch(r"step (\d+): E=(\S+) c=(-?\d+)(?: M=(\S+) R=(\S+) S=(\S+))?",
+                             line).groups() for line in lines]
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        return {"chain": [row[1] for row in rows], "c": [int(row[2]) for row in rows],
+                "steps": [{"M": m, "R": r, "S": s} for *_, m, r, s in rows[1:]]}
+    if command == "images":
+        rows = [re.fullmatch(r"Q=(\S+) stratum=(-?\d+) c=(-?\d+)", line).groups()
+                for line in lines]
+        return [{"image": q, "stratum_dim": int(dim), "c": int(c)} for q, dim, c in rows]
+    if command == "enumerate":
+        return lines
+    assert command == "verify"
+    reports = []
+    for line in lines:
+        summary = _SUMMARY.fullmatch(line)
+        if summary:
+            status, name, instances, counterexamples, findings = summary.groups()
+            reports.append({"property": name, "instances": int(instances),
+                            "counterexamples": [], "findings": [], "passed": status == "PASS"})
+            assert counterexamples == "0" and findings is None
+        else:
+            label, item = re.fullmatch(r"  (counterexample|finding): (.*)", line).groups()
+            reports[-1][f"{label}s"].append(item)
+    return reports
+
+
+@pytest.mark.parametrize("argv", TEXT_AND_JSON, ids=[" ".join(argv) for argv in TEXT_AND_JSON])
+def test_text_and_json_give_the_same_status_and_values(capsys, argv):
+    status = run(argv)
+    text = capsys.readouterr()
+    assert run([*argv, "--format", "json"]) == status
+    rendered = capsys.readouterr()
+    if status in (2, 3):
+        assert text.out == rendered.out == ""
+        assert text.err == rendered.err and text.err.startswith("hnb: ")
+        return
+    assert text.err == rendered.err == ""
+    payload = json.loads(rendered.out)
+    if argv[0] == "verify":
+        assert all(report.pop("elapsed") >= 0 for report in payload)
+    assert _text_values(argv[0], text.out.splitlines()) == payload
 
 
 def test_usage_error_exit(capsys):
@@ -337,6 +418,37 @@ def test_every_subcommand_answers_rank_10_12_input_quickly(tmp_path, name):
     assert not (tmp_path / "hostile.svg").exists()
 
 
+@pytest.mark.parametrize("check, count", [
+    ("equivalence", 220**2), ("oracles", 220**2), ("invariance", 220**3),
+])
+def test_a_random_sample_past_the_universe_exits_3_at_once(capsys, check, count):
+    # The desk pair universe holds 220 bundles; the draws are made with replacement.
+    started = time.perf_counter()
+    with _interrupted_after(5.0):
+        assert run(["verify", "--check", check, "--samples", f"{HUGE}"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert f"exceeds the universe's {count} " in capsys.readouterr().err
+
+
+class _Expired(BaseException):
+    """Raised by the alarm of :func:`_interrupted_after`; no ``except`` in ``run`` catches it."""
+
+
+@contextlib.contextmanager
+def _interrupted_after(seconds):
+    """Interrupt the block after ``seconds``, so that a run without bound fails, not hangs."""
+    def expire(signum, frame):
+        raise _Expired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("command", [["verify", "--check", "invariance"], ["enumerate"]],
                          ids=["verify", "enumerate"])
 def test_every_pool_over_the_cap_exits_3_quickly(capsys, command):
@@ -460,8 +572,6 @@ def test_render_svg_draws_at_most_the_grid_cap():
 def test_render_overlay_preserves_dominance_shape():
     # dominated polygon must sit below the dominating one at every shared
     # integer x; SVG y grows downward, so its pixel rows are >= the other's
-    import re
-
     document = render_svg([B("0,-2"), B("1,-1")])
     polylines = re.findall(r'points="([^"]+)"', document)
     rows = [

@@ -282,6 +282,14 @@ def test_reports_are_deterministic():
     assert first.property_name == second.property_name
 
 
+def test_a_random_sample_may_draw_as_many_pairs_or_triples_as_the_universe_has():
+    spec = UniverseSpec(max_rank=1, slope_min=0, slope_max=1, max_denominator=1)  # 0, O(1), O
+    for check, count in ((verify_equivalence, 9), (verify_oracles, 9), (verify_invariance, 27)):
+        assert check(replace(spec, sample_limit=count)).instances_checked == count
+        with pytest.raises(PreconditionError, match=f"exceeds the universe's {count} "):
+            check(replace(spec, sample_limit=count + 1))
+
+
 def test_sampling_draws_from_exhaustive_universe():
     spec = UniverseSpec(max_rank=2, slope_min=-1, slope_max=1,
                         max_denominator=1, sample_limit=50, seed=3)
