@@ -267,23 +267,7 @@ class HNBundle:
         return dual
 
     def direct_sum(self, other: "HNBundle") -> "HNBundle":
-        mine, theirs = self._key, other._key
-        merged: list[tuple[int, int, int]] = []
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            (a, b, ma), (c, d, mc) = mine[i], theirs[j]
-            order = a * d - c * b  # a/b against c/d, with b, d > 0
-            if not order:
-                merged.append((a, b, ma + mc))
-                i += 1
-                j += 1
-            elif order > 0:
-                merged.append(mine[i])
-                i += 1
-            else:
-                merged.append(theirs[j])
-                j += 1
-        return _trusted(tuple(merged) + mine[i:] + theirs[j:])
+        return _trusted(_sum_key(self._key, other._key))
 
     __add__ = direct_sum
 
@@ -399,6 +383,27 @@ def _trusted(key: tuple[tuple[int, int, int], ...]) -> HNBundle:
     bundle = object.__new__(HNBundle)
     _settle(bundle, key)
     return bundle
+
+
+def _sum_key(mine: tuple[tuple[int, int, int], ...], theirs: tuple[tuple[int, int, int], ...]
+             ) -> tuple[tuple[int, int, int], ...]:
+    """The key of the direct sum of two bundles with keys ``mine`` and ``theirs``."""
+    merged: list[tuple[int, int, int]] = []
+    i = j = 0
+    while i < len(mine) and j < len(theirs):
+        (a, b, ma), (c, d, mc) = mine[i], theirs[j]
+        order = a * d - c * b  # a/b against c/d, with b, d > 0
+        if not order:
+            merged.append((a, b, ma + mc))
+            i += 1
+            j += 1
+        elif order > 0:
+            merged.append(mine[i])
+            i += 1
+        else:
+            merged.append(theirs[j])
+            j += 1
+    return tuple(merged) + mine[i:] + theirs[j:]
 
 
 def _dual_key(key: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:

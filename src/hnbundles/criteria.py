@@ -64,7 +64,7 @@ def rank_condition(e: HNBundle, f: HNBundle) -> bool:
 # only kept its keys alive.  A zero-size lru_cache holds nothing and counts every
 # call as a miss; it stays only for its cache_info() and cache_clear(), which the
 # benchmark's cold-cache step reads, until that step stops reading lru_caches
-# (ROADMAP items 3 and 10) and the decorator goes.
+# (ROADMAP items 2 and 3) and the decorator goes.
 @lru_cache(maxsize=0)
 def slopewise_dominates(f: HNBundle, e: HNBundle) -> bool:
     """True when the HN polygon of f runs above that of e on [0, rank(e)]."""

@@ -33,7 +33,6 @@ from .bundle import (
     HNBundle,
     InternalConsistencyError,
     PreconditionError,
-    ZERO,
     _trusted,
     format_bundle,
     summand_difference,
@@ -209,7 +208,12 @@ def max_slope_reduction(v: HNBundle, w: HNBundle) -> HNBundle:
 
     Requires v, w nonzero with integer slopes and v slopewise dominating w.
     Rank is preserved, the result still dominates w, and the result equals
-    v exactly when mu_max(v) = mu_max(w).
+    v exactly when mu_max(v) = mu_max(w); v itself is then returned.
+
+    Read off v's key: its summands above mu_max(w) are a prefix, each of
+    rank equal to its multiplicity, so the result is one summand at
+    mu_max(w) (that prefix's rank plus v's own multiplicity there) followed
+    by v's summands below it.  Only the returned bundle is built.
     """
     if v.is_zero or w.is_zero:
         raise PreconditionError("maximal slope reduction requires nonzero bundles")
@@ -217,9 +221,17 @@ def max_slope_reduction(v: HNBundle, w: HNBundle) -> HNBundle:
         raise PreconditionError("maximal slope reduction requires integer slopes")
     if not slopewise_dominates(v, w):
         raise PreconditionError(f"{v} does not slopewise dominate {w}")
-    top = w._key[0][0]  # mu_max(w), an integer
-    flattened = v.filter(top, ">").rank
-    return v.filter(top, "<=").direct_sum(_trusted(((top, 1, flattened),)) if flattened else ZERO)
+    key, top = v._key, w._key[0][0]  # mu_max(w), an integer
+    cut = flattened = 0
+    while cut < len(key) and key[cut][0] > top:
+        flattened += key[cut][2]
+        cut += 1
+    if not flattened:
+        return v
+    if cut < len(key) and key[cut][0] == top:
+        flattened += key[cut][2]
+        cut += 1
+    return _trusted(((top, 1, flattened), *key[cut:]))
 
 
 def build_e1(e: HNBundle) -> HNBundle:

@@ -20,7 +20,8 @@ Checks:
 * stratification  - the top stratum dimension over candidate images equals
                     the Hom-space dimension and is attained at Q = E;
 * invariance      - vertical stretch scales codimensions by the factor and
-                    integer twists preserve them, over random triples.
+                    integer twists preserve them, over random triples (or
+                    every triple of a universe of at most 1,000).
 
 Candidate images are an over-approximation by design: only the necessary
 conditions (quotient of E, subbundle of F) are checked, which cannot create
@@ -34,7 +35,8 @@ value at its first read and keep it, a row per first position:
 * ``images``  - condition (iii), "F dominates Q", by F, then Q;
 * ``terms``   - the F-free codimension term deg_nonneg(Q, Q) - deg_nonneg(V, Q),
                 by V, then Q;
-* ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule;
+* ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule,
+                summed off V's key;
 * ``steps``   - degeneration's chain step from the member V to Q, by Q,
                 then V.
 
@@ -63,7 +65,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
-                     _as_slope, _link_duals)
+                     _as_slope, _link_duals, _sum_key)
 from .criteria import rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -351,7 +353,8 @@ class Universe:
         self.degrees = degrees = _Table(
             lambda w: _Table(lambda v: deg_nonneg(members[v], members[w])))
         self.terms = _Table(lambda v: _Table(lambda q: term(v, q)))
-        self.nonneg = _Table(lambda v: members[v].filter(0, ">=").degree)
+        # deg(V^{>=0}) off the key: the degrees p*m of the summands p/q with p >= 0.
+        self.nonneg = _Table(lambda v: sum([p * m for p, _, m in members[v]._key if p >= 0]))
         self.steps = _Table(lambda q: _Table(
             lambda v: _chain_step(members[v], members[q], position)))
         self.position = position
@@ -559,12 +562,19 @@ class ChainStep(NamedTuple):
     step's violations without their "step i" label.  ``following`` is the
     next member's position and ``degenerating`` whether dual(member)
     dominates its dual; both are None at Q, where the chain ends.
+
+    ``s_rank`` and ``s_top`` are the F-free half of the stall rule, as
+    integers: rank(S), and mu_max(S) as its key's ``(p, q)``, None when S is
+    zero.  dual(S) has the same rank and mu_min(dual(S)) = -p/q, so the rule
+    compares ``s_rank`` with rank(F^{>-p/q}).
     """
 
     decomposition: DecompositionTriple
     problems: tuple[str, ...]
     following: int | None
     degenerating: bool | None
+    s_rank: int
+    s_top: tuple[int, int] | None
 
 
 class ChainCheck(NamedTuple):
@@ -593,7 +603,8 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
     triple = degeneration.decompose_mrs(member, q)
     m, rr, s = triple.common, triple.q_complement, triple.e_complement
     bad = []
-    if m.direct_sum(rr) != q.dual() or m.direct_sum(s) != member.dual():
+    # Bundles are equal exactly when their keys are, so the sums are compared as keys, unbuilt.
+    if _sum_key(m._key, rr._key) != q.dual()._key or _sum_key(m._key, s._key) != member.dual()._key:
         bad.append("decomposition does not reassemble the duals")
     else:
         if not slopewise_dominates(s, rr):
@@ -611,11 +622,12 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
                 mp, mq, _ = m._key[-1]
                 if mp * sq < sp * mq:
                     bad.append("mu_min(M) < mu_max(S)")
+    s_top = s._key[0][:2] if s._key else None
     if member == q:
-        return ChainStep(triple, tuple(bad), None, None)
+        return ChainStep(triple, tuple(bad), None, None, s.rank, s_top)
     following = degeneration._next_member(triple)
     return ChainStep(triple, tuple(bad), position(following),
-                     slopewise_dominates(member.dual(), following.dual()))
+                     slopewise_dominates(member.dual(), following.dual()), s.rank, s_top)
 
 
 def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool]:
@@ -635,13 +647,14 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
     except (PreconditionError, InternalConsistencyError) as exc:
         return ChainCheck((), (), None, (f"trace failed: {exc}",), ())
     positions = (ei, *walk)
-    chain = tuple(members[i] for i in positions)
     bad: list[str] = []
-    if chain[0] != e or chain[-1] != q:
+    # Positions name bundles one to one, so the endpoints compare as positions.
+    if positions[0] != ei or positions[-1] != qi:
         bad.append("chain endpoints wrong")
     if len(walked) != len(walk):
         bad.append("trace lengths inconsistent")
-    if any(member.rank != q.rank for member in chain[1:]):
+    q_rank = q.rank
+    if any(members[i].rank != q_rank for i in walk):
         bad.append("rank plateau broken")
     for i, step in enumerate(walked, 1):
         bad.extend(f"step {i}: {problem}" for problem in step.problems)
@@ -658,8 +671,14 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
 
     ``into_f`` is F's row of the universe's ``degrees``, deg_nonneg(V, F)
     by V's position, and ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
+
+    The stall rule, rank(dual(S)) = rank(F^{>mu_min(dual(S))}) wherever the
+    codimension stalls at a member other than Q, reads the step's
+    ``s_rank`` and ``s_top`` and sums rank(F^{>-p/q}) off F's key by
+    cross-multiplying, as ``rank_condition`` does; no bundle is built.  A
+    zero S there raises what reading mu_min(dual(S)) raises.
     """
-    steps, f = checked.steps, members[fi]
+    steps = checked.steps
     qf_degree = into_f[qi]
     c = [codimension(into_f[i], term, qf_degree)
          for i, term in zip(checked.positions, checked.terms)]
@@ -679,8 +698,12 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
         bad.append(f"first-step drop {c[0] - c[1]} != deg(F)>=0 - deg(Q)>=0 = {first_drop}")
     for i in range(1, r):
         if c[i] == c[i + 1] and checked.positions[i] != qi:
-            s_dual = steps[i - 1].decomposition.e_complement.dual()
-            if s_dual.rank != f.filter(s_dual.mu_min, ">").rank:
+            step = steps[i - 1]
+            if step.s_top is None:
+                raise PreconditionError("mu_min of the zero bundle is undefined")
+            p, q = step.s_top
+            # a/b > -p/q exactly when a*q > -p*b, since b, q > 0.
+            if step.s_rank != sum([b * m for a, b, m in members[fi]._key if a * q > -p * b]):
                 bad.append(f"step {i}: codimension stalled without the rank equality")
     return bad
 
@@ -737,17 +760,19 @@ def _stratification(universe: Universe) -> _Outcome:
         e_rank = e.rank
         best = None
         for qi in group:
-            q = pool[qi]
             dim = stratum_dimension(into_f[qi], from_e[qi])
             if dim < 0:
-                cex.append(f"E={e} F={f} Q={q}: {_negative_stratum(e, f, q, dim)}")
+                cex.append(f"E={e} F={f} Q={pool[qi]}: "
+                           f"{_negative_stratum(e, f, pool[qi], dim)}")
                 continue
             if best is None or dim > best:
                 best = dim
-            if q is e and dim != full:
-                cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
-            if q.rank < e_rank and dim >= full:
-                cex.append(f"E={e} F={f} Q={q}: smaller-rank stratum {dim} "
+            # Q = E has rank(E), so at most one of the two clauses applies.
+            if qi == ei:
+                if dim != full:
+                    cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
+            elif dim >= full and pool[qi].rank < e_rank:
+                cex.append(f"E={e} F={f} Q={pool[qi]}: smaller-rank stratum {dim} "
                            f"reaches dim hom {full}")
         if best != full:
             cex.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
@@ -769,14 +794,24 @@ def verify_stratification_dimension(spec: UniverseSpec) -> VerificationReport:
     return run_checks(["stratification"], spec)[0]
 
 
+# Triples the invariance check draws without ``sample_limit``; a universe of at most this
+# many triples is checked whole instead, each triple once.
+_INVARIANCE_TRIALS = 1000
+
+
 def _invariance(universe: Universe) -> _Outcome:
     pool, spec = universe.pool, universe.spec
-    trials = (1000 if spec.sample_limit is None
-              else _bounded_samples(spec.sample_limit, len(pool) ** 3, "triples"))
     rng = random.Random(spec.seed)
+    if spec.sample_limit is None and len(pool) ** 3 <= _INVARIANCE_TRIALS:
+        trials = len(pool) ** 3
+        triples: Iterable[tuple[HNBundle, ...]] = itertools.product(pool, repeat=3)
+    else:
+        trials = (_INVARIANCE_TRIALS if spec.sample_limit is None
+                  else _bounded_samples(spec.sample_limit, len(pool) ** 3, "triples"))
+        # Drawn lazily, so each triple's draws still precede its factor and shift.
+        triples = ((rng.choice(pool), rng.choice(pool), rng.choice(pool)) for _ in range(trials))
     cex: list[str] = []
-    for _ in range(trials):
-        e, f, q = (rng.choice(pool) for _ in range(3))
+    for e, f, q in triples:
         factor = rng.randint(1, 3)
         shift = rng.randint(-3, 3)
         prefix = f"E={e} F={f} Q={q}"
@@ -796,7 +831,13 @@ def _invariance(universe: Universe) -> _Outcome:
 
 
 def verify_invariance(spec: UniverseSpec) -> VerificationReport:
-    """Stretch scales degrees and codimensions by C; integer twists fix them."""
+    """Stretch scales degrees and codimensions by C; integer twists fix them.
+
+    Without ``sample_limit``, 1,000 seeded triples are drawn, with
+    replacement, or, when the universe has at most 1,000 triples, each
+    triple is checked once, in product order; the factor and shift of
+    every triple are seeded either way.
+    """
     return run_checks(["invariance"], spec)[0]
 
 

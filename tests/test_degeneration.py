@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from hnbundles import degeneration
 from hnbundles import (
+    HNBundle,
     PreconditionError,
     ZERO,
     build_e1,
@@ -16,6 +18,7 @@ from hnbundles import (
     degeneration_chain,
     degeneration_step,
     degeneration_trace,
+    enumerate_bundles,
     max_slope_reduction,
     normalize_triple,
     parse_bundle,
@@ -58,6 +61,45 @@ def test_max_slope_reduction_preconditions():
         max_slope_reduction(B("1/2"), B("0:1"))
     with pytest.raises(PreconditionError):
         max_slope_reduction(B("0:1"), B("1"))
+
+
+def _reference_max_slope_reduction(v, w):
+    """The reduction built from filter and direct_sum, under the same preconditions."""
+    if v.is_zero or w.is_zero:
+        raise PreconditionError("maximal slope reduction requires nonzero bundles")
+    if not (v.has_integer_slopes() and w.has_integer_slopes()):
+        raise PreconditionError("maximal slope reduction requires integer slopes")
+    if not slopewise_dominates(v, w):
+        raise PreconditionError(f"{v} does not slopewise dominate {w}")
+    top = w.mu_max
+    flattened = v.filter(top, ">").rank
+    return v.filter(top, "<=").direct_sum(HNBundle([(top, flattened)]) if flattened else ZERO)
+
+
+def _result_or_error(reduce, v, w):
+    try:
+        return reduce(v, w)
+    except PreconditionError as exc:
+        return type(exc), str(exc), exc.condition
+
+
+def test_max_slope_reduction_matches_filter_and_direct_sum():
+    integral = list(enumerate_bundles(UniverseSpec(max_rank=4, slope_min=-3, slope_max=3,
+                                                   max_denominator=1), include_zero=True))
+    bundles = integral + [B("1/2"), B("-1/2"), B("3/2,-1"), B("1,-1/2")]
+    reduced, merged, errors = 0, 0, Counter()
+    for v, w in itertools.product(bundles, repeat=2):
+        expected = _result_or_error(_reference_max_slope_reduction, v, w)
+        assert _result_or_error(max_slope_reduction, v, w) == expected, (v, w)
+        if isinstance(expected, tuple):
+            errors[next(kind for kind in ("nonzero", "integer", "dominate") if kind in expected[1])] += 1
+            continue
+        reduced += 1
+        # v already has a summand at mu_max(w), and something above it to merge into it.
+        merged += v.mu_max > w.mu_max and v.multiplicity(w.mu_max) > 0
+    assert reduced > 10_000 and merged > 100
+    # Each precondition is met and broken: nonzero bundles, integer slopes, dominance.
+    assert set(errors) == {"nonzero", "integer", "dominate"}
 
 
 # ----------------------------------------------------------------------

@@ -290,6 +290,30 @@ def test_a_random_sample_may_draw_as_many_pairs_or_triples_as_the_universe_has()
             check(replace(spec, sample_limit=count + 1))
 
 
+def test_invariance_checks_each_triple_of_a_small_universe_once(monkeypatch):
+    recorded = []
+    original = verify.c_value
+
+    def recording(e, f, q):
+        recorded.append((e, f, q))
+        return original(e, f, q)
+
+    monkeypatch.setattr(verify, "c_value", recording)
+    tiny = UniverseSpec(max_rank=1, slope_min=0, slope_max=0, max_denominator=1)  # 0 and O
+    for spec, size in ((tiny, 2), (TINY, 10)):
+        pool = verify.bundle_pool(spec)
+        assert len(pool) == size
+        recorded.clear()
+        report = verify_invariance(spec)
+        assert report.passed and report.instances_checked == size ** 3
+        # c_value of the triple, then of its stretch and of its twist.
+        assert recorded[::3] == list(itertools.product(pool, repeat=3))
+    # One bundle more, and the check draws its 1,000 triples as before.
+    eleven = UniverseSpec(max_rank=1, slope_min=-4, slope_max=5, max_denominator=1)
+    assert len(verify.bundle_pool(eleven)) == 11
+    assert verify_invariance(eleven).instances_checked == 1000
+
+
 def test_sampling_draws_from_exhaustive_universe():
     spec = UniverseSpec(max_rank=2, slope_min=-1, slope_max=1,
                         max_denominator=1, sample_limit=50, seed=3)
@@ -620,6 +644,76 @@ def test_a_shared_step_that_raises_fails_every_chain_to_its_q(monkeypatch):
     assert failed == {f"E={e} F={f} Q={q0}: trace failed: injected"
                       for e, f, q in triples if q == q0}
     assert len(failed) > 1
+
+
+STALL = "codimension stalled without the rank equality"
+
+
+def _stalled_steps():
+    """SMALL_INT's (member, Q) at which some reduced triple's codimension stalls, member != Q."""
+    stalled = set()
+    for e, f, q in admissible_triples(SMALL_INT, REDUCED_CONDITIONS):
+        trace = degeneration_trace(e, f, q)
+        c, chain = trace.c_values, trace.chain
+        stalled.update((chain[i], q) for i in range(1, trace.terminated_at)
+                       if c[i] == c[i + 1] and chain[i] != q)
+    return stalled
+
+
+def _inject_at_stalls(monkeypatch, fault):
+    """Decompose each stalled step as ``fault(decomposition)``; every chain still moves on as before."""
+    stalled = _stalled_steps()
+    assert stalled
+    decompose_mrs, next_member = degeneration.decompose_mrs, degeneration._next_member
+    originals = {}  # id of an injected decomposition -> (it, the engine's own)
+
+    def faulty(e_i, q):
+        triple = decompose_mrs(e_i, q)
+        if (e_i, q) not in stalled:
+            return triple
+        injected = fault(triple)
+        originals[id(injected)] = injected, triple
+        return injected
+
+    def advance(triple):
+        return next_member(originals.get(id(triple), (None, triple))[1])
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", faulty)
+    monkeypatch.setattr(degeneration, "_next_member", advance)
+
+
+def test_a_stall_without_the_rank_equality_is_reported_as_by_the_reference(monkeypatch):
+    # With the engine's decompositions the stall rule never reports.  M = 0, R = dual(Q) and
+    # S = dual(member) still reassemble the duals, but give S another rank and top slope.
+    _inject_at_stalls(monkeypatch, lambda triple: DecompositionTriple(
+        ZERO, triple.common.direct_sum(triple.q_complement),
+        triple.common.direct_sum(triple.e_complement)))
+    outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    assert outcome == _reference_degeneration(SMALL_INT)
+    flagged = set()
+    for e, f, q in admissible_triples(SMALL_INT, REDUCED_CONDITIONS):
+        bad, _ = _reference_trace_problems(e, f, q, degeneration_trace(e, f, q))
+        flagged.update(f"E={e} F={f} Q={q}: {item}" for item in bad if item.endswith(STALL))
+    assert {line for line in outcome[1] if line.endswith(STALL)} == flagged
+    assert len(flagged) > 1
+
+
+def test_a_zero_s_at_a_stalled_member_raises_as_reading_its_dual_does(monkeypatch):
+    _inject_at_stalls(monkeypatch, lambda triple: replace(triple, e_complement=ZERO))
+    for run in (_reference_degeneration, verify_degeneration):
+        with pytest.raises(PreconditionError, match="mu_min of the zero bundle is undefined"):
+            run(SMALL_INT)
+
+
+def test_the_degeneration_check_filters_no_bundle(monkeypatch):
+    calls = []
+    filter_ = HNBundle.filter
+    monkeypatch.setattr(HNBundle, "filter",
+                        lambda self, mu, mode: calls.append((self, mu, mode)) or filter_(self, mu, mode))
+    assert B("1,-1").filter(0, ">") == B("1") and len(calls) == 1
+    calls.clear()
+    assert verify_degeneration(SMALL_INT).passed
+    assert calls == []
 
 
 def _reference_step_slope_problems(m, rr, s):
