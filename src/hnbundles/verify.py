@@ -75,7 +75,6 @@ from .degeneration import (
     REDUCED_CONDITIONS,
     SUBBUNDLE_CONDITIONS,
     ConditionSet,
-    DecompositionTriple,
 )
 from .degrees import (
     _negative_stratum, c_value, codimension, deg_nonneg, deg_nonneg_oracle, image_term,
@@ -129,6 +128,12 @@ class UniverseSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "slope_min", Fraction(*_as_slope(self.slope_min)))
         object.__setattr__(self, "slope_max", Fraction(*_as_slope(self.slope_max)))
+        for name in ("max_rank", "max_denominator", "sample_limit", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "sample_limit":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
         if self.max_denominator < 1:
@@ -403,33 +408,33 @@ class VerificationReport:
 _Outcome = tuple[int, list[str], list[str]]
 
 
-def _bounded_samples(n: int, count: int, what: str) -> int:
-    """``n``, or PreconditionError when ``n`` draws pass the universe's ``count`` ``what``.
+def _samples(universe: Universe, arity: int, what: str, default: int | None = None,
+             rng: random.Random | None = None) -> tuple[int, Iterable[tuple[HNBundle, ...]]]:
+    """How many ``arity``-tuples of the pool a check reads, and the tuples.
 
-    The draws are made with replacement, so without this bound their cost
-    would grow with ``sample_limit`` and not with the universe.
+    Every tuple in product order, unless ``sample_limit`` is set or the
+    universe holds more than ``default``; else that many lazy draws with
+    replacement from ``rng`` (seeded by the spec when not given).  A
+    ``sample_limit`` above the universe's count of ``what`` raises
+    :class:`PreconditionError` before the first draw, since the draws'
+    cost grows with it and not with the universe.
     """
-    if n > count:
-        raise PreconditionError(f"a sample of {n} exceeds the universe's {count} {what}")
-    return n
-
-
-def _pair_stream(universe: Universe) -> Iterator[tuple[HNBundle, HNBundle]]:
     pool, spec = universe.pool, universe.spec
-    if spec.sample_limit is None:
-        yield from itertools.product(pool, repeat=2)
-    else:
-        draws = _bounded_samples(spec.sample_limit, len(pool) ** 2, "ordered pairs")
-        rng = random.Random(spec.seed)
-        for _ in range(draws):
-            yield rng.choice(pool), rng.choice(pool)
+    total, draws = len(pool) ** arity, spec.sample_limit
+    if draws is None:
+        if default is None or total <= default:
+            return total, itertools.product(pool, repeat=arity)
+        draws = default
+    elif draws > total:
+        raise PreconditionError(f"a sample of {draws} exceeds the universe's {total} {what}")
+    rng = rng or random.Random(spec.seed)
+    return draws, (tuple(rng.choice(pool) for _ in range(arity)) for _ in range(draws))
 
 
 def _equivalence(universe: Universe) -> _Outcome:
     cex: list[str] = []
-    count = 0
-    for e, f in _pair_stream(universe):
-        count += 1
+    count, pairs = _samples(universe, 2, "ordered pairs")
+    for e, f in pairs:
         by_ranks = rank_condition(e, f)
         by_slopes = slopewise_dominates(f, e)
         if by_ranks != by_slopes:
@@ -444,9 +449,8 @@ def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
 
 def _oracles(universe: Universe) -> _Outcome:
     cex: list[str] = []
-    count = 0
-    for v, w in _pair_stream(universe):
-        count += 1
+    count, pairs = _samples(universe, 2, "ordered pairs")
+    for v, w in pairs:
         fast = deg_nonneg(v, w)
         slow = deg_nonneg_oracle(v, w)
         if fast != slow:
@@ -556,12 +560,13 @@ def verify_key_inequality(spec: UniverseSpec) -> VerificationReport:
 
 
 class ChainStep(NamedTuple):
-    """One step of the chains to one Q, from one member: everything about it that does not read F.
+    """One step of the chains to one Q, from one member: what the checks read of it, without F.
 
-    ``decomposition`` is decompose_mrs(member, Q) and ``problems`` are the
-    step's violations without their "step i" label.  ``following`` is the
-    next member's position and ``degenerating`` whether dual(member)
-    dominates its dual; both are None at Q, where the chain ends.
+    ``problems`` are the violations of decompose_mrs(member, Q) without
+    their "step i" label; the decomposition itself is not kept.
+    ``following`` is the next member's position and ``degenerating``
+    whether dual(member) dominates its dual; both are None at Q, where the
+    chain ends.
 
     ``s_rank`` and ``s_top`` are the F-free half of the stall rule, as
     integers: rank(S), and mu_max(S) as its key's ``(p, q)``, None when S is
@@ -569,7 +574,6 @@ class ChainStep(NamedTuple):
     compares ``s_rank`` with rank(F^{>-p/q}).
     """
 
-    decomposition: DecompositionTriple
     problems: tuple[str, ...]
     following: int | None
     degenerating: bool | None
@@ -624,9 +628,9 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
                     bad.append("mu_min(M) < mu_max(S)")
     s_top = s._key[0][:2] if s._key else None
     if member == q:
-        return ChainStep(triple, tuple(bad), None, None, s.rank, s_top)
+        return ChainStep(tuple(bad), None, None, s.rank, s_top)
     following = degeneration._next_member(triple)
-    return ChainStep(triple, tuple(bad), position(following),
+    return ChainStep(tuple(bad), position(following),
                      slopewise_dominates(member.dual(), following.dual()), s.rank, s_top)
 
 
@@ -648,11 +652,7 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
         return ChainCheck((), (), None, (f"trace failed: {exc}",), ())
     positions = (ei, *walk)
     bad: list[str] = []
-    # Positions name bundles one to one, so the endpoints compare as positions.
-    if positions[0] != ei or positions[-1] != qi:
-        bad.append("chain endpoints wrong")
-    if len(walked) != len(walk):
-        bad.append("trace lengths inconsistent")
+    # walk_chain ends at Q and decomposes each member once, so only the ranks can go wrong.
     q_rank = q.rank
     if any(members[i].rank != q_rank for i in walk):
         bad.append("rank plateau broken")
@@ -715,13 +715,17 @@ def _degeneration(universe: Universe) -> _Outcome:
     count = 0
     # E_1 is built once per E, at E's first triple.
     starts = _Table(lambda ei: _chain_start(universe, pool[ei]))
-    chains = _Table(lambda ei: _Table(partial(_chain, universe, starts, ei)))
     members, degrees, nonneg = universe.members, universe.degrees, universe.nonneg
+    current = None
     for ei, fi, group in _triple_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit):
         if not group:
             continue
         count += len(group)
-        from_e, into_f = chains[ei], degrees[fi]
+        if ei != current:
+            # The stream yields every group of one E before the next and never comes back,
+            # so only the current E's chains, keyed by Q, are kept.
+            current, from_e = ei, _Table(partial(_chain, universe, starts, ei))
+        into_f = degrees[fi]
         for qi in group:
             checked = from_e[qi]
             bad, notes = checked.violations, checked.findings
@@ -800,16 +804,9 @@ _INVARIANCE_TRIALS = 1000
 
 
 def _invariance(universe: Universe) -> _Outcome:
-    pool, spec = universe.pool, universe.spec
-    rng = random.Random(spec.seed)
-    if spec.sample_limit is None and len(pool) ** 3 <= _INVARIANCE_TRIALS:
-        trials = len(pool) ** 3
-        triples: Iterable[tuple[HNBundle, ...]] = itertools.product(pool, repeat=3)
-    else:
-        trials = (_INVARIANCE_TRIALS if spec.sample_limit is None
-                  else _bounded_samples(spec.sample_limit, len(pool) ** 3, "triples"))
-        # Drawn lazily, so each triple's draws still precede its factor and shift.
-        triples = ((rng.choice(pool), rng.choice(pool), rng.choice(pool)) for _ in range(trials))
+    rng = random.Random(universe.spec.seed)
+    # Each triple's draws precede its factor and shift.
+    trials, triples = _samples(universe, 3, "triples", _INVARIANCE_TRIALS, rng)
     cex: list[str] = []
     for e, f, q in triples:
         factor = rng.randint(1, 3)

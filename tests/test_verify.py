@@ -102,6 +102,11 @@ def test_universe_spec_validation():
                    {"slope_max": "1e3"}):
         with pytest.raises(ValueError):
             UniverseSpec(**slopes)
+    # Sizes and the seed are ints, not bools, floats or strings.
+    for name in ("max_rank", "max_denominator", "sample_limit", "seed"):
+        for value in (2.5, 1.5, 1.0, True, "3", Fraction(2)):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                UniverseSpec(**{name: value})
 
 
 def test_admissible_slopes():
@@ -933,6 +938,23 @@ def test_a_universe_is_freed_without_the_cycle_collector():
     finally:
         if collecting:
             gc.enable()
+
+
+def test_a_chain_step_keeps_no_decomposition(monkeypatch):
+    # The universe stays alive, so only its steps could hold a decomposition.
+    decompose_mrs, made = degeneration.decompose_mrs, []
+
+    def recording(e_i, q):
+        triple = decompose_mrs(e_i, q)
+        made.append(weakref.ref(triple))
+        return triple
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", recording)
+    universe = verify.Universe(SMALL_INT)
+    _, counterexamples, _ = verify.CHECKS["degeneration"][0](universe)
+    assert not counterexamples and universe.steps
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
 
 
 # ----------------------------------------------------------------------
