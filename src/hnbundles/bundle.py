@@ -335,9 +335,9 @@ class HNBundle:
     # ------------------------------------------------------------------
     # polygon
 
-    @cached_property
+    @property
     def segment_vectors(self) -> tuple[SegmentVector, ...]:
-        """One (rank, degree) vector per HN segment, slope-descending."""
+        """One (rank, degree) vector per HN segment, slope-descending, built when read."""
         return tuple([SegmentVector(m * q, m * p) for p, q, m in self._key])
 
     @cached_property
@@ -345,9 +345,9 @@ class HNBundle:
         """Vertices of the HN polygon, starting at (0, 0)."""
         vertices = [PolygonVertex(0, 0)]
         x = y = 0
-        for seg in self.segment_vectors:
-            x += seg.rank
-            y += seg.degree
+        for p, q, m in self._key:
+            x += q * m
+            y += p * m
             vertices.append(PolygonVertex(x, y))
         return tuple(vertices)
 

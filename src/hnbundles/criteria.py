@@ -73,25 +73,25 @@ def slopewise_dominates(f: HNBundle, e: HNBundle) -> bool:
     if e.rank > f.rank:
         return False
     # Both polygons are linear between vertices, so it suffices to compare the
-    # two segment slopes on each stretch where neither polygon has a vertex:
-    # O(number of summands), whatever the ranks.  e_left and f_left are the
-    # widths of the current segments still ahead of the last vertex.
-    f_segments = iter(f.segment_vectors)
-    f_rank, f_degree = next(f_segments)
-    f_left = f_rank
-    for e_rank, e_degree in e.segment_vectors:
-        e_left = e_rank
+    # two slopes p/q on each stretch where neither polygon has a vertex, by
+    # cross-multiplying: O(number of summands), whatever the ranks.  e_left and
+    # f_left are the units (q*m per summand) still ahead of the last vertex.
+    f_summands = iter(f._key)
+    fp, fq, fm = next(f_summands)
+    f_left = fq * fm
+    for ep, eq, em in e._key:
+        e_left = eq * em
         while True:
-            if e_degree * f_rank > f_degree * e_rank:
+            if ep * fq > fp * eq:
                 return False
             if e_left < f_left:
                 f_left -= e_left
                 break
             e_left -= f_left
-            # F's segment ends here.  rank(e) <= rank(f), so F runs out only
-            # where E does, after its last segment; the default is never compared.
-            f_rank, f_degree = next(f_segments, (1, 0))
-            f_left = f_rank
+            # F's summand ends here.  rank(e) <= rank(f), so F runs out only
+            # where E does, after its last summand; the default is never compared.
+            fp, fq, fm = next(f_summands, (0, 1, 1))
+            f_left = fq * fm
             if not e_left:
                 break
     return True

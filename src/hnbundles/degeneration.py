@@ -302,10 +302,11 @@ def walk_chain(e: HNBundle, q: HNBundle, first: Member, last: Member,
     (member, Q) and ``advance(decomposition)`` the member after one other
     than Q.  :func:`degeneration_chain` walks bundles; a caller that walks
     many chains to one Q can label the members and look up the steps it
-    has already taken.  Raises an :class:`InternalConsistencyError` if the
-    walk does not reach ``last`` within rank(Q) + 2 steps (impossible for
-    admissible input: the rank of the shared prefix grows strictly at every
-    non-terminal step and is bounded by rank(Q)).
+    has already taken; its ``advance`` may return None to stop before ``last``.
+    Raises an :class:`InternalConsistencyError` if the walk does not reach
+    ``last`` within rank(Q) + 2 steps (impossible for admissible input: the
+    rank of the shared prefix grows strictly at every non-terminal step and
+    is bounded by rank(Q)).
     """
     members = [first]
     decompositions = []
@@ -316,9 +317,10 @@ def walk_chain(e: HNBundle, q: HNBundle, first: Member, last: Member,
                 f"chain for E={e}, Q={q} exceeded {q.rank + 2} steps"
             )
         decompositions.append(decompose(member))
-        if member == last:
+        following = None if member == last else advance(decompositions[-1])
+        if following is None:
             return members, decompositions
-        members.append(advance(decompositions[-1]))
+        members.append(following)
 
 
 def degeneration_chain(

@@ -2,11 +2,12 @@
 
 Everything here reduces to one number: ``deg_nonneg(V, W)``, the degree of
 the nonnegative-slope part of Hom(V, W) = dual(V) (x) W.  It is computed
-without forming the tensor product: writing the HN polygons of V and W as
-sequences of integer segment vectors, each pair (v, w) with
-slope(v) <= slope(w) contributes the two-dimensional cross product
-``v x w``, and those contributions sum to the degree.  The value is a
-nonnegative integer and vanishes whenever mu_min(V) >= mu_max(W).
+without forming the tensor product, on the integer keys: each pair of a
+summand a/b of V (multiplicity m) and a summand c/d of W (multiplicity n)
+with a/b < c/d contributes m*n*(b*c - a*d), the cross product of their HN
+segments (m*b, m*a) and (n*d, n*c), and those contributions sum to the
+degree.  The value is a nonnegative integer and vanishes whenever
+mu_min(V) >= mu_max(W).
 
 ``deg_nonneg_oracle`` recomputes the same number along the direct route
 (expand the tensor product into stable summands, keep slopes >= 0, take the
@@ -55,16 +56,16 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
-    """Degree of the slope->=0 part of Hom(v, w), by segment cross products."""
+    """Degree of the slope->=0 part of Hom(v, w): m*n*(b*c - a*d) summed over a/b < c/d."""
     total = 0
-    w_segments = w.segment_vectors
-    for a_rank, a_degree in v.segment_vectors:
-        for b_rank, b_degree in w_segments:
-            # Ranks are positive, so the cross product a x b is >= 0 exactly
-            # when slope(a) <= slope(b); equal slopes contribute 0 either way.
-            cross = a_rank * b_degree - a_degree * b_rank
-            if cross > 0:
-                total += cross
+    w_key = w._key
+    for a, b, m in v._key:
+        # w's key descends, so its c/d > a/b, where b*c - a*d > 0 (b, d > 0), are a prefix.
+        for c, d, n in w_key:
+            cross = b * c - a * d
+            if cross <= 0:
+                break
+            total += m * n * cross
     return total
 
 

@@ -566,7 +566,8 @@ class ChainStep(NamedTuple):
     their "step i" label; the decomposition itself is not kept.
     ``following`` is the next member's position and ``degenerating``
     whether dual(member) dominates its dual; both are None at Q, where the
-    chain ends.
+    chain ends, and where the engine refuses to step on from a decomposition
+    with problems, where the chain stops and reports them.
 
     ``s_rank`` and ``s_top`` are the F-free half of the stall rule, as
     integers: rank(S), and mu_max(S) as its key's ``(p, q)``, None when S is
@@ -627,9 +628,15 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
                 if mp * sq < sp * mq:
                     bad.append("mu_min(M) < mu_max(S)")
     s_top = s._key[0][:2] if s._key else None
-    if member == q:
+    following = None
+    if member != q:
+        try:
+            following = degeneration._next_member(triple)
+        except PreconditionError:
+            if not bad:
+                raise
+    if following is None:
         return ChainStep(tuple(bad), None, None, s.rank, s_top)
-    following = degeneration._next_member(triple)
     return ChainStep(tuple(bad), position(following),
                      slopewise_dominates(member.dual(), following.dual()), s.rank, s_top)
 
@@ -652,12 +659,14 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
         return ChainCheck((), (), None, (f"trace failed: {exc}",), ())
     positions = (ei, *walk)
     bad: list[str] = []
-    # walk_chain ends at Q and decomposes each member once, so only the ranks can go wrong.
+    # walk_chain decomposes each member once and ends at Q or at a step with problems.
     q_rank = q.rank
     if any(members[i].rank != q_rank for i in walk):
         bad.append("rank plateau broken")
     for i, step in enumerate(walked, 1):
         bad.extend(f"step {i}: {problem}" for problem in step.problems)
+    if walk[-1] != qi:
+        return ChainCheck((), (), None, tuple(bad), ())
     notes = [] if degenerating else ["dual chain not degenerating at step 0"]
     notes.extend(f"dual chain not degenerating at step {i}"
                  for i, step in enumerate(walked[:-1], 1) if not step.degenerating)

@@ -527,7 +527,7 @@ def test_no_bundle_holds_a_fraction():
         value.multiplicity("3/2"), value.dual().dual(), hash(value)
         assert _fractions_held(value, set()) == [], repr(value)
         assert set(vars(value)) <= {"_key", "_hash", "_dual", "rank", "degree", "polygon",
-                                    "segment_vectors", "slope_pairs", "_integer_slopes"}
+                                    "slope_pairs", "_integer_slopes"}
 
 
 def test_assigning_or_deleting_an_attribute_raises():

@@ -18,6 +18,7 @@ from hnbundles import (
     dim_hom,
     enumerate_bundles,
     parse_bundle,
+    rank_condition,
     slopewise_dominates,
     stable,
     stratum_dim,
@@ -89,6 +90,38 @@ def test_dominance_degree_bound():
     for e, f in itertools.product(pool, repeat=2):
         if slopewise_dominates(f, e):
             assert f.filter(0, ">=").degree >= e.filter(0, ">=").degree
+
+
+# Denominators up to 3 make summands span 1, 2 or 3 units, so the stretches
+# where neither polygon has a vertex seldom line up with either one's summands.
+UNALIGNED = UniverseSpec(max_rank=5, slope_min=-1, slope_max=1, max_denominator=3)
+
+
+def _unit_slopes(v):
+    """The slope of v's HN polygon on each unit interval, in order."""
+    return [slope for slope, m in v.summands for _ in range(slope.denominator * m)]
+
+
+def test_the_kernels_match_their_definitions_where_unit_stretches_do_not_align():
+    pool = list(enumerate_bundles(UNALIGNED, include_zero=True))
+    assert len(pool) == 156
+    units = {v: _unit_slopes(v) for v in pool}
+    for v, w in itertools.product(pool, repeat=2):
+        below, above = units[v], units[w]
+        dominates = len(below) <= len(above) and all(b <= a for b, a in zip(below, above))
+        assert slopewise_dominates(w, v) == dominates, (w, v)
+        assert deg_nonneg(v, w) == deg_nonneg_oracle(v, w), (v, w)
+
+
+def test_the_kernels_read_only_the_key_at_rank_10_12():
+    n = 10**12
+    bundles = [B(f"1/{n}"), B(f"0:{n}"), B(f"-1/{n}"), B(f"1:{n - 1},-1"), B(f"3/{n},-1:{n}")]
+    deg_nonneg.cache_clear()  # so every pair below runs the kernel
+    for v, w in itertools.product(bundles, repeat=2):
+        assert slopewise_dominates(w, v) == rank_condition(v, w), (w, v)
+        assert deg_nonneg(v, w) == deg_nonneg_oracle(v, w), (v, w)
+    assert deg_nonneg.cache_info().misses == len(bundles) ** 2
+    assert not any("segment_vectors" in vars(v) for v in bundles)
 
 
 # ----------------------------------------------------------------------

@@ -651,6 +651,34 @@ def test_a_shared_step_that_raises_fails_every_chain_to_its_q(monkeypatch):
     assert len(failed) > 1
 
 
+def test_a_step_the_engine_refuses_to_leave_reports_its_own_problems(monkeypatch):
+    triples = list(admissible_triples(SMALL_INT, REDUCED_CONDITIONS))
+    chains = {(e, f, q): degeneration_trace(e, f, q).chain for e, f, q in triples}
+    member, q0 = next((chain[2], q) for (_, _, q), chain in chains.items() if len(chain) > 3)
+    original = degeneration.decompose_mrs
+
+    def faulty(e_i, q):
+        # Does not reassemble the duals, and the engine refuses to step on from it:
+        # S = O(-1) does not dominate R = O(1).
+        if (e_i, q) == (member, q0):
+            return DecompositionTriple(ZERO, B("1"), B("-1"))
+        return original(e_i, q)
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", faulty)
+    through = {(e, f, q): chain.index(member) for (e, f, q), chain in chains.items()
+               if q == q0 and member in chain[1:]}
+    assert len(through) > 1
+    report = verify_degeneration(SMALL_INT)
+    assert set(report.counterexamples) == {
+        f"E={e} F={f} Q={q}: step {i}: decomposition does not reassemble the duals"
+        for (e, f, q), i in through.items()}
+    assert report.findings == ()
+    # The reference trace stops inside the engine, which names only its own refusal.
+    _, cex, _ = _reference_degeneration(SMALL_INT)
+    assert set(cex) == {f"E={e} F={f} Q={q}: trace failed: -1 does not slopewise dominate 1"
+                        for e, f, q in through}
+
+
 STALL = "codimension stalled without the rank equality"
 
 
