@@ -28,13 +28,17 @@ whenever rank(E) > rank(F).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import and_, or_
+from typing import Sequence
 
-from .bundle import HNBundle, _trusted, summand_difference
+from .bundle import HNBundle, _DESCENDING, _trusted, summand_difference
 
 __all__ = [
     "rank_condition",
     "slopewise_dominates",
+    "dominators",
     "is_subbundle",
     "is_quotient",
     "strip_common_slopes",
@@ -60,9 +64,10 @@ def rank_condition(e: HNBundle, f: HNBundle) -> bool:
     return True
 
 
-# No memo: a verify.Universe asks each question once per table cell, and a memo
-# only kept its keys alive.  A zero-size lru_cache holds nothing and counts every
-# call as a miss; it stays only for its cache_info() and cache_clear(), which the
+# No memo: a verify.Universe reads the triple conditions off its dominance relations
+# (:func:`dominators`), and the degeneration chains ask each of theirs once per step,
+# so a memo only kept its keys alive.  A zero-size lru_cache holds nothing and counts
+# every call as a miss; it stays only for its cache_info() and cache_clear(), which the
 # benchmark's cold-cache step reads, until that step stops reading lru_caches
 # (ROADMAP items 2 and 3) and the decorator goes.
 @lru_cache(maxsize=0)
@@ -95,6 +100,42 @@ def slopewise_dominates(f: HNBundle, e: HNBundle) -> bool:
             if not e_left:
                 break
     return True
+
+
+def dominators(keys: Sequence[tuple[tuple[int, int, int], ...]]) -> list[int]:
+    """Slopewise dominance in bulk: bit U of entry L is set when bundle U dominates bundle L.
+
+    The bundles are given by their keys.  The unit slopes of a polygon never
+    increase, and L's are constant along each summand, so U dominates L
+    exactly when, at the last unit r of each summand p/q of L, U's r-th
+    unit slope is at least p/q (U has none when rank(U) < r): the rank
+    condition at L's own slopes.  One scan of the keys per distinct such r
+    buckets the bundles by their r-th unit slope; a running OR from the top
+    slope down turns the buckets into threshold masks, and each bundle ANDs
+    one mask per summand.  O(distinct r * bundles * summands) integer work
+    and len(keys)**2 bits, whatever the ranks.
+    """
+    slopes = sorted({(p, q) for key in keys for p, q, _ in key}, key=_DESCENDING)
+    index = {slope: i for i, slope in enumerate(slopes)}
+    # Each bundle's vertices: (r, the index of the summand's slope) at the end of each summand.
+    vertices = []
+    for key in keys:
+        r, ends = 0, []
+        for p, q, m in key:
+            r += q * m
+            ends.append((r, index[p, q]))
+        vertices.append(ends)
+    at_least = {}  # r -> by slope index i, the mask of U whose r-th unit slope is >= slopes[i]
+    for r in {r for ends in vertices for r, _ in ends}:
+        buckets = [0] * len(slopes)
+        for u, ends in enumerate(vertices):
+            for end, i in ends:
+                if end >= r:
+                    buckets[i] |= 1 << u
+                    break
+        at_least[r] = list(accumulate(buckets, or_))
+    everyone = (1 << len(keys)) - 1
+    return [reduce(and_, [at_least[r][i] for r, i in ends], everyone) for ends in vertices]
 
 
 def is_subbundle(e: HNBundle, f: HNBundle) -> bool:

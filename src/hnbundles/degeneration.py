@@ -50,6 +50,7 @@ __all__ = [
     "GENERAL_CONDITIONS",
     "REDUCED_CONDITIONS",
     "PAIR_CONDITIONS",
+    "EMBEDDING_CONDITIONS",
     "QUOTIENT_CONDITIONS",
     "SUBBUNDLE_CONDITIONS",
     "general_violations",
@@ -128,11 +129,15 @@ class Condition(NamedTuple):
 
 
 class ConditionSet(NamedTuple):
-    """Conditions on E alone, on the pair (E, F) and on (E, Q); every set also holds (iii).
+    """Conditions on E alone, on the pair (E, F) and on (E, Q); every set also holds (i)-(iii).
 
-    Condition (iii), ``SUBBUNDLE_CONDITIONS``, is the (F, Q) test of every
-    triple.  An entry placed in several groups is one condition and is
-    named once among the violations.
+    The three dominance conditions, ``EMBEDDING_CONDITIONS`` (i),
+    ``QUOTIENT_CONDITIONS`` (ii) and ``SUBBUNDLE_CONDITIONS`` (iii), are the
+    (E, F), (E, Q) and (F, Q) tests of every triple.  An enumeration reads
+    them off a universe's dominance relations (``verify.Universe``);
+    :meth:`violations` asks them through ``slopewise_dominates``.  An entry
+    placed in several groups is one condition and is named once among the
+    violations.
     """
 
     on_e: tuple[Condition, ...]
@@ -142,8 +147,8 @@ class ConditionSet(NamedTuple):
     def violations(self, e: HNBundle, f: HNBundle, q: HNBundle) -> tuple[tuple[str, str], ...]:
         """The failing conditions as (name, requirement) pairs, sorted by name."""
         failed = [c for c in self.on_e if not c.test(e)]
-        failed += [c for c in self.on_pair if not c.test(e, f)]
-        failed += [c for c in self.on_quotient if not c.test(e, q)]
+        failed += [c for c in (*self.on_pair, *EMBEDDING_CONDITIONS) if not c.test(e, f)]
+        failed += [c for c in (*self.on_quotient, *QUOTIENT_CONDITIONS) if not c.test(e, q)]
         failed += [c for c in SUBBUNDLE_CONDITIONS if not c.test(f, q)]
         return tuple(sorted({(c.name, c.requirement) for c in failed}))
 
@@ -158,10 +163,13 @@ _INTEGER_SLOPES = Condition(
 PAIR_CONDITIONS = (
     Condition("(iv)", "E and F must have no common slopes",
               lambda e, f: e.slope_pairs.isdisjoint(f.slope_pairs)),
-    Condition("(i)", "F must slopewise dominate E", lambda e, f: slopewise_dominates(f, e)),
 )
 
-# Necessary for Q to be the image of a map E -> F: Q is a quotient of E ...
+# The dominance conditions, which every ConditionSet holds.  E is a subbundle of F ...
+EMBEDDING_CONDITIONS = (
+    Condition("(i)", "F must slopewise dominate E", lambda e, f: slopewise_dominates(f, e)),
+)
+# ... and Q, to be the image of a map E -> F, must be a quotient of E ...
 QUOTIENT_CONDITIONS = (
     Condition("(ii)", "dual(E) must slopewise dominate dual(Q)", lambda e, q: is_quotient(q, e)),
 )
@@ -172,7 +180,6 @@ SUBBUNDLE_CONDITIONS = (
 
 GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
     Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank),
-    *QUOTIENT_CONDITIONS,
 ))
 
 REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO, _INTEGER_SLOPES), (
@@ -180,7 +187,6 @@ REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO, _INTEGER_SLOPES), (
 ), (
     Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1),
     _INTEGER_SLOPES,
-    *QUOTIENT_CONDITIONS,
 ))
 
 

@@ -28,11 +28,11 @@ conditions (quotient of E, subbundle of F) are checked, which cannot create
 false failures because extra candidates can only carry smaller strata.
 
 Every check reads one :class:`Universe`: the pool (:func:`bundle_pool`),
-each bundle's position in it, and tables by position that compute each
-value at its first read and keep it, a row per first position:
+each bundle's position in it, the dominance relations among its members,
+built once, and tables by position that compute each value at its first
+read and keep it, a row per first position:
 
 * ``degrees`` - deg_nonneg(V, W), by W, then V;
-* ``images``  - condition (iii), "F dominates Q", by F, then Q;
 * ``terms``   - the F-free codimension term deg_nonneg(Q, Q) - deg_nonneg(V, Q),
                 by V, then Q;
 * ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule,
@@ -45,9 +45,10 @@ spec and hands it to every check body on that spec, so a run asks each of
 these questions once, whichever checks read the answer; it times each body
 and builds its report.  ``verify_X(spec)`` is ``run_checks([X], spec)[0]``.
 The three triple checks read one stream, :func:`_triple_groups`, each with
-its own conditions; per triple only table lookups and the integer
-codimension formulas of :mod:`hnbundles.degrees` remain, and no value is
-computed that a per-triple check would not compute.
+its own conditions; it reads the dominance conditions (i), (ii) and (iii)
+off the universe's relations, so per triple only table lookups and the
+integer codimension formulas of :mod:`hnbundles.degrees` remain, and no
+value is computed that a per-triple check would not compute.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import heapq
 import itertools
 import random
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -65,8 +66,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
-                     _as_slope, _link_duals, _sum_key)
-from .criteria import rank_condition, slopewise_dominates
+                     _as_slope, _dual_key, _link_duals, _sum_key)
+from .criteria import dominators, rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
     GENERAL_CONDITIONS,
@@ -215,13 +216,17 @@ def enumerate_bundles(spec: UniverseSpec, include_zero: bool = False) -> Iterato
     """
     slopes = admissible_slopes(_member_spec(spec))
     widths = [lam.denominator for lam in slopes]
+    widest = max(widths, default=1)
+    # By budget, up to the widest slope, the ascending positions of the slopes that fit it,
+    # so that a frame steps past every slope too wide for its budget by index.
+    fitting = _Table(lambda budget: [i for i, width in enumerate(widths) if width <= budget])
 
     def rec(start: int, budget: int) -> Iterator[tuple[tuple[Fraction, int], ...]]:
         yield ()
-        for idx in range(start, len(slopes)):
+        candidates = fitting[min(budget, widest)]
+        for k in range(bisect_left(candidates, start), len(candidates)):
+            idx = candidates[k]
             width = widths[idx]
-            if width > budget:
-                continue
             for mult in range(1, budget // width + 1):
                 head = ((slopes[idx], mult),)
                 for tail in rec(idx + 1, budget - mult * width):
@@ -279,6 +284,14 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
             yield q
 
 
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int, size: int) -> bytes:
+    """Bits 0, ..., size - 1 of ``mask`` as one byte each: 1 where the bit is set, else 0."""
+    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS_TO_BYTES)
+
+
 class _Table(dict):
     """A dict that fills a missing key with ``fill(key)`` and keeps it, unless the fill raises."""
 
@@ -294,7 +307,7 @@ class _Table(dict):
 
 
 class Universe:
-    """The pool of one spec, and every table the checks on it share, by position.
+    """The pool of one spec, its dominance relations, and every table the checks on it share.
 
     :func:`run_checks` builds one per distinct spec, outside any check's clock.
 
@@ -304,27 +317,22 @@ class Universe:
     is a dict that fills a missing key from there.  ``by_rank`` lists the
     pool positions stably sorted by rank, and ``ranks`` their ranks.
 
-    ``levels`` is the top-slope index: by pool position, the dense rank of
-    mu_max among the pool's top slopes, and -1 for zero, so that two
-    levels compare as their mu_max do.  For nonzero E, (i) "F dominates
-    E" compares the polygons on [0, 1] first, so F is nonzero and
-    mu_max(F) >= mu_max(E); (iv) "no common slope" rules out equality.
-    So every F that passes both has a level above E's, and
-    :func:`_triple_groups` skips every other F by that integer compare.
-    Zero E keeps every F, zero included: every F dominates it and shares
-    no slope with it.
+    ``dominators[L]`` is an int whose bit U is set when pool member U
+    slopewise dominates L, and ``dual_dominators[L]`` the same over the
+    duals, so its bit E says that L passes ``is_quotient(L, E)``; both are
+    built once, from the keys (:func:`hnbundles.criteria.dominators`).
+    ``dominator_flags[L]`` and ``dual_dominator_flags[L]`` decode a mask at
+    its first read into one byte per pool position, 1 where the bit is set,
+    so that a test of one cell is an index, not a shift of a pool-wide int.
+    The triple stream reads dominance only from these; ``slopewise_dominates``
+    is asked by the degeneration chains alone, once per step.
 
-    Dominance has no memo: each question is asked once per cell of the
-    universe.  The pool's duals are linked first: each member whose dual is
-    also a member gets that member as ``dual()``, so ``dual()`` builds no
-    second, equal object per member.  The links change no ``deg_nonneg``
-    memo hit and no ``__eq__`` call; they save the objects.
-
-    A row of ``images`` is a list by Q position that :func:`_triple_groups`
-    fills with ``image_tests``, the tests of ``SUBBUNDLE_CONDITIONS``.  The
-    fills look ``deg_nonneg`` up on this module at call time and the tests
-    are bound when the universe is built, so a test or tracer that rebinds
-    either before then sees every call.
+    The pool's duals are linked first: each member whose dual is also a
+    member gets that member as ``dual()``, so ``dual()`` builds no second,
+    equal object per member.  The links change no ``deg_nonneg`` memo hit
+    and no ``__eq__`` call; they save the objects.  The ``degrees`` fills
+    look ``deg_nonneg`` up on this module at call time, so a test or tracer
+    that rebinds it sees every call.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
@@ -335,13 +343,12 @@ class Universe:
         where = {bundle: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
-        tops = sorted({bundle._key[0][:2] for bundle in pool if bundle._key},
-                      key=lambda top: Fraction(*top))
-        level = {top: i for i, top in enumerate(tops)}
-        self.levels = [level[bundle._key[0][:2]] if bundle._key else -1 for bundle in pool]
-        self.image_tests = [c.test for c in SUBBUNDLE_CONDITIONS]
-        # List rows: Q is always a pool position; dict rows made warm rank-5 key-inequality slower.
-        self.images = _Table(lambda f: [None] * len(pool))
+        self.dominators = dominating = dominators([bundle._key for bundle in pool])
+        self.dual_dominators = dual_dominating = dominators([_dual_key(bundle._key)
+                                                             for bundle in pool])
+        size = len(pool)
+        self.dominator_flags = _Table(lambda i: _flags(dominating[i], size))
+        self.dual_dominator_flags = _Table(lambda i: _flags(dual_dominating[i], size))
 
         # The fills close over these locals, not over self, so a Universe forms no cycle.
         def position(bundle: HNBundle) -> int:
@@ -470,38 +477,32 @@ def _triple_groups(
 
     E, F and Q are named by pool position.  E and F run over the pool in
     its order and Q over its rank order, so the flattened groups are the
-    triples meeting every condition of ``conditions``, and (iii), in a
-    fixed order.
-    Each group of conditions is tested in the outermost loop that holds its
-    bundles, in entry order up to the first that fails: the (E, Q) group
-    filters the Q positions once per E, at E's first admissible F, and the
-    (F, Q) group is read from the universe's ``images`` table.  Every
-    admissible (E, F) is yielded, with an empty group when no Q completes
-    it; the groups hold at most ``limit`` triples in all.  The test
-    functions are bound once per call, so a caller that rebinds a
-    condition set or one of its entries sees every call.
-
-    For nonzero E, the universe's top-slope index skips every F whose
-    level is not above E's before any pair condition is asked: by (i) and
-    (iv), mu_max(F) > mu_max(E) for every admissible F (see
-    :class:`Universe`).  The index is sound only because every condition
-    set this stream reads holds ``PAIR_CONDITIONS``, (iv) and (i), in
-    ``on_pair``.  It skips only pairs that those conditions reject, so the
-    stream, its order and its ``limit`` prefixes are those of a scan of
-    every F.
+    triples meeting every condition of ``conditions``, and (i), (ii) and
+    (iii), in a fixed order.
+    The dominance conditions are read off the universe's relations, never
+    asked: (i) "F dominates E" gives the F of E, the set bits of
+    ``dominators[E]``; (ii) "Q is a quotient of E" is bit E of
+    ``dual_dominators[Q]``, tested before the (E, Q) group; and (iii)
+    "F dominates Q" is bit F of ``dominators[Q]``.  Each group of
+    ``conditions`` is tested in the outermost loop that holds its bundles,
+    in entry order up to the first that fails, after the dominance
+    condition on the same bundles: the (E, Q) group filters the Q
+    positions once per E, at E's first admissible F.  Every admissible
+    (E, F) is yielded, with an empty group when no Q completes it; the
+    groups hold at most ``limit`` triples in all.  The test functions are
+    bound once per call, so a caller that rebinds a condition set or one
+    of its entries sees every call.
     """
     e_tests, pair_tests, quotient_tests = ([c.test for c in group] for group in conditions)
     pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
-    images, image_tests, levels = universe.images, universe.image_tests, universe.levels
+    dominating, dual_dominating = universe.dominator_flags, universe.dual_dominator_flags
     positions = range(len(pool))
     remaining = limit
     for ei, e in enumerate(pool):
         if not all(test(e) for test in e_tests):
             continue
         quotients = None
-        # Zero E (level -1) keeps every F, zero F included.
-        bar = -2 if e.is_zero else levels[ei]
-        for fi in itertools.compress(positions, map(bar.__lt__, levels)):
+        for fi in itertools.compress(positions, dominating[ei]):
             f = pool[fi]
             for test in pair_tests:
                 if not test(e, f):
@@ -509,26 +510,19 @@ def _triple_groups(
             else:
                 if quotients is None:
                     quotients = []
-                    # Only a prune: every condition set holds (ii), which requires
-                    # rank(Q) <= rank(E).
+                    # Only a prune: (ii) requires rank(Q) <= rank(E).
                     for qi in by_rank[:bisect_right(ranks, e.rank)]:
+                        if not dual_dominating[qi][ei]:
+                            continue
                         q = pool[qi]
                         for test in quotient_tests:
                             if not test(e, q):
                                 break
                         else:
                             quotients.append(qi)
-                row = images[fi]
-                for qi in quotients:
-                    if row[qi] is None:
-                        q = pool[qi]
-                        for test in image_tests:
-                            if not test(f, q):
-                                row[qi] = False
-                                break
-                        else:
-                            row[qi] = True
-                group = [qi for qi in quotients if row[qi]]
+                    # Each Q's flags by F, looked up once per E.
+                    above = [dominating[qi] for qi in quotients]
+                group = [qi for qi, flags in zip(quotients, above) if flags[fi]]
                 if remaining is not None:
                     group = group[:remaining]
                     remaining -= len(group)
@@ -761,7 +755,7 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
 def _stratification(universe: Universe) -> _Outcome:
     pool, degrees, terms = universe.pool, universe.degrees, universe.terms
     # Built at call time, so a test that rebinds a condition tuple sees every call.
-    conditions = ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS)
+    conditions = ConditionSet((), PAIR_CONDITIONS, ())
     cex: list[str] = []
     count = 0
     for ei, fi, group in itertools.islice(_triple_groups(universe, conditions),

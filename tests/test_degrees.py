@@ -24,6 +24,7 @@ from hnbundles import (
     stratum_dim,
     stratum_report,
 )
+from hnbundles.criteria import dominators
 
 B = parse_bundle
 
@@ -113,15 +114,26 @@ def test_the_kernels_match_their_definitions_where_unit_stretches_do_not_align()
         assert deg_nonneg(v, w) == deg_nonneg_oracle(v, w), (v, w)
 
 
-def test_the_kernels_read_only_the_key_at_rank_10_12():
+def _rank_10_12_bundles():
     n = 10**12
-    bundles = [B(f"1/{n}"), B(f"0:{n}"), B(f"-1/{n}"), B(f"1:{n - 1},-1"), B(f"3/{n},-1:{n}")]
+    return [B(f"1/{n}"), B(f"0:{n}"), B(f"-1/{n}"), B(f"1:{n - 1},-1"), B(f"3/{n},-1:{n}")]
+
+
+def test_the_kernels_read_only_the_key_at_rank_10_12():
+    bundles = _rank_10_12_bundles()
     deg_nonneg.cache_clear()  # so every pair below runs the kernel
     for v, w in itertools.product(bundles, repeat=2):
         assert slopewise_dominates(w, v) == rank_condition(v, w), (w, v)
         assert deg_nonneg(v, w) == deg_nonneg_oracle(v, w), (v, w)
     assert deg_nonneg.cache_info().misses == len(bundles) ** 2
     assert not any("segment_vectors" in vars(v) for v in bundles)
+
+
+def test_the_dominance_relation_reads_only_the_key_at_rank_10_12():
+    bundles = [ZERO, *_rank_10_12_bundles()]
+    relation = dominators([v._key for v in bundles])
+    for (low, e), (high, f) in itertools.product(enumerate(bundles), repeat=2):
+        assert (relation[low] >> high & 1) == slopewise_dominates(f, e), (f, e)
 
 
 # ----------------------------------------------------------------------

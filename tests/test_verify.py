@@ -50,7 +50,6 @@ from hnbundles import criteria, degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     PAIR_CONDITIONS,
-    QUOTIENT_CONDITIONS,
     REDUCED_CONDITIONS,
     ConditionSet,
     DecompositionTriple,
@@ -148,6 +147,31 @@ def test_enumerate_counts_against_dp_oracle():
         bundles = list(enumerate_bundles(spec))
         assert len(bundles) == expected
         assert len(set(bundles)) == expected
+
+
+def _enumerate_by_scanning_every_slope(spec):
+    """Every bundle of the universe in enumeration order, each frame scanning the whole slope list."""
+    slopes = admissible_slopes(replace(spec, max_denominator=min(spec.max_denominator, spec.max_rank)))
+
+    def rec(start, budget):
+        yield ()
+        for idx in range(start, len(slopes)):
+            width = slopes[idx].denominator
+            if width > budget:
+                continue
+            for mult in range(1, budget // width + 1):
+                for tail in rec(idx + 1, budget - mult * width):
+                    yield ((slopes[idx], mult),) + tail
+
+    return [HNBundle(combo) for combo in rec(0, spec.max_rank) if combo]
+
+
+def test_the_enumeration_steps_past_wide_slopes_in_the_scanning_order():
+    # Denominators up to 3 in a rank-6 box: frames with budgets 1 and 2 skip slopes.
+    spec = UniverseSpec(max_rank=6, slope_min=-1, slope_max=2, max_denominator=3)
+    expected = _enumerate_by_scanning_every_slope(spec)
+    assert len(expected) == 840 and any(lam.denominator == 3 for v in expected for lam in v.slopes())
+    assert list(enumerate_bundles(spec)) == expected
 
 
 def test_enumerate_tiny_example():
@@ -867,59 +891,44 @@ def test_stratification_reads_each_pair_once(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# how often each check asks condition (iii), which reads only (F, Q)
+# (i), (ii) and (iii) are bits of the universe's two dominance relations, never asked
 
-def _counting_image_condition(monkeypatch):
-    """Count the calls of condition (iii) by (F, Q), in every condition group the checks read."""
-    calls = Counter()
+def _counting_relation_builds(monkeypatch):
+    """Record the keys of every dominance relation a universe builds."""
+    built = []
+    dominators = verify.dominators
 
-    def counting(condition):
-        if condition.name != "(iii)":
-            return condition
+    def counting(keys):
+        built.append(list(keys))
+        return dominators(keys)
 
-        def test(*bundles):
-            calls[bundles[-2:]] += 1
-            return condition.test(*bundles)
-
-        return condition._replace(test=test)
-
-    for name in ("GENERAL_CONDITIONS", "REDUCED_CONDITIONS"):
-        groups = getattr(verify, name)
-        monkeypatch.setattr(verify, name, type(groups)(*(tuple(map(counting, group))
-                                                         for group in groups)))
-    monkeypatch.setattr(verify, "SUBBUNDLE_CONDITIONS",
-                        tuple(map(counting, verify.SUBBUNDLE_CONDITIONS)))
-    return calls
+    monkeypatch.setattr(verify, "dominators", counting)
+    return built
 
 
-def _triple_image_questions(conditions):
-    """The (F, Q) of every candidate triple that meets all conditions except possibly (iii)."""
-    bundles = list(enumerate_bundles(SMALL_INT))
-    images = list(enumerate_bundles(SMALL_INT, include_zero=True))
-    return {(f, q) for e in bundles for f in bundles for q in images
-            if q.rank < e.rank
-            and {name for name, _ in conditions.violations(e, f, q)} <= {"(iii)"}}
+def _refuse_dominance_asks(monkeypatch):
+    """Make every one-pair route to dominance raise: the stream must read the relations instead."""
+    def refused(*args):
+        raise AssertionError(f"dominance asked of {args}")
+
+    for module in (criteria, degeneration, verify):
+        for name in ("slopewise_dominates", "is_quotient"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
 
 
-def _stratification_image_questions():
-    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
-    return {(f, q) for e, f in _stratification_pairs(pool) for q in pool if is_quotient(q, e)}
-
-
-IMAGE_QUESTIONS = {
-    "key-inequality": lambda: _triple_image_questions(GENERAL_CONDITIONS),
-    "degeneration": lambda: _triple_image_questions(REDUCED_CONDITIONS),
-    "stratification": _stratification_image_questions,
-}
-
-
-@pytest.mark.parametrize("name", list(IMAGE_QUESTIONS))
+@pytest.mark.parametrize("name", ["key-inequality", "degeneration", "stratification"])
 def test_each_image_verdict_is_computed_once_per_call(monkeypatch, name):
-    expected = IMAGE_QUESTIONS[name]()
-    assert expected
-    calls = _counting_image_condition(monkeypatch)
-    assert run_checks([name], SMALL_INT)[0].passed
-    assert calls == Counter(expected)
+    # Every (i), (ii) and (iii) verdict is one bit of the two relations, which a call builds
+    # once each, over the pool's keys and over its duals' keys.
+    expected = _outcome(run_checks([name], SMALL_INT)[0])
+    built = _counting_relation_builds(monkeypatch)
+    if name != "degeneration":
+        # Only the degeneration chains ask dominance one pair at a time.
+        _refuse_dominance_asks(monkeypatch)
+    assert _outcome(run_checks([name], SMALL_INT)[0]) == expected
+    pool = verify.bundle_pool(SMALL_INT)
+    assert built == [[v._key for v in pool], [v.dual()._key for v in pool]]
 
 
 def _outcome(report):
@@ -931,22 +940,21 @@ def test_one_run_shares_its_universe_between_the_triple_checks(monkeypatch):
     alone = {name: _outcome(run_checks([name], SMALL_INT)[0]) for name in names}
     # Each check's expected set, and their union: what the run asks, since the checks overlap.
     per_check_reads = [set(reads()) for reads in DEGREE_READS.values()]
-    per_check_questions = [questions() for questions in IMAGE_QUESTIONS.values()]
-    degree_reads, image_questions = set().union(*per_check_reads), set().union(*per_check_questions)
+    degree_reads = set().union(*per_check_reads)
     assert len(degree_reads) < sum(map(len, per_check_reads))
-    assert len(image_questions) < sum(map(len, per_check_questions))
     enumerate_bundles = verify.enumerate_bundles
     for order in itertools.permutations(names):
         enumerated = []
         monkeypatch.setattr(verify, "enumerate_bundles", lambda *args, **kwargs: (
             enumerated.append(args) or enumerate_bundles(*args, **kwargs)))
         degree_calls = _counting_deg_nonneg(monkeypatch)
-        image_calls = _counting_image_condition(monkeypatch)
+        built = _counting_relation_builds(monkeypatch)
         reports = run_checks(order, SMALL_INT)
         monkeypatch.undo()
         assert len(enumerated) == 1
         assert degree_calls == Counter(degree_reads)
-        assert image_calls == Counter(image_questions)
+        # The dominance relation over the pool and the one over its duals, once each.
+        assert len(built) == 2
         assert [_outcome(report) for report in reports] == [alone[name] for name in order]
 
 
@@ -986,7 +994,8 @@ def test_a_chain_step_keeps_no_decomposition(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# how often the stream asks (i) and (ii): each group short-circuits in entry order, lazily
+# how often the stream asks the other conditions: each group short-circuits in entry order,
+# lazily, after the dominance condition on the same bundles
 
 def _counting_asks(monkeypatch, names):
     """Count the calls of each named condition by its bundles, in every group the checks read."""
@@ -1006,62 +1015,63 @@ def _counting_asks(monkeypatch, names):
         groups = getattr(verify, name)
         monkeypatch.setattr(verify, name, type(groups)(*(tuple(map(counting, group))
                                                          for group in groups)))
-    for name in ("PAIR_CONDITIONS", "QUOTIENT_CONDITIONS"):
-        monkeypatch.setattr(verify, name, tuple(map(counting, getattr(verify, name))))
+    monkeypatch.setattr(verify, "PAIR_CONDITIONS", tuple(map(counting, verify.PAIR_CONDITIONS)))
     return calls
 
 
 def _expected_asks(conditions):
-    """The (E, F) asked (i) and the (E, Q) asked (ii) by a stream that short-circuits each group.
+    """Each condition's asks, by bundles, from a stream that short-circuits each group.
 
-    Before any pair condition, the top-slope index leaves nonzero E only the nonzero F with
-    mu_max(F) > mu_max(E); zero E keeps every F.
+    A pair group is asked only of the (E, F) with F dominating E, and a quotient group only
+    of the (E, Q) with Q a quotient of E, once E has an admissible F.
     """
     pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
-
-    def indexed(e, f):
-        return e.is_zero or (not f.is_zero and f.mu_max > e.mu_max)
-
-    def before(group, name):
-        return group[:[c.name for c in group].index(name)]
+    asks = {c.name: Counter() for group in conditions for c in group}
 
     def holds(group, *bundles):
-        return all(c.test(*bundles) for c in group)
+        for c in group:
+            asks[c.name][bundles] += 1
+            if not c.test(*bundles):
+                return False
+        return True
 
-    asked_i, asked_ii = [], []
     for e in pool:
         if not holds(conditions.on_e, e):
             continue
-        asked_i += [(e, f) for f in pool
-                    if indexed(e, f) and holds(before(conditions.on_pair, "(i)"), e, f)]
-        if any(holds(conditions.on_pair, e, f) for f in pool):
-            # The stream scans only Q with rank(Q) <= rank(E), which (ii) requires.
-            asked_ii += [(e, q) for q in pool if q.rank <= e.rank
-                         and holds(before(conditions.on_quotient, "(ii)"), e, q)]
-    return Counter(asked_i), Counter(asked_ii)
+        admissible = [f for f in pool if slopewise_dominates(f, e) and holds(conditions.on_pair, e, f)]
+        if admissible:
+            for q in pool:
+                if is_quotient(q, e):
+                    holds(conditions.on_quotient, e, q)
+    return asks
 
 
 ASKED_CONDITIONS = {
     "key-inequality": GENERAL_CONDITIONS,
     "degeneration": REDUCED_CONDITIONS,
-    "stratification": ConditionSet((), PAIR_CONDITIONS, QUOTIENT_CONDITIONS),
+    "stratification": ConditionSet((), PAIR_CONDITIONS, ()),
 }
 
 
 @pytest.mark.parametrize("name", list(ASKED_CONDITIONS))
 def test_each_pair_and_quotient_condition_is_asked_once_after_the_earlier_ones(monkeypatch, name):
-    expected_i, expected_ii = _expected_asks(ASKED_CONDITIONS[name])
-    assert expected_i and expected_ii
-    calls = _counting_asks(monkeypatch, ("(i)", "(ii)"))
+    expected = _expected_asks(ASKED_CONDITIONS[name])
+    assert expected["(iv)"]
+    calls = _counting_asks(monkeypatch, ("(iv)", "(v)", "(vi)"))
     assert run_checks([name], SMALL_INT)[0].passed
-    assert calls["(i)"] == expected_i and set(expected_i.values()) == {1}
-    assert all(e.slope_pairs.isdisjoint(f.slope_pairs) for e, f in calls["(i)"])
-    assert calls["(ii)"] == expected_ii and set(expected_ii.values()) == {1}
+    for condition, asked in calls.items():
+        assert asked == expected.get(condition, Counter()), condition
+        assert set(asked.values()) <= {1}, condition
+    # (iv) once per (E, F) that (i) admits; (v), and (vi) of Q, once per (E, Q) that (ii) admits.
+    assert all(slopewise_dominates(f, e) for e, f in calls["(iv)"])
+    assert all(is_quotient(q, e) for e, q in calls["(v)"])
+    assert bool(calls["(v)"]) == (name != "stratification")
 
 
 def test_dominance_keeps_no_memo_across_the_triple_checks():
-    # A universe asks each dominance question once per cell, so a memo would only
-    # hold its keys; the wrapper is a zero-size lru_cache, which keeps none.
+    # The stream reads dominance off the universe's relations and the chains ask theirs
+    # once per step, so a memo would only hold its keys; the wrapper is a zero-size
+    # lru_cache, which keeps none.
     slopewise_dominates.cache_clear()
     reports = run_checks(["key-inequality", "degeneration", "stratification"], SMALL_INT)
     assert all(report.passed for report in reports)
@@ -1071,24 +1081,24 @@ def test_dominance_keeps_no_memo_across_the_triple_checks():
 
 
 # ----------------------------------------------------------------------
-# the top-slope index skips only pairs that (iv) and (i) reject
+# the relations keep the stream of a scan that asks every condition
 
 TRIPLES_SHAPED = UniverseSpec(max_rank=4, slope_min=-2, slope_max=2, max_denominator=1)
 RANK_5 = UniverseSpec(max_rank=5, slope_min=-3, slope_max=3, max_denominator=1)
 
 
-def _unindexed_groups(universe, conditions, limit=None):
-    """The stream as a plain scan of every F in pool order, with the same condition groups."""
+def _scanned_groups(universe, conditions, limit=None):
+    """The stream as a plain scan of every F in pool order, asking (i), (ii) and (iii) too."""
     pool = universe.pool
     by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
     remaining = limit
     for ei, e in enumerate(pool):
         if not all(c.test(e) for c in conditions.on_e):
             continue
-        quotients = [qi for qi in by_rank
-                     if all(c.test(e, pool[qi]) for c in conditions.on_quotient)]
+        quotients = [qi for qi in by_rank if is_quotient(pool[qi], e)
+                     and all(c.test(e, pool[qi]) for c in conditions.on_quotient)]
         for fi, f in enumerate(pool):
-            if not all(c.test(e, f) for c in conditions.on_pair):
+            if not (slopewise_dominates(f, e) and all(c.test(e, f) for c in conditions.on_pair)):
                 continue
             group = [qi for qi in quotients if slopewise_dominates(f, pool[qi])]
             if remaining is not None:
@@ -1099,38 +1109,30 @@ def _unindexed_groups(universe, conditions, limit=None):
                 return
 
 
-def test_the_top_slope_levels_order_the_pool_by_mu_max():
-    universe = verify.Universe(SMALL)
-    pool, levels = universe.pool, universe.levels
-    assert pool[0].is_zero and levels[0] == -1
-    assert sorted(set(levels[1:])) == list(range(len(set(levels[1:]))))
-    for i, j in itertools.product(range(1, len(pool)), repeat=2):
-        assert (levels[i] < levels[j]) == (pool[i].mu_max < pool[j].mu_max)
-
-
 @pytest.mark.parametrize("spec", [SMALL_INT, TRIPLES_SHAPED], ids=["small-int", "triples"])
 @pytest.mark.parametrize("name", list(ASKED_CONDITIONS))
-def test_the_top_slope_index_keeps_the_stream(spec, name):
+def test_the_relations_keep_the_stream(spec, name):
     universe = verify.Universe(spec)
     conditions = ASKED_CONDITIONS[name]
     for limit in (None, 1, 7, 100):
         streamed = list(verify._triple_groups(universe, conditions, limit))
-        assert streamed == list(_unindexed_groups(universe, conditions, limit))
+        assert streamed == list(_scanned_groups(universe, conditions, limit))
 
 
-def test_the_top_slope_index_keeps_the_rank_5_pairs():
+def test_the_relations_keep_the_rank_5_pairs():
     # One universe and one plain scan per distinct pair group keep this test to a few seconds.
     universe = verify.Universe(RANK_5)
     pool = universe.pool
-    unindexed = {}
+    scanned = {}
     for conditions in ASKED_CONDITIONS.values():
         groups = conditions.on_e, conditions.on_pair
-        if groups not in unindexed:
-            unindexed[groups] = [
+        if groups not in scanned:
+            scanned[groups] = [
                 (ei, fi) for ei, e in enumerate(pool) if all(c.test(e) for c in conditions.on_e)
-                for fi, f in enumerate(pool) if all(c.test(e, f) for c in conditions.on_pair)]
+                for fi, f in enumerate(pool)
+                if slopewise_dominates(f, e) and all(c.test(e, f) for c in conditions.on_pair)]
         streamed = [(ei, fi) for ei, fi, _ in verify._triple_groups(universe, conditions)]
-        assert streamed == unindexed[groups]
+        assert streamed == scanned[groups]
 
 
 # ----------------------------------------------------------------------
@@ -1171,6 +1173,29 @@ def test_an_asymmetric_pool_keeps_the_triple_reports():
     assert [_outcome(report) for report in reports] == [
         ("key-inequality", 14683, (), ()), ("degeneration", 2055, (), ()),
         ("stratification", 1167, (), ())]
+
+
+# ----------------------------------------------------------------------
+# the dominance relations against the fast route
+
+FRACTIONAL_ASYMMETRIC = UniverseSpec(max_rank=4, slope_min=-1, slope_max=3, max_denominator=2)
+
+
+@pytest.mark.parametrize("spec", [TINY, SMALL_INT, PAIR_UNIVERSE, ASYMMETRIC, FRACTIONAL_ASYMMETRIC],
+                         ids=["tiny", "small-int", "pair", "asymmetric", "fractional-asymmetric"])
+def test_the_dominance_relations_agree_with_the_fast_route(spec):
+    universe = verify.Universe(spec)
+    pool = universe.pool
+    assert pool[0] is ZERO
+    size = len(pool)
+    for low, high in itertools.product(range(size), repeat=2):
+        e, f = pool[low], pool[high]
+        assert (universe.dominators[low] >> high & 1) == slopewise_dominates(f, e), (f, e)
+        assert (universe.dual_dominators[low] >> high & 1) == is_quotient(e, f), (e, f)
+    for i in range(size):
+        for relation, flags in ((universe.dominators, universe.dominator_flags),
+                                (universe.dual_dominators, universe.dual_dominator_flags)):
+            assert flags[i] == bytes(relation[i] >> u & 1 for u in range(size))
 
 
 def _key_inequality_reads():
@@ -1264,14 +1289,15 @@ def test_a_condition_failing_on_each_bundle_is_named_once():
     assert names.count("(vi)") == 1
 
 
-def test_stratification_counts_a_pair_without_a_candidate(monkeypatch):
-    rejecting = tuple(c._replace(test=lambda e, q: False) for c in verify.QUOTIENT_CONDITIONS)
-    monkeypatch.setattr(verify, "QUOTIENT_CONDITIONS", rejecting)
+def test_stratification_counts_a_pair_without_a_candidate():
+    # With the dual relation emptied, (ii) admits no Q, so no pair of the stream has a candidate.
+    universe = verify.Universe(SMALL_INT)
+    universe.dual_dominators[:] = [0] * len(universe.pool)
     pairs = _stratification_pairs(list(enumerate_bundles(SMALL_INT, include_zero=True)))
-    report = verify_stratification_dimension(SMALL_INT)
-    assert report.instances_checked == len(pairs) > 0
-    assert report.counterexamples == tuple(sorted(
-        f"E={e} F={f}: top stratum None != dim hom {dim_hom(e, f)}" for e, f in pairs))
+    count, counterexamples, _ = verify.CHECKS["stratification"][0](universe)
+    assert count == len(pairs) > 0
+    assert sorted(counterexamples) == sorted(
+        f"E={e} F={f}: top stratum None != dim hom {dim_hom(e, f)}" for e, f in pairs)
 
 
 # ----------------------------------------------------------------------
