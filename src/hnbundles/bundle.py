@@ -12,12 +12,14 @@ Every operation works on the key and compares slopes by cross-multiplying,
 so nothing in this package ever rounds; ``summands``, ``slopes()``,
 ``slope``, ``mu_max`` and ``mu_min`` are views that build exact
 :class:`fractions.Fraction` values when read, and no bundle stores one.
-The key is hashed once, when the value is made; equality and hashing
-compare it.  ``dual()`` is memoized on the instance, with a back-link, so
-``v.dual().dual() is v``; zero is its own dual.  A ``verify.Universe`` links
-the duals of its pool in advance (:func:`_link_duals`): a member whose dual
-is also a member gets that member as its dual, so ``dual()`` builds no
-second, equal object for it.  That saves the object, not lookups: the
+Equality compares the keys; the key's hash is computed at the first
+``hash()`` of the instance and kept, so a bundle that is never hashed, such
+as a degeneration chain's intermediate, never pays for one.  ``dual()`` is
+memoized on the instance, with a back-link, so ``v.dual().dual() is v``;
+zero is its own dual.  A ``verify.Universe`` links the duals of its pool
+in advance (:func:`_link_duals`): a member whose dual is also a member gets
+that member as its dual, so ``dual()`` builds no second, equal object for
+it.  That saves the object, not lookups: the
 ``deg_nonneg`` memo hits as often, with as many ``__eq__`` calls, either
 way.
 
@@ -154,8 +156,9 @@ class HNBundle:
     Slopes strictly descending, multiplicities >= 1; ``()`` is the zero
     bundle.  Use :func:`canonicalize`, :func:`stable` or
     :func:`parse_bundle` to build values from loose input.  An instance
-    holds its integer key, the key's hash, the dual link and cached integer
-    properties.  Instances are immutable, hashable, and thread-safe.
+    holds its integer key, the dual link and cached integer properties, and
+    the key's hash from its first ``hash()`` on; ``_hash`` is None until
+    then.  Instances are immutable, hashable, and thread-safe.
     """
 
     def __init__(self, summands: Iterable[tuple[SlopeLike, int]]) -> None:
@@ -179,10 +182,17 @@ class HNBundle:
             return True
         if other.__class__ is not HNBundle:
             return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        digest = self._hash
+        if digest is None:
+            # Numerators zigzag-encoded (p >= 0 as 2p, p < 0 as -2p - 1): CPython hashes
+            # -1 like -2, so hashing the raw key would make every pair of bundles that
+            # differ only there collide.
+            digest = self.__dict__["_hash"] = hash(tuple([
+                (2 * p if p >= 0 else -2 * p - 1, q, m) for p, q, m in self._key]))
+        return digest
 
     # ------------------------------------------------------------------
     # basic invariants
@@ -362,15 +372,10 @@ class HNBundle:
 
 
 def _settle(bundle: HNBundle, key: tuple[tuple[int, int, int], ...]) -> None:
-    """Store a canonical integer key and its hash.
-
-    The hash reads the numerators zigzag-encoded (p >= 0 as 2p, p < 0 as
-    -2p - 1): CPython hashes -1 like -2, so hashing the raw key would make
-    every pair of bundles that differ only there collide.
-    """
+    """Store a canonical integer key; the hash is left for the first ``hash()`` to compute."""
     state = bundle.__dict__
     state["_key"] = key
-    state["_hash"] = hash(tuple([(2 * p if p >= 0 else -2 * p - 1, q, m) for p, q, m in key]))
+    state["_hash"] = None
     state["_dual"] = None
 
 

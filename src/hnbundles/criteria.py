@@ -73,32 +73,29 @@ def rank_condition(e: HNBundle, f: HNBundle) -> bool:
 @lru_cache(maxsize=0)
 def slopewise_dominates(f: HNBundle, e: HNBundle) -> bool:
     """True when the HN polygon of f runs above that of e on [0, rank(e)]."""
-    if not e._key:
-        return True
-    if e.rank > f.rank:
-        return False
     # Both polygons are linear between vertices, so it suffices to compare the
     # two slopes p/q on each stretch where neither polygon has a vertex, by
-    # cross-multiplying: O(number of summands), whatever the ranks.  e_left and
-    # f_left are the units (q*m per summand) still ahead of the last vertex.
+    # cross-multiplying: O(number of summands), whatever the ranks, and no
+    # rank is read.  e_left and f_left are the units (q*m per summand) still
+    # ahead of the last vertex.
     f_summands = iter(f._key)
-    fp, fq, fm = next(f_summands)
-    f_left = fq * fm
+    f_left = 0
     for ep, eq, em in e._key:
         e_left = eq * em
-        while True:
+        while e_left:
+            if not f_left:
+                following = next(f_summands, None)
+                if following is None:
+                    return False  # F runs out while E still has units: rank(e) > rank(f)
+                fp, fq, fm = following
+                f_left = fq * fm
             if ep * fq > fp * eq:
                 return False
             if e_left < f_left:
                 f_left -= e_left
                 break
             e_left -= f_left
-            # F's summand ends here.  rank(e) <= rank(f), so F runs out only
-            # where E does, after its last summand; the default is never compared.
-            fp, fq, fm = next(f_summands, (0, 1, 1))
-            f_left = fq * fm
-            if not e_left:
-                break
+            f_left = 0
     return True
 
 

@@ -33,6 +33,8 @@ from .bundle import (
     HNBundle,
     InternalConsistencyError,
     PreconditionError,
+    _dual_key,
+    _sum_key,
     _trusted,
     format_bundle,
     summand_difference,
@@ -215,29 +217,40 @@ def max_slope_reduction(v: HNBundle, w: HNBundle) -> HNBundle:
     Requires v, w nonzero with integer slopes and v slopewise dominating w.
     Rank is preserved, the result still dominates w, and the result equals
     v exactly when mu_max(v) = mu_max(w); v itself is then returned.
-
-    Read off v's key: its summands above mu_max(w) are a prefix, each of
-    rank equal to its multiplicity, so the result is one summand at
-    mu_max(w) (that prefix's rank plus v's own multiplicity there) followed
-    by v's summands below it.  Only the returned bundle is built.
+    The result's key comes from :func:`_reduced_key`, and only the returned
+    bundle is built.
     """
-    if v.is_zero or w.is_zero:
+    key = _reduced_key(v, w)
+    return v if key is v._key else _trusted(key)
+
+
+def _reduced_key(v: HNBundle, w: HNBundle) -> tuple[tuple[int, int, int], ...]:
+    """The key of max_slope_reduction(v, w), v's own key when nothing is flattened.
+
+    Checks that function's preconditions on the keys, reading no cached
+    property of v or w, then reads the result off v's key: its summands
+    above mu_max(w) are a prefix, each of rank equal to its multiplicity,
+    so the result is one summand at mu_max(w) (that prefix's rank plus v's
+    own multiplicity there) followed by v's summands below it.
+    """
+    key, bound = v._key, w._key
+    if not (key and bound):
         raise PreconditionError("maximal slope reduction requires nonzero bundles")
-    if not (v.has_integer_slopes() and w.has_integer_slopes()):
+    if any(q != 1 for _, q, _ in key) or any(q != 1 for _, q, _ in bound):
         raise PreconditionError("maximal slope reduction requires integer slopes")
     if not slopewise_dominates(v, w):
         raise PreconditionError(f"{v} does not slopewise dominate {w}")
-    key, top = v._key, w._key[0][0]  # mu_max(w), an integer
+    top = bound[0][0]  # mu_max(w), an integer
     cut = flattened = 0
     while cut < len(key) and key[cut][0] > top:
         flattened += key[cut][2]
         cut += 1
     if not flattened:
-        return v
+        return key
     if cut < len(key) and key[cut][0] == top:
         flattened += key[cut][2]
         cut += 1
-    return _trusted(((top, 1, flattened), *key[cut:]))
+    return ((top, 1, flattened), *key[cut:])
 
 
 def build_e1(e: HNBundle) -> HNBundle:
@@ -277,9 +290,13 @@ def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:
 
 
 def _next_member(triple: DecompositionTriple) -> HNBundle:
-    """dual(M + max_slope_reduction(S, R)) for the decomposition of a member other than Q."""
-    reduced = max_slope_reduction(triple.e_complement, triple.q_complement)
-    return triple.common.direct_sum(reduced).dual()
+    """dual(M + max_slope_reduction(S, R)) for the decomposition of a member other than Q.
+
+    The reduction, the sum and the dual are taken on integer keys, so the
+    next member is the one bundle built.
+    """
+    reduced = _reduced_key(triple.e_complement, triple.q_complement)
+    return _trusted(_dual_key(_sum_key(triple.common._key, reduced)))
 
 
 def degeneration_step(e_i: HNBundle, q: HNBundle) -> HNBundle:

@@ -9,8 +9,9 @@ reports; counterexample lists are sorted canonically.
 
 Checks:
 
-* equivalence     - the rank-filtration condition agrees with slopewise
-                    dominance on every ordered pair;
+* equivalence     - the rank-filtration condition, slopewise dominance
+                    and the universe's bulk dominance relation agree on
+                    every ordered pair;
 * oracles         - the cross-product degree calculus agrees with the
                     tensor-expansion route on every ordered pair;
 * key-inequality  - every admissible triple (five named conditions, with
@@ -30,7 +31,9 @@ false failures because extra candidates can only carry smaller strata.
 Every check reads one :class:`Universe`: the pool (:func:`bundle_pool`),
 each bundle's position in it, the dominance relations among its members,
 built once, and tables by position that compute each value at its first
-read and keep it, a row per first position:
+read and keep it, a row per first position.  Each row of ``degrees``,
+``terms`` and ``steps`` is a small ``dict`` subclass whose ``__missing__``
+computes a cell in one frame:
 
 * ``degrees`` - deg_nonneg(V, W), by W, then V;
 * ``terms``   - the F-free codimension term deg_nonneg(Q, Q) - deg_nonneg(V, Q),
@@ -306,6 +309,47 @@ class _Table(dict):
         return value
 
 
+class _DegreeRow(dict):
+    """W's row of ``Universe.degrees``: a missing V's cell is deg_nonneg(V, W), kept."""
+
+    __slots__ = ("_members", "_into")
+
+    def __init__(self, members: list[HNBundle], w: int) -> None:
+        self._members, self._into = members, members[w]
+
+    def __missing__(self, v: int) -> int:
+        value = self[v] = deg_nonneg(self._members[v], self._into)
+        return value
+
+
+class _TermRow(dict):
+    """V's row of ``Universe.terms``: a missing Q's cell is its image term, kept."""
+
+    __slots__ = ("_degrees", "_v")
+
+    def __init__(self, degrees: _Table, v: int) -> None:
+        self._degrees, self._v = degrees, v
+
+    def __missing__(self, q: int) -> int:
+        into_q = self._degrees[q]
+        value = self[q] = image_term(into_q[q], into_q[self._v])
+        return value
+
+
+class _StepRow(dict):
+    """Q's row of ``Universe.steps``: a missing member's cell is its chain step, kept."""
+
+    __slots__ = ("_members", "_to", "_position")
+
+    def __init__(self, members: list[HNBundle], position: Callable[[HNBundle], int],
+                 q: int) -> None:
+        self._members, self._to, self._position = members, members[q], position
+
+    def __missing__(self, v: int) -> ChainStep:
+        value = self[v] = _chain_step(self._members[v], self._to, self._position)
+        return value
+
+
 class Universe:
     """The pool of one spec, its dominance relations, and every table the checks on it share.
 
@@ -314,8 +358,11 @@ class Universe:
     ``members`` is the pool, then any chain member outside it (only a
     faulty engine makes one), placed by ``position(bundle)``, which
     returns the bundle's position; each table (see the module docstring)
-    is a dict that fills a missing key from there.  ``by_rank`` lists the
-    pool positions stably sorted by rank, and ``ranks`` their ranks.
+    is a dict that fills a missing key from there; a row of ``degrees``,
+    ``terms`` or ``steps`` (:class:`_DegreeRow`, :class:`_TermRow`,
+    :class:`_StepRow`) holds what its cells read and computes a missing
+    cell in its own ``__missing__``.  ``by_rank`` lists the pool positions
+    stably sorted by rank, and ``ranks`` their ranks.
 
     ``dominators[L]`` is an int whose bit U is set when pool member U
     slopewise dominates L, and ``dual_dominators[L]`` the same over the
@@ -325,7 +372,8 @@ class Universe:
     its first read into one byte per pool position, 1 where the bit is set,
     so that a test of one cell is an index, not a shift of a pool-wide int.
     The triple stream reads dominance only from these; ``slopewise_dominates``
-    is asked by the degeneration chains alone, once per step.
+    is asked by the degeneration chains alone, once per step.  The
+    ``equivalence`` check reads ``dominator_flags`` as its third route.
 
     The pool's duals are linked first: each member whose dual is also a
     member gets that member as ``dual()``, so ``dual()`` builds no second,
@@ -358,17 +406,11 @@ class Universe:
                 members.append(bundle)
             return i
 
-        def term(v: int, q: int) -> int:
-            into_q = degrees[q]
-            return image_term(into_q[q], into_q[v])
-
-        self.degrees = degrees = _Table(
-            lambda w: _Table(lambda v: deg_nonneg(members[v], members[w])))
-        self.terms = _Table(lambda v: _Table(lambda q: term(v, q)))
+        self.degrees = degrees = _Table(partial(_DegreeRow, members))
+        self.terms = _Table(partial(_TermRow, degrees))
         # deg(V^{>=0}) off the key: the degrees p*m of the summands p/q with p >= 0.
         self.nonneg = _Table(lambda v: sum([p * m for p, _, m in members[v]._key if p >= 0]))
-        self.steps = _Table(lambda q: _Table(
-            lambda v: _chain_step(members[v], members[q], position)))
+        self.steps = _Table(partial(_StepRow, members, position))
         self.position = position
 
 
@@ -416,8 +458,8 @@ _Outcome = tuple[int, list[str], list[str]]
 
 
 def _samples(universe: Universe, arity: int, what: str, default: int | None = None,
-             rng: random.Random | None = None) -> tuple[int, Iterable[tuple[HNBundle, ...]]]:
-    """How many ``arity``-tuples of the pool a check reads, and the tuples.
+             rng: random.Random | None = None) -> tuple[int, Iterable[tuple[int, ...]]]:
+    """How many ``arity``-tuples of the pool a check reads, and the tuples, as pool positions.
 
     Every tuple in product order, unless ``sample_limit`` is set or the
     universe holds more than ``default``; else that many lazy draws with
@@ -426,38 +468,51 @@ def _samples(universe: Universe, arity: int, what: str, default: int | None = No
     :class:`PreconditionError` before the first draw, since the draws'
     cost grows with it and not with the universe.
     """
-    pool, spec = universe.pool, universe.spec
-    total, draws = len(pool) ** arity, spec.sample_limit
+    positions, spec = range(len(universe.pool)), universe.spec
+    total, draws = len(positions) ** arity, spec.sample_limit
     if draws is None:
         if default is None or total <= default:
-            return total, itertools.product(pool, repeat=arity)
+            return total, itertools.product(positions, repeat=arity)
         draws = default
     elif draws > total:
         raise PreconditionError(f"a sample of {draws} exceeds the universe's {total} {what}")
     rng = rng or random.Random(spec.seed)
-    return draws, (tuple(rng.choice(pool) for _ in range(arity)) for _ in range(draws))
+    return draws, (tuple(rng.choice(positions) for _ in range(arity)) for _ in range(draws))
 
 
 def _equivalence(universe: Universe) -> _Outcome:
     cex: list[str] = []
+    pool, flags = universe.pool, universe.dominator_flags
     count, pairs = _samples(universe, 2, "ordered pairs")
-    for e, f in pairs:
+    for ei, fi in pairs:
+        e, f = pool[ei], pool[fi]
         by_ranks = rank_condition(e, f)
         by_slopes = slopewise_dominates(f, e)
-        if by_ranks != by_slopes:
-            cex.append(f"E={e} F={f}: rank_condition={by_ranks} slopewise_dominates={by_slopes}")
+        in_bulk = flags[ei][fi] == 1
+        if not by_ranks == by_slopes == in_bulk:
+            # Two of the three answers agree; the line names the route that does not.
+            agreed = by_ranks + by_slopes + in_bulk >= 2
+            route = ("rank_condition" if by_ranks != agreed
+                     else "slopewise_dominates" if by_slopes != agreed else "dominators")
+            cex.append(f"E={e} F={f}: {route} says {not agreed}, the other two routes {agreed}")
     return count, cex, []
 
 
 def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
-    """rank_condition(E, F) agrees with slopewise_dominates(F, E) on all pairs."""
+    """rank_condition(E, F), slopewise_dominates(F, E) and the bulk relation agree on all pairs.
+
+    The bulk relation is bit F of the universe's ``dominators[E]``, the
+    one the triple checks read (i) and (iii) from.
+    """
     return run_checks(["equivalence"], spec)[0]
 
 
 def _oracles(universe: Universe) -> _Outcome:
     cex: list[str] = []
+    pool = universe.pool
     count, pairs = _samples(universe, 2, "ordered pairs")
-    for v, w in pairs:
+    for vi, wi in pairs:
+        v, w = pool[vi], pool[wi]
         fast = deg_nonneg(v, w)
         slow = deg_nonneg_oracle(v, w)
         if fast != slow:
@@ -622,6 +677,8 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
                 if mp * sq < sp * mq:
                     bad.append("mu_min(M) < mu_max(S)")
     s_top = s._key[0][:2] if s._key else None
+    # rank(S) off S's key: S is built for this step alone, so its rank property is never filled.
+    s_rank = sum([q * m for _, q, m in s._key])
     following = None
     if member != q:
         try:
@@ -630,9 +687,9 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
             if not bad:
                 raise
     if following is None:
-        return ChainStep(tuple(bad), None, None, s.rank, s_top)
+        return ChainStep(tuple(bad), None, None, s_rank, s_top)
     return ChainStep(tuple(bad), position(following),
-                     slopewise_dominates(member.dual(), following.dual()), s.rank, s_top)
+                     slopewise_dominates(member.dual(), following.dual()), s_rank, s_top)
 
 
 def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool]:
@@ -810,8 +867,10 @@ def _invariance(universe: Universe) -> _Outcome:
     rng = random.Random(universe.spec.seed)
     # Each triple's draws precede its factor and shift.
     trials, triples = _samples(universe, 3, "triples", _INVARIANCE_TRIALS, rng)
+    pool = universe.pool
     cex: list[str] = []
-    for e, f, q in triples:
+    for ei, fi, qi in triples:
+        e, f, q = pool[ei], pool[fi], pool[qi]
         factor = rng.randint(1, 3)
         shift = rng.randint(-3, 3)
         prefix = f"E={e} F={f} Q={q}"

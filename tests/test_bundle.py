@@ -34,6 +34,7 @@ from hnbundles import (
     strip_common_slopes,
     summand_difference,
 )
+from hnbundles.bundle import _trusted
 
 B = parse_bundle
 
@@ -375,6 +376,16 @@ def test_deepcopy_keeps_value_and_hash():
         assert clone == v
         assert hash(clone) == hash(v)
         assert clone.dual().dual() is clone
+
+
+def test_a_bundle_is_hashed_at_its_first_hash():
+    v = _trusted(((1, 2, 1), (-1, 1, 2)))
+    assert vars(v)["_hash"] is None
+    # Equality compares keys, so it computes no hash either.
+    assert v == B("1/2,-1:2") and v != B("1/2,-1") and vars(v)["_hash"] is None
+    digest = hash(v)
+    assert vars(v)["_hash"] == digest == hash(B("1/2,-1:2"))
+    assert hash(v) == digest
 
 
 def test_bundle_never_equals_tuple_or_str():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from hnbundles import (
+    HNBundle,
     UniverseSpec,
     ZERO,
     decompose_mrs,
@@ -65,6 +66,27 @@ def test_dominance_at_huge_rank():
 def test_rank_mismatch_forces_false():
     assert not slopewise_dominates(stable(1), B("1:2"))
     assert not rank_condition(B("1:2"), stable(1))
+
+
+def test_dominance_reads_no_rank():
+    # The keys are walked directly, so fresh bundles keep their rank property unfilled.
+    pool = [HNBundle(v.summands) for v in small_universe()]
+    for e, f in itertools.product(pool, repeat=2):
+        slopewise_dominates(f, e)
+    assert not any("rank" in vars(v) for v in pool)
+
+
+def test_dominance_where_f_ends_inside_a_summand_of_e():
+    # rank(E) > rank(F), and F's polygon ends strictly inside one of E's segments.
+    assert not slopewise_dominates(B("1:2"), B("0:3"))
+    assert not slopewise_dominates(B("1:3"), B("1/2:2"))
+    pool = small_universe()
+    cases = 0
+    for e, f in itertools.product(pool, repeat=2):
+        if e.rank > f.rank and f.rank not in {vertex.x for vertex in e.polygon}:
+            cases += 1
+            assert slopewise_dominates(f, e) == rank_condition(e, f) is False
+    assert cases > 500
 
 
 def test_equivalence_on_small_universe():

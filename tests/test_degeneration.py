@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from hnbundles import degeneration
+from hnbundles import bundle, degeneration
 from hnbundles import (
     HNBundle,
     PreconditionError,
@@ -24,7 +24,9 @@ from hnbundles import (
     parse_bundle,
     slopewise_dominates,
 )
-from hnbundles.degeneration import GENERAL_CONDITIONS, general_violations, reduced_violations
+from hnbundles.degeneration import (
+    GENERAL_CONDITIONS, REDUCED_CONDITIONS, general_violations, reduced_violations,
+)
 from hnbundles.verify import UniverseSpec
 from triples import admissible_triples
 
@@ -61,6 +63,29 @@ def test_max_slope_reduction_preconditions():
         max_slope_reduction(B("1/2"), B("0:1"))
     with pytest.raises(PreconditionError):
         max_slope_reduction(B("0:1"), B("1"))
+
+
+def test_next_member_builds_only_the_next_member(monkeypatch):
+    spec = UniverseSpec(max_rank=4, slope_min=-2, slope_max=2, max_denominator=1)
+    steps = {(member, q) for e, f, q in admissible_triples(spec, REDUCED_CONDITIONS)
+             for member in degeneration_trace(e, f, q).chain[1:-1]}
+    decompositions = [decompose_mrs(member, q) for member, q in steps]
+    assert len(decompositions) > 100
+    built, settled = [], []
+    trusted, settle = degeneration._trusted, bundle._settle
+
+    def counting_trusted(key):
+        built.append(trusted(key))
+        return built[-1]
+
+    monkeypatch.setattr(degeneration, "_trusted", counting_trusted)
+    # Every instance, however it is made, is settled once.
+    monkeypatch.setattr(bundle, "_settle", lambda *args: settled.append(args) or settle(*args))
+    for triple in decompositions:
+        built.clear()
+        settled.clear()
+        following = degeneration._next_member(triple)
+        assert built == [following] and len(settled) == 1
 
 
 def _reference_max_slope_reduction(v, w):

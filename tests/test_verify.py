@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import math
 import random
 import sys
@@ -46,7 +47,7 @@ from hnbundles import (
     verify_oracles,
     verify_stratification_dimension,
 )
-from hnbundles import criteria, degeneration, degrees, verify
+from hnbundles import cli, criteria, degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     PAIR_CONDITIONS,
@@ -311,6 +312,48 @@ def test_reports_are_deterministic():
     assert first.property_name == second.property_name
 
 
+def _every_fifth_non_self_bit_dropped(keys):
+    dropped, seen = [], 0
+    for lower, mask in enumerate(criteria.dominators(keys)):
+        for upper in range(len(keys)):
+            if upper != lower and mask >> upper & 1:
+                seen += 1
+                if seen % 5 == 0:
+                    mask &= ~(1 << upper)
+        dropped.append(mask)
+    return dropped
+
+
+def _no_rank_4_bundle_dominates_another(keys):
+    rank_4 = [sum(q * m for _, q, m in key) == 4 for key in keys]
+    uppers = sum(1 << upper for upper, flag in enumerate(rank_4) if flag)
+    return [mask & ~(uppers & ~(1 << lower))
+            for lower, mask in enumerate(criteria.dominators(keys))]
+
+
+@pytest.mark.parametrize("mutant", [_every_fifth_non_self_bit_dropped,
+                                    _no_rank_4_bundle_dominates_another])
+def test_equivalence_catches_a_relation_that_drops_bits(monkeypatch, capsys, mutant):
+    # Each mutant only shrinks the triple stream, which no triple check can notice;
+    # equivalence reads the relation itself on every ordered pair.
+    monkeypatch.setattr(verify, "dominators", mutant)
+    assert cli.run(["verify", "--check", "equivalence", "--format", "json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["instances"] == 220**2 and not report["passed"]
+    assert report["counterexamples"]
+    assert all(line.endswith(": dominators says False, the other two routes True")
+               for line in report["counterexamples"])
+
+
+def test_equivalence_names_the_route_that_disagrees(monkeypatch):
+    def lying(f, e):
+        return e == B("1") and f == B("0:1") or criteria.slopewise_dominates(f, e)
+
+    monkeypatch.setattr(verify, "slopewise_dominates", lying)
+    assert verify_equivalence(TINY).counterexamples == (
+        "E=1 F=0:1: slopewise_dominates says True, the other two routes False",)
+
+
 def test_a_random_sample_may_draw_as_many_pairs_or_triples_as_the_universe_has():
     spec = UniverseSpec(max_rank=1, slope_min=0, slope_max=1, max_denominator=1)  # 0, O(1), O
     for check, count in ((verify_equivalence, 9), (verify_oracles, 9), (verify_invariance, 27)):
@@ -542,6 +585,21 @@ def test_stratification_check_matches_one_pool_scan_per_pair():
     expected = _reference_stratification(SMALL_INT)
     assert (report.instances_checked, report.counterexamples) == expected
     assert expected[0] > 0
+
+
+DENOMINATOR_3 = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=3)
+
+
+def test_the_triple_checks_match_the_references_with_denominators_up_to_3():
+    # Slopes such as 2/3 and -1/3 enter E, F and Q: rank-3 stable summands.
+    assert len(verify.bundle_pool(DENOMINATOR_3)) == 88
+    key, chain, strata = run_checks(["key-inequality", "degeneration", "stratification"],
+                                    DENOMINATOR_3)
+    assert ((key.instances_checked, key.counterexamples)
+            == _reference_key_inequality(DENOMINATOR_3) == (10_134, ()))
+    assert _degeneration_outcome(chain) == _reference_degeneration(DENOMINATOR_3) == (479, (), ())
+    assert ((strata.instances_checked, strata.counterexamples)
+            == _reference_stratification(DENOMINATOR_3) == (1_348, ()))
 
 
 def test_a_broken_chain_is_reported_for_each_of_its_triples(monkeypatch):
