@@ -171,16 +171,31 @@ def strip_common_slopes(e: HNBundle, f: HNBundle) -> tuple[HNBundle, HNBundle, H
 def hn_common_prefix(a: HNBundle, b: HNBundle) -> HNBundle:
     """Largest initial portion shared by the HN polygons of a and b.
 
-    Leading (slope, multiplicity) pairs are consumed while they agree; at
-    the first pair where the slopes agree but the multiplicities differ,
-    the smaller multiplicity still belongs to the shared portion.  The
-    prefix is unique, so no tie-breaking arises.
+    It is the M of :func:`_prefix_split`, the one common-prefix
+    decomposition, which ``degeneration.decompose_mrs`` also reads.
     """
-    shared: list[tuple[int, int, int]] = []
-    for (pa, qa, ma), (pb, qb, mb) in zip(a._key, b._key):
-        if (pa, qa) != (pb, qb):
-            break
-        shared.append((pa, qa, min(ma, mb)))
-        if ma != mb:
-            break
-    return _trusted(tuple(shared))
+    return _trusted(_prefix_split(a._key, b._key)[0])
+
+
+_Key = tuple[tuple[int, int, int], ...]
+
+
+def _prefix_split(a: _Key, b: _Key) -> tuple[_Key, _Key, _Key]:
+    """The keys of M, A - M and B - M, where M is the common HN polygon prefix of A and B.
+
+    A and B are given by their keys ``a`` and ``b``.  Leading summands are
+    shared while they are equal; at the first pair where the slopes agree
+    but the multiplicities differ, the smaller multiplicity is shared too
+    and the larger keeps the rest.  One walk of the keys; the prefix is
+    unique, so no tie-breaking arises.
+    """
+    i, shared = 0, min(len(a), len(b))
+    while i < shared and a[i] == b[i]:
+        i += 1
+    if i < shared:
+        (p, q, m), (p2, q2, n) = a[i], b[i]
+        if p == p2 and q == q2:
+            if m < n:
+                return a[:i + 1], a[i + 1:], ((p, q, n - m),) + b[i + 1:]
+            return b[:i + 1], ((p, q, m - n),) + a[i + 1:], b[i + 1:]
+    return a[:i], a[i:], b[i:]

@@ -39,7 +39,7 @@ from .bundle import (
     format_bundle,
     summand_difference,
 )
-from .criteria import hn_common_prefix, is_quotient, slopewise_dominates
+from .criteria import _prefix_split, is_quotient, slopewise_dominates
 from .degrees import c_value
 
 __all__ = [
@@ -236,8 +236,10 @@ def _reduced_key(v: HNBundle, w: HNBundle) -> tuple[tuple[int, int, int], ...]:
     key, bound = v._key, w._key
     if not (key and bound):
         raise PreconditionError("maximal slope reduction requires nonzero bundles")
-    if any(q != 1 for _, q, _ in key) or any(q != 1 for _, q, _ in bound):
-        raise PreconditionError("maximal slope reduction requires integer slopes")
+    for summands in (key, bound):
+        for _, q, _ in summands:
+            if q != 1:
+                raise PreconditionError("maximal slope reduction requires integer slopes")
     if not slopewise_dominates(v, w):
         raise PreconditionError(f"{v} does not slopewise dominate {w}")
     top = bound[0][0]  # mu_max(w), an integer
@@ -268,7 +270,10 @@ def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:
     """Split dual(q) and dual(e_i) along their common HN polygon prefix.
 
     Requires rank(e_i) = rank(q) and dual(e_i) slopewise dominating
-    dual(q).  When e_i differs from q, both complements are nonzero.
+    dual(q).  When e_i differs from q, both complements are nonzero.  The
+    keys of M, R and S come from one walk of the two dual keys
+    (:func:`hnbundles.criteria._prefix_split`), e_i is told apart from q by
+    key, and the three parts are the only bundles built.
     """
     if e_i.rank != q.rank:
         raise PreconditionError(f"rank mismatch: rank({e_i}) != rank({q})")
@@ -276,17 +281,12 @@ def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:
     e_dual = e_i.dual()
     if not slopewise_dominates(e_dual, q_dual):
         raise PreconditionError(f"dual({e_i}) does not slopewise dominate dual({q})")
-    common = hn_common_prefix(q_dual, e_dual)
-    triple = DecompositionTriple(
-        common,
-        summand_difference(q_dual, common),
-        summand_difference(e_dual, common),
-    )
-    if e_i != q and (triple.q_complement.is_zero or triple.e_complement.is_zero):
+    common, q_rest, e_rest = _prefix_split(q_dual._key, e_dual._key)
+    if not (q_rest and e_rest) and e_i._key != q._key:
         raise InternalConsistencyError(
             f"distinct bundles {e_i}, {q} produced an empty complement"
         )
-    return triple
+    return DecompositionTriple(_trusted(common), _trusted(q_rest), _trusted(e_rest))
 
 
 def _next_member(triple: DecompositionTriple) -> HNBundle:

@@ -346,7 +346,7 @@ class _StepRow(dict):
         self._members, self._to, self._position = members, members[q], position
 
     def __missing__(self, v: int) -> ChainStep:
-        value = self[v] = _chain_step(self._members[v], self._to, self._position)
+        value = self[v] = _chain_step(self._members[v], self._to, self._members, self._position)
         return value
 
 
@@ -357,7 +357,8 @@ class Universe:
 
     ``members`` is the pool, then any chain member outside it (only a
     faulty engine makes one), placed by ``position(bundle)``, which
-    returns the bundle's position; each table (see the module docstring)
+    returns the bundle's position, found by its integer key, so a fresh
+    bundle is neither hashed nor compared; each table (see the module docstring)
     is a dict that fills a missing key from there; a row of ``degrees``,
     ``terms`` or ``steps`` (:class:`_DegreeRow`, :class:`_TermRow`,
     :class:`_StepRow`) holds what its cells read and computes a missing
@@ -377,8 +378,10 @@ class Universe:
 
     The pool's duals are linked first: each member whose dual is also a
     member gets that member as ``dual()``, so ``dual()`` builds no second,
-    equal object per member.  The links change no ``deg_nonneg`` memo hit
-    and no ``__eq__`` call; they save the objects.  The ``degrees`` fills
+    equal object per member, and a chain step reads its degenerating flag
+    off the linked dual of the next member's pool twin, building none.  The
+    links change no ``deg_nonneg`` memo hit and no ``__eq__`` call; they
+    save the objects.  The ``degrees`` fills
     look ``deg_nonneg`` up on this module at call time, so a test or tracer
     that rebinds it sees every call.
     """
@@ -388,7 +391,7 @@ class Universe:
         self.pool = pool = bundle_pool(spec)
         _link_duals(pool)
         self.members = members = list(pool)
-        where = {bundle: i for i, bundle in enumerate(pool)}
+        where = {bundle._key: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
         self.dominators = dominating = dominators([bundle._key for bundle in pool])
@@ -400,9 +403,9 @@ class Universe:
 
         # The fills close over these locals, not over self, so a Universe forms no cycle.
         def position(bundle: HNBundle) -> int:
-            i = where.get(bundle)
+            i = where.get(bundle._key)
             if i is None:
-                i = where[bundle] = len(members)
+                i = where[bundle._key] = len(members)
                 members.append(bundle)
             return i
 
@@ -612,11 +615,14 @@ class ChainStep(NamedTuple):
     """One step of the chains to one Q, from one member: what the checks read of it, without F.
 
     ``problems`` are the violations of decompose_mrs(member, Q) without
-    their "step i" label; the decomposition itself is not kept.
-    ``following`` is the next member's position and ``degenerating``
-    whether dual(member) dominates its dual; both are None at Q, where the
-    chain ends, and where the engine refuses to step on from a decomposition
-    with problems, where the chain stops and reports them.
+    their "step i" label; the decomposition itself is not kept, and of the
+    bundles a step builds (M, R, S and the next member) only a next member
+    outside the pool outlives it.  ``following`` is the next member's
+    position and ``degenerating`` whether dual(member) dominates the dual
+    of the member at that position, a pool member whose dual is linked;
+    both are None at Q, where the chain ends, and where the engine refuses
+    to step on from a decomposition with problems, where the chain stops
+    and reports them.
 
     ``s_rank`` and ``s_top`` are the F-free half of the stall rule, as
     integers: rank(S), and mu_max(S) as its key's ``(p, q)``, None when S is
@@ -647,40 +653,49 @@ class ChainCheck(NamedTuple):
     findings: tuple[str, ...]
 
 
-def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], int]) -> ChainStep:
+def _chain_step(member: HNBundle, q: HNBundle, members: list[HNBundle],
+                position: Callable[[HNBundle], int]) -> ChainStep:
     """Decompose (member, Q), check every invariant of the step that does not read F, and step on.
 
-    ``position`` names the next member.  The chain functions look the
-    engine up on its module at call time, so a tracer or a test that
-    rebinds it sees every call.
+    ``position`` names the next member, and the degenerating flag reads
+    the dual of ``members`` at that position: for a pool member, the
+    universe has linked it already, so no dual is built.  The step's
+    rules read the keys of the parts, and tell the member apart from Q by
+    key.  The chain functions look the engine up on its module at call
+    time, so a tracer or a test that rebinds it sees every call.
     """
     triple = degeneration.decompose_mrs(member, q)
     m, rr, s = triple.common, triple.q_complement, triple.e_complement
+    m_key, r_key, s_key = m._key, rr._key, s._key
+    at_q = member._key == q._key
     bad = []
     # Bundles are equal exactly when their keys are, so the sums are compared as keys, unbuilt.
-    if _sum_key(m._key, rr._key) != q.dual()._key or _sum_key(m._key, s._key) != member.dual()._key:
+    if _sum_key(m_key, r_key) != q.dual()._key or _sum_key(m_key, s_key) != member.dual()._key:
         bad.append("decomposition does not reassemble the duals")
     else:
         if not slopewise_dominates(s, rr):
             bad.append(f"S={s} does not dominate R={rr}")
-        if s.is_zero != rr.is_zero or s.is_zero != (member == q):
+        s_zero = not s_key
+        if s_zero != (not r_key) or s_zero != at_q:
             bad.append("complement vanishing inconsistent")
-        if s._key:
+        if s_key:
             # Slopes compared on the keys by cross-multiplying (denominators are positive).
-            if not rr._key:  # what reading rr.mu_max raises
+            if not r_key:  # what reading rr.mu_max raises
                 raise PreconditionError("mu_max of the zero bundle is undefined")
-            (sp, sq, _), (rp, rq, _) = s._key[0], rr._key[0]
+            (sp, sq, _), (rp, rq, _) = s_key[0], r_key[0]
             if sp * rq <= rp * sq:
                 bad.append("mu_max(S) <= mu_max(R)")
-            if m._key:
-                mp, mq, _ = m._key[-1]
+            if m_key:
+                mp, mq, _ = m_key[-1]
                 if mp * sq < sp * mq:
                     bad.append("mu_min(M) < mu_max(S)")
-    s_top = s._key[0][:2] if s._key else None
+    s_top = s_key[0][:2] if s_key else None
     # rank(S) off S's key: S is built for this step alone, so its rank property is never filled.
-    s_rank = sum([q * m for _, q, m in s._key])
+    s_rank = 0
+    for _, width, mult in s_key:
+        s_rank += width * mult
     following = None
-    if member != q:
+    if not at_q:
         try:
             following = degeneration._next_member(triple)
         except PreconditionError:
@@ -688,14 +703,18 @@ def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], in
                 raise
     if following is None:
         return ChainStep(tuple(bad), None, None, s_rank, s_top)
-    return ChainStep(tuple(bad), position(following),
-                     slopewise_dominates(member.dual(), following.dual()), s_rank, s_top)
+    i = position(following)
+    return ChainStep(tuple(bad), i, slopewise_dominates(member.dual(), members[i].dual()),
+                     s_rank, s_top)
 
 
 def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool]:
-    """E_1's position and whether dual(E) dominates dual(E_1); raises what build_e1 raises."""
-    e1 = degeneration.build_e1(e)
-    return universe.position(e1), slopewise_dominates(e.dual(), e1.dual())
+    """E_1's position and whether dual(E) dominates dual(E_1); raises what build_e1 raises.
+
+    As in :func:`_chain_step`, the flag reads the dual of E_1's twin among the members.
+    """
+    i = universe.position(degeneration.build_e1(e))
+    return i, slopewise_dominates(e.dual(), universe.members[i].dual())
 
 
 def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
@@ -712,17 +731,22 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
     bad: list[str] = []
     # walk_chain decomposes each member once and ends at Q or at a step with problems.
     q_rank = q.rank
-    if any(members[i].rank != q_rank for i in walk):
-        bad.append("rank plateau broken")
+    for i in walk:
+        if members[i].rank != q_rank:
+            bad.append("rank plateau broken")
+            break
+    notes = [] if degenerating else ["dual chain not degenerating at step 0"]
     for i, step in enumerate(walked, 1):
-        bad.extend(f"step {i}: {problem}" for problem in step.problems)
+        for problem in step.problems:
+            bad.append(f"step {i}: {problem}")
+        # False only at a step that moved on, so never at Q's own step.
+        if step.degenerating is False:
+            notes.append(f"dual chain not degenerating at step {i}")
     if walk[-1] != qi:
         return ChainCheck((), (), None, tuple(bad), ())
-    notes = [] if degenerating else ["dual chain not degenerating at step 0"]
-    notes.extend(f"dual chain not degenerating at step {i}"
-                 for i, step in enumerate(walked[:-1], 1) if not step.degenerating)
-    terms = tuple(universe.terms[i][qi] for i in positions)
-    return ChainCheck(positions, terms, tuple(walked), tuple(bad), tuple(notes))
+    terms = universe.terms
+    return ChainCheck(positions, tuple([terms[i][qi] for i in positions]), tuple(walked),
+                      tuple(bad), tuple(notes))
 
 
 def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
@@ -740,14 +764,14 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
     """
     steps = checked.steps
     qf_degree = into_f[qi]
-    c = [codimension(into_f[i], term, qf_degree)
-         for i, term in zip(checked.positions, checked.terms)]
+    c = []
+    for i, term in zip(checked.positions, checked.terms):
+        c.append(codimension(into_f[i], term, qf_degree))
     bad: list[str] = []
     r = len(steps)
-    for i in range(r):
-        if c[i] < c[i + 1]:
-            bad.append(f"codimension increased along the chain: {c}")
-            break
+    # Never increasing exactly when sorting it in descending order changes nothing.
+    if c != sorted(c, reverse=True):
+        bad.append(f"codimension increased along the chain: {c}")
     if c[-1] != 0:
         bad.append(f"endpoint codimension {c[-1]} != 0")
     if r >= 2 and not c[0] > c[2]:

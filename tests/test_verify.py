@@ -26,6 +26,7 @@ from hnbundles import (
     ZERO,
     admissible_slopes,
     c_value,
+    canonicalize,
     deg_nonneg,
     deg_nonneg_oracle,
     degeneration_trace,
@@ -47,7 +48,7 @@ from hnbundles import (
     verify_oracles,
     verify_stratification_dimension,
 )
-from hnbundles import cli, criteria, degeneration, degrees, verify
+from hnbundles import bundle, cli, criteria, degeneration, degrees, verify
 from hnbundles.degeneration import (
     GENERAL_CONDITIONS,
     PAIR_CONDITIONS,
@@ -856,13 +857,143 @@ def test_a_chain_step_compares_slopes_as_fractions_do(monkeypatch):
             expected = _reference_step_slope_problems(m, rr, s)
         except PreconditionError as exc:
             with pytest.raises(PreconditionError, match=str(exc)):
-                verify._chain_step(member, q, lambda bundle: 0)
+                verify._chain_step(member, q, [ZERO], lambda bundle: 0)
             raised += 1
             continue
-        problems = verify._chain_step(member, q, lambda bundle: 0).problems
+        problems = verify._chain_step(member, q, [ZERO], lambda bundle: 0).problems
         assert [p for p in problems if p.startswith("mu_")] == expected
         checked += 1
     assert checked and raised
+
+
+# ----------------------------------------------------------------------
+# the one prefix split of a chain step, against the two dual polygons read unit by unit
+
+def _unit_slopes(v):
+    """The slope of each unit step of v's HN polygon, left to right: rank(v) slopes."""
+    return [lam for lam, mult in v.summands for _ in range(lam.denominator * mult)]
+
+
+def _bundle_of_units(units):
+    """The bundle whose HN polygon takes these unit steps; a slope p/q takes a multiple of q."""
+    counts = Counter(units)
+    assert all(n % lam.denominator == 0 for lam, n in counts.items())
+    return canonicalize([(lam, n // lam.denominator) for lam, n in counts.items()])
+
+
+def _reference_prefix_split(a, b):
+    """(M, A - M, B - M): the longest run of equal unit slopes that starts both polygons, and the rest."""
+    mine, theirs = _unit_slopes(a), _unit_slopes(b)
+    n = 0
+    while n < min(len(mine), len(theirs)) and mine[n] == theirs[n]:
+        n += 1
+    return _bundle_of_units(mine[:n]), _bundle_of_units(mine[n:]), _bundle_of_units(theirs[n:])
+
+
+@pytest.mark.parametrize("spec", [SMALL_INT, PAIR_UNIVERSE], ids=["SMALL_INT", "denominators_2"])
+def test_the_prefix_split_matches_the_unit_polygons_on_every_chain_step(monkeypatch, spec):
+    decompose_mrs, stepped = degeneration.decompose_mrs, {}
+
+    def recording(e_i, q):
+        stepped[e_i, q] = decompose_mrs(e_i, q)
+        return stepped[e_i, q]
+
+    monkeypatch.setattr(degeneration, "decompose_mrs", recording)
+    assert verify_degeneration(spec).passed
+    assert len(stepped) > 50
+    for (member, q), triple in stepped.items():
+        assert ((triple.common, triple.q_complement, triple.e_complement)
+                == _reference_prefix_split(q.dual(), member.dual()))
+
+
+def test_the_prefix_split_matches_the_unit_polygons_on_fractional_pairs():
+    # Slopes such as 1/2 and -3/2 are rank-2 summands: M never ends inside one.
+    pool = list(enumerate_bundles(SMALL, include_zero=True))
+    assert any(not v.has_integer_slopes() for v in pool)
+    for a, b in itertools.product(pool, repeat=2):
+        expected = _reference_prefix_split(a, b)
+        assert tuple(map(bundle._trusted, criteria._prefix_split(a._key, b._key))) == expected
+        assert criteria.hn_common_prefix(a, b) == expected[0]
+
+
+def test_decompose_mrs_keeps_its_error_texts(monkeypatch):
+    with pytest.raises(PreconditionError, match=r"^rank mismatch: rank\(-1\) != rank\(-1,-2\)$"):
+        degeneration.decompose_mrs(B("-1"), B("-1,-2"))
+    with pytest.raises(PreconditionError,
+                       match=r"^dual\(-1\) does not slopewise dominate dual\(-2\)$"):
+        degeneration.decompose_mrs(B("-1"), B("-2"))
+    # A split that leaves a complement empty although the two bundles differ.
+    monkeypatch.setattr(degeneration, "_prefix_split", lambda a, b: ((), a, ()))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^distinct bundles -2, -1 produced an empty complement$"):
+        degeneration.decompose_mrs(B("-2"), B("-1"))
+
+
+def test_a_split_that_gives_m_one_unit_too_many_fails_the_check(monkeypatch):
+    split = degeneration._prefix_split
+
+    def one_too_many(a, b):
+        common, a_rest, b_rest = split(a, b)
+        if common:  # one more O(p) at M's last shared slope p, an integer on this universe
+            p, q, m = common[-1]
+            common = (*common[:-1], (p, q, m + 1))
+        return common, a_rest, b_rest
+
+    assert verify_degeneration(SMALL_INT).passed
+    monkeypatch.setattr(degeneration, "_prefix_split", one_too_many)
+    report = verify_degeneration(SMALL_INT)
+    assert not report.passed
+    assert any(line.endswith("decomposition does not reassemble the duals")
+               for line in report.counterexamples)
+
+
+def test_a_chain_step_builds_its_three_parts_and_the_next_member_only(monkeypatch):
+    # Over the check's body: M, R and S per decomposition, the next member per step that
+    # moves on, and E_1 with the O it peels per E; no dual, since every chain member is a
+    # pool member whose dual the universe has linked.  No bundle is hashed or compared.
+    universe = verify.Universe(SMALL_INT)
+    monkeypatch.setattr(verify, "deg_nonneg", deg_nonneg.__wrapped__)  # no memo, no hashing
+    built, calls, peels = [], Counter(), []
+    settle = bundle._settle
+    monkeypatch.setattr(bundle, "_settle", lambda *args: built.append(args[1]) or settle(*args))
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("decompose_mrs", "_next_member"):
+        counting(degeneration, name)
+    for module in (degeneration, verify):
+        counting(module, "slopewise_dominates")
+    build_e1 = degeneration.build_e1
+
+    def peel(e):
+        before = len(built)
+        e1 = build_e1(e)
+        peels.append(len(built) - before)
+        return e1
+
+    monkeypatch.setattr(degeneration, "build_e1", peel)
+    dual, unlinked = HNBundle.dual, []
+    monkeypatch.setattr(HNBundle, "dual", lambda self: (
+        self._dual is None and unlinked.append(self)) or dual(self))
+    for name in ("__eq__", "__hash__"):
+        counting(HNBundle, name)
+    _, counterexamples, findings = verify.CHECKS["degeneration"][0](universe)
+    assert not counterexamples and not findings
+    decomposed, advanced = calls["decompose_mrs"], calls["_next_member"]
+    assert decomposed > advanced > 0 and set(peels) == {2}
+    assert len(built) == 3 * decomposed + advanced + sum(peels)
+    assert unlinked == []
+    # One ask in decompose_mrs, S against R, and per step that moves on the reduction's own
+    # and the degenerating flag; one flag per E_1.
+    assert calls["slopewise_dominates"] == 2 * decomposed + 2 * advanced + len(peels)
+    assert calls["__eq__"] == calls["__hash__"] == 0
 
 
 # ----------------------------------------------------------------------
