@@ -19,9 +19,8 @@ memoized on the instance, with a back-link, so ``v.dual().dual() is v``;
 zero is its own dual.  A ``verify.Universe`` links the duals of its pool
 in advance (:func:`_link_duals`): a member whose dual is also a member gets
 that member as its dual, so ``dual()`` builds no second, equal object for
-it.  That saves the object, not lookups: the
-``deg_nonneg`` memo hits as often, with as many ``__eq__`` calls, either
-way.
+it.  That saves the object, not lookups: the ``deg_nonneg`` memo is keyed
+on keys, and hits as often either way.
 
 Only outside input is validated, and one function, ``_as_slope``, reads
 every slope from outside, at every entry point from the constructor to

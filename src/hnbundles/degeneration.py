@@ -26,8 +26,10 @@ a transcript that ties the transformed codimension back to the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
-from typing import Callable, NamedTuple, TypeVar
+from operator import or_
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from .bundle import (
     HNBundle,
@@ -37,7 +39,6 @@ from .bundle import (
     _sum_key,
     _trusted,
     format_bundle,
-    summand_difference,
 )
 from .criteria import _prefix_split, is_quotient, slopewise_dominates
 from .degrees import c_value
@@ -55,6 +56,8 @@ __all__ = [
     "EMBEDDING_CONDITIONS",
     "QUOTIENT_CONDITIONS",
     "SUBBUNDLE_CONDITIONS",
+    "slope_sharing",
+    "integral_members",
     "general_violations",
     "reduced_violations",
     "max_slope_reduction",
@@ -123,11 +126,24 @@ class DegenerationTrace:
 # (E, Q) groups and reads the last bundle it is given.  Within a group the
 # cheap tests come first.  The tests look dominance (and is_quotient) up as
 # module globals at call time, so a tracer that rebinds them sees every call.
+# An entry of the (E, F) or (E, Q) group also carries its bulk form, whose
+# table, if it reads one, is built by the function beside the entry.
 
 class Condition(NamedTuple):
+    """A named condition: its requirement, its test on one triple, and its bulk form.
+
+    ``test`` is the one per-triple statement.  A pair or quotient condition
+    also has one bulk form, which asks nothing of a pair: ``admits(universe,
+    ei)``, the bitmask of the pool positions it admits beside the E at
+    position ``ei`` of a ``verify.Universe``, or ``ranks(rank)``, the range
+    of ranks it admits beside an E of that rank.
+    """
+
     name: str
     requirement: str
     test: Callable[..., bool]
+    admits: Callable[[Any, int], int] | None = None
+    ranks: Callable[[int], range] | None = None
 
 
 class ConditionSet(NamedTuple):
@@ -158,13 +174,35 @@ class ConditionSet(NamedTuple):
 _TOP_SLOPE_ZERO = Condition(
     "(vii)", "mu_max(E) must be 0", lambda e: not e.is_zero and e.mu_max == 0)
 
+
+def integral_members(bundles: Sequence[HNBundle]) -> int:
+    """(vi) in bulk: the bitmask of the bundles with integer slopes only, each asked once."""
+    return sum([1 << i for i, v in enumerate(bundles) if v.has_integer_slopes()])
+
+
 _INTEGER_SLOPES = Condition(
     "(vi)", "all slopes of E, F and Q must be integers",
-    lambda *bundles: bundles[-1].has_integer_slopes())
+    lambda *bundles: bundles[-1].has_integer_slopes(),
+    admits=lambda universe, ei: universe.integral)
+
+
+def slope_sharing(keys: Sequence[tuple[tuple[int, int, int], ...]]) -> list[int]:
+    """(iv) in bulk: bit F of entry E is set when bundles E and F have a slope in common.
+
+    The bundles are given by their keys, each read once: one mask per slope
+    of the bundles that have it, then one OR of those masks per bundle.
+    """
+    having: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(keys):
+        for p, q, _ in key:
+            having[p, q] = having.get((p, q), 0) | 1 << i
+    return [reduce(or_, [having[p, q] for p, q, _ in key], 0) for key in keys]
+
 
 PAIR_CONDITIONS = (
     Condition("(iv)", "E and F must have no common slopes",
-              lambda e, f: e.slope_pairs.isdisjoint(f.slope_pairs)),
+              lambda e, f: e.slope_pairs.isdisjoint(f.slope_pairs),
+              admits=lambda universe, ei: ~universe.sharing[ei]),
 )
 
 # The dominance conditions, which every ConditionSet holds.  E is a subbundle of F ...
@@ -181,13 +219,15 @@ SUBBUNDLE_CONDITIONS = (
 )
 
 GENERAL_CONDITIONS = ConditionSet((), PAIR_CONDITIONS, (
-    Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank),
+    Condition("(v)", "rank(Q) must be smaller than rank(E)", lambda e, q: q.rank < e.rank,
+              ranks=range),
 ))
 
 REDUCED_CONDITIONS = ConditionSet((_TOP_SLOPE_ZERO, _INTEGER_SLOPES), (
     _INTEGER_SLOPES, *PAIR_CONDITIONS,
 ), (
-    Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1),
+    Condition("(v)", "rank(Q) must equal rank(E) - 1", lambda e, q: q.rank == e.rank - 1,
+              ranks=lambda rank: range(rank - 1, rank)),
     _INTEGER_SLOPES,
 ))
 
@@ -259,11 +299,13 @@ def build_e1(e: HNBundle) -> HNBundle:
     """Remove one copy of the trivial summand O; requires mu_max(e) = 0.
 
     Which copy is immaterial: the bundle is a canonical multiset, so there
-    is exactly one result.
+    is exactly one result.  E's key leads with O's summand ``(0, 1, m)``;
+    one unit comes off it, and E_1 is the one bundle built.
     """
     if not _TOP_SLOPE_ZERO.test(e):
         raise PreconditionError("peeling requires mu_max(E) = 0 (a trivial summand present)")
-    return summand_difference(e, _trusted(((0, 1, 1),)))
+    (_, _, m), *rest = e._key
+    return _trusted(((0, 1, m - 1), *rest) if m > 1 else tuple(rest))
 
 
 def decompose_mrs(e_i: HNBundle, q: HNBundle) -> DecompositionTriple:

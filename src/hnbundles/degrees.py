@@ -9,6 +9,13 @@ segments (m*b, m*a) and (n*d, n*c), and those contributions sum to the
 degree.  The value is a nonnegative integer and vanishes whenever
 mu_min(V) >= mu_max(W).
 
+The values are memoized on the pair of keys ``(V._key, W._key)``, not on
+the bundles, so a lookup hashes and compares integer tuples in C and calls
+no ``HNBundle.__hash__`` or ``__eq__``, and equal but distinct bundles share
+one entry.  ``deg_nonneg`` carries the memo's ``cache_info`` and
+``cache_clear``, and ``deg_nonneg.__wrapped__`` is the same value over the
+bundles with the memo neither read nor filled.
+
 ``deg_nonneg_oracle`` recomputes the same number along the direct route
 (expand the tensor product into stable summands, keep slopes >= 0, take the
 degree).  The two routes are kept independent on purpose; the verification
@@ -55,11 +62,11 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
-    """Degree of the slope->=0 part of Hom(v, w): m*n*(b*c - a*d) summed over a/b < c/d."""
+def _degree(v_key: tuple[tuple[int, int, int], ...], w_key: tuple[tuple[int, int, int], ...]
+            ) -> int:
+    """deg_nonneg on the keys of V and W: m*n*(b*c - a*d) summed over a/b < c/d."""
     total = 0
-    w_key = w._key
-    for a, b, m in v._key:
+    for a, b, m in v_key:
         # w's key descends, so its c/d > a/b, where b*c - a*d > 0 (b, d > 0), are a prefix.
         for c, d, n in w_key:
             cross = b * c - a * d
@@ -67,6 +74,20 @@ def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
                 break
             total += m * n * cross
     return total
+
+
+def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
+    """Degree of the slope->=0 part of Hom(v, w), memoized on the two keys."""
+    return _degree(v._key, w._key)
+
+
+def _unmemoized(v: HNBundle, w: HNBundle) -> int:
+    """deg_nonneg(v, w) without the memo: neither read nor filled."""
+    return _degree.__wrapped__(v._key, w._key)
+
+
+deg_nonneg.cache_info, deg_nonneg.cache_clear = _degree.cache_info, _degree.cache_clear
+deg_nonneg.__wrapped__ = _unmemoized
 
 
 def deg_nonneg_oracle(v: HNBundle, w: HNBundle) -> int:

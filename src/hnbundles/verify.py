@@ -49,9 +49,11 @@ these questions once, whichever checks read the answer; it times each body
 and builds its report.  ``verify_X(spec)`` is ``run_checks([X], spec)[0]``.
 The three triple checks read one stream, :func:`_triple_groups`, each with
 its own conditions; it reads the dominance conditions (i), (ii) and (iii)
-off the universe's relations, so per triple only table lookups and the
-integer codimension formulas of :mod:`hnbundles.degrees` remain, and no
-value is computed that a per-triple check would not compute.
+off the universe's relations, and (iv), (v) and (vi) off their bulk forms
+(a slope-sharing relation, the rank order and an integral mask), and asks
+only the conditions on E, once per E.  So per triple only table lookups
+and the integer codimension formulas of :mod:`hnbundles.degrees` remain,
+and no value is computed that a per-triple check would not compute.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ import heapq
 import itertools
 import random
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import floor
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
@@ -79,6 +81,8 @@ from .degeneration import (
     REDUCED_CONDITIONS,
     SUBBUNDLE_CONDITIONS,
     ConditionSet,
+    integral_members,
+    slope_sharing,
 )
 from .degrees import (
     _negative_stratum, c_value, codimension, deg_nonneg, deg_nonneg_oracle, image_term,
@@ -376,6 +380,11 @@ class Universe:
     is asked by the degeneration chains alone, once per step.  The
     ``equivalence`` check reads ``dominator_flags`` as its third route.
 
+    The tables of conditions (iv) and (vi) are built once too, by the
+    functions beside their entries in :mod:`hnbundles.degeneration`:
+    ``sharing[E]``, whose bit F is set when E and F have a slope in common,
+    and ``integral``, the mask of the members with integer slopes only.
+
     The pool's duals are linked first: each member whose dual is also a
     member gets that member as ``dual()``, so ``dual()`` builds no second,
     equal object per member, and a chain step reads its degenerating flag
@@ -394,9 +403,11 @@ class Universe:
         where = {bundle._key: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
-        self.dominators = dominating = dominators([bundle._key for bundle in pool])
-        self.dual_dominators = dual_dominating = dominators([_dual_key(bundle._key)
-                                                             for bundle in pool])
+        keys = [bundle._key for bundle in pool]
+        self.dominators = dominating = dominators(keys)
+        self.dual_dominators = dual_dominating = dominators([_dual_key(key) for key in keys])
+        self.sharing = slope_sharing(keys)
+        self.integral = integral_members(pool)
         size = len(pool)
         self.dominator_flags = _Table(lambda i: _flags(dominating[i], size))
         self.dual_dominator_flags = _Table(lambda i: _flags(dual_dominating[i], size))
@@ -537,56 +548,65 @@ def _triple_groups(
     its order and Q over its rank order, so the flattened groups are the
     triples meeting every condition of ``conditions``, and (i), (ii) and
     (iii), in a fixed order.
-    The dominance conditions are read off the universe's relations, never
-    asked: (i) "F dominates E" gives the F of E, the set bits of
-    ``dominators[E]``; (ii) "Q is a quotient of E" is bit E of
-    ``dual_dominators[Q]``, tested before the (E, Q) group; and (iii)
-    "F dominates Q" is bit F of ``dominators[Q]``.  Each group of
-    ``conditions`` is tested in the outermost loop that holds its bundles,
-    in entry order up to the first that fails, after the dominance
-    condition on the same bundles: the (E, Q) group filters the Q
-    positions once per E, at E's first admissible F.  Every admissible
-    (E, F) is yielded, with an empty group when no Q completes it; the
-    groups hold at most ``limit`` triples in all.  The test functions are
-    bound once per call, so a caller that rebinds a condition set or one
-    of its entries sees every call.
+    Only the conditions on E are asked, through their tests, once per E, in
+    entry order up to the first that fails.  Every other condition is read
+    in bulk, never asked of a pair: the F of E are the set bits of
+    ``dominators[E]`` (i), ANDed with each (E, F) condition's ``admits``
+    mask, such as the complement of ``sharing[E]`` for (iv); the Q
+    candidates of E are the slice of the rank order that (ii), which forces
+    rank(Q) <= rank(E), and each (E, Q) condition's ``ranks`` admit, such
+    as rank(Q) < rank(E) for (v), kept where bit E of
+    ``dual_dominators[Q]`` (ii) and each (E, Q) ``admits`` mask are set;
+    and the group of (E, F) is the candidates Q with bit F of
+    ``dominators[Q]`` (iii).  Every admissible (E, F) is yielded, with an
+    empty group when no Q completes it; the groups hold at most ``limit``
+    triples in all.  The conditions are read once per call, so a caller
+    that rebinds a condition set or one of its entries sees every read.
     """
-    e_tests, pair_tests, quotient_tests = ([c.test for c in group] for group in conditions)
+    e_tests = [c.test for c in conditions.on_e]
+    for c in (*conditions.on_pair, *conditions.on_quotient):
+        if c.admits is None and c.ranks is None:
+            raise ValueError(f"condition {c.name} has no bulk form")
+    pair_masks = [c.admits for c in conditions.on_pair]
+    quotient_masks = [c.admits for c in conditions.on_quotient if c.admits is not None]
+    quotient_ranks = [c.ranks for c in conditions.on_quotient if c.ranks is not None]
     pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
-    dominating, dual_dominating = universe.dominator_flags, universe.dual_dominator_flags
-    positions = range(len(pool))
+    dominating, dominating_flags = universe.dominators, universe.dominator_flags
+    dual_dominating = universe.dual_dominator_flags
+    size = len(pool)
+    positions = range(size)
+    member_flags = _Table(lambda mask: _flags(mask, size))
+    everyone = (1 << size) - 1
     remaining = limit
     for ei, e in enumerate(pool):
         if not all(test(e) for test in e_tests):
             continue
-        quotients = None
-        for fi in itertools.compress(positions, dominating[ei]):
-            f = pool[fi]
-            for test in pair_tests:
-                if not test(e, f):
-                    break
-            else:
-                if quotients is None:
-                    quotients = []
-                    # Only a prune: (ii) requires rank(Q) <= rank(E).
-                    for qi in by_rank[:bisect_right(ranks, e.rank)]:
-                        if not dual_dominating[qi][ei]:
-                            continue
-                        q = pool[qi]
-                        for test in quotient_tests:
-                            if not test(e, q):
-                                break
-                        else:
-                            quotients.append(qi)
-                    # Each Q's flags by F, looked up once per E.
-                    above = [dominating[qi] for qi in quotients]
-                group = [qi for qi, flags in zip(quotients, above) if flags[fi]]
-                if remaining is not None:
-                    group = group[:remaining]
-                    remaining -= len(group)
-                yield ei, fi, group
-                if remaining == 0:
-                    return
+        admitted = dominating[ei]
+        for admits in pair_masks:
+            admitted &= admits(universe, ei)
+        if not admitted:
+            continue
+        rank = e.rank
+        low, high = 0, rank + 1
+        for admitted_ranks in quotient_ranks:
+            span = admitted_ranks(rank)
+            low, high = max(low, span.start), min(high, span.stop)
+        members = everyone
+        for admits in quotient_masks:
+            members &= admits(universe, ei)
+        kept = member_flags[members]
+        quotients = [qi for qi in by_rank[bisect_left(ranks, low):bisect_left(ranks, high)]
+                     if dual_dominating[qi][ei] and kept[qi]]
+        # Each Q's flags by F, looked up once per E.
+        above = [dominating_flags[qi] for qi in quotients]
+        for fi in itertools.compress(positions, _flags(admitted, size)):
+            group = list(itertools.compress(quotients, map(itemgetter(fi), above)))
+            if remaining is not None:
+                group = group[:remaining]
+                remaining -= len(group)
+            yield ei, fi, group
+            if remaining == 0:
+                return
 
 
 def _key_inequality(universe: Universe) -> _Outcome:

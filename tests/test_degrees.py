@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hnbundles import (
+    HNBundle,
     InternalConsistencyError,
     UniverseSpec,
     ZERO,
@@ -23,6 +24,9 @@ from hnbundles import (
     stable,
     stratum_dim,
     stratum_report,
+    verify_degeneration,
+    verify_key_inequality,
+    verify_stratification_dimension,
 )
 from hnbundles.criteria import dominators
 
@@ -134,6 +138,58 @@ def test_the_dominance_relation_reads_only_the_key_at_rank_10_12():
     relation = dominators([v._key for v in bundles])
     for (low, e), (high, f) in itertools.product(enumerate(bundles), repeat=2):
         assert (relation[low] >> high & 1) == slopewise_dominates(f, e), (f, e)
+
+
+# ----------------------------------------------------------------------
+# the deg_nonneg memo, keyed on the two bundles' keys
+
+def test_clearing_the_memo_empties_it():
+    deg_nonneg(B("1,-1"), B("2"))
+    assert deg_nonneg.cache_info().currsize > 0
+    deg_nonneg.cache_clear()
+    assert deg_nonneg.cache_info().currsize == 0
+
+
+def test_equal_but_distinct_bundles_hit_the_memo():
+    deg_nonneg.cache_clear()
+    v, w = B("1/2:2,-1"), B("2,0")
+    first = deg_nonneg(v, w)
+    twins = B("1/2:2,-1"), B("2,0")
+    assert twins[0] is not v and twins[1] is not w
+    assert deg_nonneg(*twins) == first
+    info = deg_nonneg.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_the_route_around_the_memo_neither_reads_nor_fills_it():
+    deg_nonneg.cache_clear()
+    v, w = B("0,-2"), B("1,-1")
+    assert deg_nonneg.__wrapped__(v, w) == deg_nonneg_oracle(v, w) == 5
+    assert deg_nonneg.cache_info() == (0, 0, None, 0)
+    deg_nonneg(v, w)
+    assert deg_nonneg.__wrapped__(v, w) == 5
+    assert deg_nonneg.cache_info() == (0, 1, None, 1)
+
+
+def test_the_triple_checks_one_after_another_hash_and_compare_no_bundle(monkeypatch):
+    # The benchmark's call shape: each verify_* builds its own pool, so the later checks hit
+    # the memo through equal but distinct bundles, and the keys answer for them.
+    calls = {"__eq__": 0, "__hash__": 0}
+    for name in calls:
+        original = getattr(HNBundle, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(HNBundle, name, counted)
+    deg_nonneg.cache_clear()
+    small_int = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=1)
+    for check in (verify_key_inequality, verify_degeneration, verify_stratification_dimension):
+        assert check(small_int).passed
+    assert calls == {"__eq__": 0, "__hash__": 0}
+    info = deg_nonneg.cache_info()
+    assert info.currsize > 0 and info.hits > 0
 
 
 # ----------------------------------------------------------------------

@@ -949,7 +949,7 @@ def test_a_split_that_gives_m_one_unit_too_many_fails_the_check(monkeypatch):
 
 def test_a_chain_step_builds_its_three_parts_and_the_next_member_only(monkeypatch):
     # Over the check's body: M, R and S per decomposition, the next member per step that
-    # moves on, and E_1 with the O it peels per E; no dual, since every chain member is a
+    # moves on, and E_1 alone per E; no dual, since every chain member is a
     # pool member whose dual the universe has linked.  No bundle is hashed or compared.
     universe = verify.Universe(SMALL_INT)
     monkeypatch.setattr(verify, "deg_nonneg", deg_nonneg.__wrapped__)  # no memo, no hashing
@@ -987,7 +987,7 @@ def test_a_chain_step_builds_its_three_parts_and_the_next_member_only(monkeypatc
     _, counterexamples, findings = verify.CHECKS["degeneration"][0](universe)
     assert not counterexamples and not findings
     decomposed, advanced = calls["decompose_mrs"], calls["_next_member"]
-    assert decomposed > advanced > 0 and set(peels) == {2}
+    assert decomposed > advanced > 0 and set(peels) == {1}
     assert len(built) == 3 * decomposed + advanced + sum(peels)
     assert unlinked == []
     # One ask in decompose_mrs, S against R, and per step that moves on the reduction's own
@@ -1183,19 +1183,18 @@ def test_a_chain_step_keeps_no_decomposition(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# how often the stream asks the other conditions: each group short-circuits in entry order,
-# lazily, after the dominance condition on the same bundles
+# the stream asks no condition of a pair: it reads (iv), (v) and (vi) in bulk, and asks only
+# the conditions on E, once per E
 
-def _counting_asks(monkeypatch, names):
-    """Count the calls of each named condition by its bundles, in every group the checks read."""
-    calls = {name: Counter() for name in names}
+def _asks_of_e_refusing_pairs(monkeypatch):
+    """Count each condition's asks by their one bundle; an ask of two bundles raises."""
+    calls = Counter()
 
     def counting(condition):
-        if condition.name not in calls:
-            return condition
-
         def test(*bundles):
-            calls[condition.name][bundles] += 1
+            if len(bundles) > 1:
+                raise AssertionError(f"{condition.name} asked of {bundles}")
+            calls[condition.name, bundles[0]] += 1
             return condition.test(*bundles)
 
         return condition._replace(test=test)
@@ -1208,30 +1207,14 @@ def _counting_asks(monkeypatch, names):
     return calls
 
 
-def _expected_asks(conditions):
-    """Each condition's asks, by bundles, from a stream that short-circuits each group.
-
-    A pair group is asked only of the (E, F) with F dominating E, and a quotient group only
-    of the (E, Q) with Q a quotient of E, once E has an admissible F.
-    """
-    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
-    asks = {c.name: Counter() for group in conditions for c in group}
-
-    def holds(group, *bundles):
-        for c in group:
-            asks[c.name][bundles] += 1
-            if not c.test(*bundles):
-                return False
-        return True
-
-    for e in pool:
-        if not holds(conditions.on_e, e):
-            continue
-        admissible = [f for f in pool if slopewise_dominates(f, e) and holds(conditions.on_pair, e, f)]
-        if admissible:
-            for q in pool:
-                if is_quotient(q, e):
-                    holds(conditions.on_quotient, e, q)
+def _expected_asks_of_e(conditions):
+    """Each E's asks, in entry order up to the first condition that fails."""
+    asks = Counter()
+    for e in enumerate_bundles(SMALL_INT, include_zero=True):
+        for c in conditions.on_e:
+            asks[c.name, e] += 1
+            if not c.test(e):
+                break
     return asks
 
 
@@ -1243,18 +1226,20 @@ ASKED_CONDITIONS = {
 
 
 @pytest.mark.parametrize("name", list(ASKED_CONDITIONS))
-def test_each_pair_and_quotient_condition_is_asked_once_after_the_earlier_ones(monkeypatch, name):
-    expected = _expected_asks(ASKED_CONDITIONS[name])
-    assert expected["(iv)"]
-    calls = _counting_asks(monkeypatch, ("(iv)", "(v)", "(vi)"))
-    assert run_checks([name], SMALL_INT)[0].passed
-    for condition, asked in calls.items():
-        assert asked == expected.get(condition, Counter()), condition
-        assert set(asked.values()) <= {1}, condition
-    # (iv) once per (E, F) that (i) admits; (v), and (vi) of Q, once per (E, Q) that (ii) admits.
-    assert all(slopewise_dominates(f, e) for e, f in calls["(iv)"])
-    assert all(is_quotient(q, e) for e, q in calls["(v)"])
-    assert bool(calls["(v)"]) == (name != "stratification")
+def test_the_stream_asks_no_pair_and_each_e_condition_once_per_e(monkeypatch, name):
+    expected = _outcome(run_checks([name], SMALL_INT)[0])
+    calls = _asks_of_e_refusing_pairs(monkeypatch)
+    assert _outcome(run_checks([name], SMALL_INT)[0]) == expected
+    assert calls == _expected_asks_of_e(ASKED_CONDITIONS[name])
+    assert set(calls.values()) <= {1}
+    # Degeneration asks (vii) of every E and (vi) of the E that pass it; the others ask none.
+    assert bool(calls) == (name == "degeneration")
+
+
+def test_a_pair_condition_without_a_bulk_form_is_refused():
+    bare = degeneration.Condition("(x)", "anything", lambda e, f: True)
+    with pytest.raises(ValueError, match=r"condition \(x\) has no bulk form"):
+        next(verify._triple_groups(verify.Universe(TINY), ConditionSet((), (bare,), ())))
 
 
 def test_dominance_keeps_no_memo_across_the_triple_checks():
@@ -1385,6 +1370,27 @@ def test_the_dominance_relations_agree_with_the_fast_route(spec):
         for relation, flags in ((universe.dominators, universe.dominator_flags),
                                 (universe.dual_dominators, universe.dual_dominator_flags)):
             assert flags[i] == bytes(relation[i] >> u & 1 for u in range(size))
+
+
+@pytest.mark.parametrize("spec", [SMALL_INT, PAIR_UNIVERSE, DENOMINATOR_3],
+                         ids=["small-int", "pair", "denominators-3"])
+def test_each_bulk_form_agrees_with_its_condition(spec):
+    universe = verify.Universe(spec)
+    pool = universe.pool
+    (no_common_slopes,) = PAIR_CONDITIONS
+    (smaller_rank,) = GENERAL_CONDITIONS.on_quotient
+    one_rank_less, integer_slopes = REDUCED_CONDITIONS.on_quotient
+    for ei, e in enumerate(pool):
+        assert (universe.integral >> ei & 1) == integer_slopes.test(e), e
+        assert (integer_slopes.admits(universe, ei) >> ei & 1) == integer_slopes.test(e), e
+        admitted = no_common_slopes.admits(universe, ei)
+        for fi, f in enumerate(pool):
+            shares = not no_common_slopes.test(e, f)
+            assert (universe.sharing[ei] >> fi & 1) == shares, (e, f)
+            assert (admitted >> fi & 1) != shares, (e, f)
+            for condition in (smaller_rank, one_rank_less):
+                assert (f.rank in condition.ranks(e.rank)) == condition.test(e, f), (
+                    condition.requirement, e, f)
 
 
 def _key_inequality_reads():
