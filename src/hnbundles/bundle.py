@@ -12,15 +12,9 @@ Every operation works on the key and compares slopes by cross-multiplying,
 so nothing in this package ever rounds; ``summands``, ``slopes()``,
 ``slope``, ``mu_max`` and ``mu_min`` are views that build exact
 :class:`fractions.Fraction` values when read, and no bundle stores one.
-Equality compares the keys; the key's hash is computed at the first
-``hash()`` of the instance and kept, so a bundle that is never hashed, such
-as a degeneration chain's intermediate, never pays for one.  ``dual()`` is
+Equality compares the keys, and the hash is the key's.  ``dual()`` is
 memoized on the instance, with a back-link, so ``v.dual().dual() is v``;
-zero is its own dual.  A ``verify.Universe`` links the duals of its pool
-in advance (:func:`_link_duals`): a member whose dual is also a member gets
-that member as its dual, so ``dual()`` builds no second, equal object for
-it.  That saves the object, not lookups: the ``deg_nonneg`` memo is keyed
-on keys, and hits as often either way.
+zero is its own dual.
 
 Only outside input is validated, and one function, ``_as_slope``, reads
 every slope from outside, at every entry point from the constructor to
@@ -155,9 +149,8 @@ class HNBundle:
     Slopes strictly descending, multiplicities >= 1; ``()`` is the zero
     bundle.  Use :func:`canonicalize`, :func:`stable` or
     :func:`parse_bundle` to build values from loose input.  An instance
-    holds its integer key, the dual link and cached integer properties, and
-    the key's hash from its first ``hash()`` on; ``_hash`` is None until
-    then.  Instances are immutable, hashable, and thread-safe.
+    holds its integer key, the dual link and cached integer properties.
+    Instances are immutable, hashable, and thread-safe.
     """
 
     def __init__(self, summands: Iterable[tuple[SlopeLike, int]]) -> None:
@@ -184,14 +177,10 @@ class HNBundle:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        digest = self._hash
-        if digest is None:
-            # Numerators zigzag-encoded (p >= 0 as 2p, p < 0 as -2p - 1): CPython hashes
-            # -1 like -2, so hashing the raw key would make every pair of bundles that
-            # differ only there collide.
-            digest = self.__dict__["_hash"] = hash(tuple([
-                (2 * p if p >= 0 else -2 * p - 1, q, m) for p, q, m in self._key]))
-        return digest
+        # Numerators zigzag-encoded (p >= 0 as 2p, p < 0 as -2p - 1): CPython hashes
+        # -1 like -2, so hashing the raw key would make every pair of bundles that
+        # differ only there collide.
+        return hash(tuple([(2 * p if p >= 0 else -2 * p - 1, q, m) for p, q, m in self._key]))
 
     # ------------------------------------------------------------------
     # basic invariants
@@ -244,11 +233,6 @@ class HNBundle:
         return 0
 
     def has_integer_slopes(self) -> bool:
-        return self._integer_slopes
-
-    @cached_property
-    def _integer_slopes(self) -> bool:
-        """Whether every slope is an integer, read once per instance off the integer key."""
         return all(q == 1 for _, q, _ in self._key)
 
     @cached_property
@@ -371,10 +355,9 @@ class HNBundle:
 
 
 def _settle(bundle: HNBundle, key: tuple[tuple[int, int, int], ...]) -> None:
-    """Store a canonical integer key; the hash is left for the first ``hash()`` to compute."""
+    """Store a canonical integer key, with no dual yet."""
     state = bundle.__dict__
     state["_key"] = key
-    state["_hash"] = None
     state["_dual"] = None
 
 
@@ -413,23 +396,6 @@ def _sum_key(mine: tuple[tuple[int, int, int], ...], theirs: tuple[tuple[int, in
 def _dual_key(key: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:
     """The key of the dual: every slope negated, so the order reverses."""
     return tuple([(-p, q, m) for p, q, m in reversed(key)])
-
-
-def _link_duals(bundles: list[HNBundle]) -> None:
-    """Make each bundle's dual the one of ``bundles`` equal to it, where there is one.
-
-    Both ends are linked at once, and only where neither dual is computed
-    yet, so ``v.dual().dual() is v`` keeps holding; a bundle whose dual is
-    not among ``bundles`` is left alone.  Zero, when present, is linked to
-    itself.
-    """
-    by_key = {v._key: v for v in bundles}
-    for v in bundles:
-        if v._dual is None:
-            twin = by_key.get(_dual_key(v._key))
-            if twin is not None and twin._dual is None:
-                v.__dict__["_dual"] = twin
-                twin.__dict__["_dual"] = v
 
 
 _DESCENDING = cmp_to_key(lambda s, t: t[0] * s[1] - s[0] * t[1])

@@ -13,8 +13,7 @@ The values are memoized on the pair of keys ``(V._key, W._key)``, not on
 the bundles, so a lookup hashes and compares integer tuples in C and calls
 no ``HNBundle.__hash__`` or ``__eq__``, and equal but distinct bundles share
 one entry.  ``deg_nonneg`` carries the memo's ``cache_info`` and
-``cache_clear``, and ``deg_nonneg.__wrapped__`` is the same value over the
-bundles with the memo neither read nor filled.
+``cache_clear``.
 
 ``deg_nonneg_oracle`` recomputes the same number along the direct route
 (expand the tensor product into stable summands, keep slopes >= 0, take the
@@ -81,13 +80,7 @@ def deg_nonneg(v: HNBundle, w: HNBundle) -> int:
     return _degree(v._key, w._key)
 
 
-def _unmemoized(v: HNBundle, w: HNBundle) -> int:
-    """deg_nonneg(v, w) without the memo: neither read nor filled."""
-    return _degree.__wrapped__(v._key, w._key)
-
-
 deg_nonneg.cache_info, deg_nonneg.cache_clear = _degree.cache_info, _degree.cache_clear
-deg_nonneg.__wrapped__ = _unmemoized
 
 
 def deg_nonneg_oracle(v: HNBundle, w: HNBundle) -> int:

@@ -71,7 +71,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
-                     _as_slope, _dual_key, _link_duals, _sum_key)
+                     _as_slope, _dual_key, _sum_key)
 from .criteria import dominators, rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -385,20 +385,13 @@ class Universe:
     ``sharing[E]``, whose bit F is set when E and F have a slope in common,
     and ``integral``, the mask of the members with integer slopes only.
 
-    The pool's duals are linked first: each member whose dual is also a
-    member gets that member as ``dual()``, so ``dual()`` builds no second,
-    equal object per member, and a chain step reads its degenerating flag
-    off the linked dual of the next member's pool twin, building none.  The
-    links change no ``deg_nonneg`` memo hit and no ``__eq__`` call; they
-    save the objects.  The ``degrees`` fills
-    look ``deg_nonneg`` up on this module at call time, so a test or tracer
-    that rebinds it sees every call.
+    The ``degrees`` fills look ``deg_nonneg`` up on this module at call
+    time, so a test or tracer that rebinds it sees every call.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
         self.spec = spec
         self.pool = pool = bundle_pool(spec)
-        _link_duals(pool)
         self.members = members = list(pool)
         where = {bundle._key: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
@@ -639,7 +632,7 @@ class ChainStep(NamedTuple):
     bundles a step builds (M, R, S and the next member) only a next member
     outside the pool outlives it.  ``following`` is the next member's
     position and ``degenerating`` whether dual(member) dominates the dual
-    of the member at that position, a pool member whose dual is linked;
+    of the member at that position, read off that member's memoized dual;
     both are None at Q, where the chain ends, and where the engine refuses
     to step on from a decomposition with problems, where the chain stops
     and reports them.
@@ -678,8 +671,8 @@ def _chain_step(member: HNBundle, q: HNBundle, members: list[HNBundle],
     """Decompose (member, Q), check every invariant of the step that does not read F, and step on.
 
     ``position`` names the next member, and the degenerating flag reads
-    the dual of ``members`` at that position: for a pool member, the
-    universe has linked it already, so no dual is built.  The step's
+    the memoized dual of ``members`` at that position, not of the bundle
+    just built, so each member's dual is built at most once.  The step's
     rules read the keys of the parts, and tell the member apart from Q by
     key.  The chain functions look the engine up on its module at call
     time, so a tracer or a test that rebinds it sees every call.

@@ -34,7 +34,6 @@ from hnbundles import (
     strip_common_slopes,
     summand_difference,
 )
-from hnbundles.bundle import _trusted
 
 B = parse_bundle
 
@@ -378,16 +377,6 @@ def test_deepcopy_keeps_value_and_hash():
         assert clone.dual().dual() is clone
 
 
-def test_a_bundle_is_hashed_at_its_first_hash():
-    v = _trusted(((1, 2, 1), (-1, 1, 2)))
-    assert vars(v)["_hash"] is None
-    # Equality compares keys, so it computes no hash either.
-    assert v == B("1/2,-1:2") and v != B("1/2,-1") and vars(v)["_hash"] is None
-    digest = hash(v)
-    assert vars(v)["_hash"] == digest == hash(B("1/2,-1:2"))
-    assert hash(v) == digest
-
-
 def test_bundle_never_equals_tuple_or_str():
     for v in (ZERO, stable(1), B("3/2:2,-1")):
         assert v != v.summands
@@ -537,14 +526,13 @@ def test_no_bundle_holds_a_fraction():
         value.segment_vectors, value.slope_pairs, value.has_integer_slopes(), str(value)
         value.multiplicity("3/2"), value.dual().dual(), hash(value)
         assert _fractions_held(value, set()) == [], repr(value)
-        assert set(vars(value)) <= {"_key", "_hash", "_dual", "rank", "degree", "polygon",
-                                    "slope_pairs", "_integer_slopes"}
+        assert set(vars(value)) <= {"_key", "_dual", "rank", "degree", "polygon", "slope_pairs"}
 
 
 def test_assigning_or_deleting_an_attribute_raises():
     v = B("3/2:2,-1")
     key, digest = v._key, hash(v)
-    for name in ("_key", "_hash", "_dual", "summands", "rank", "slope", "extra"):
+    for name in ("_key", "_dual", "summands", "rank", "slope", "extra"):
         with pytest.raises(AttributeError):
             setattr(v, name, ())
         with pytest.raises(AttributeError):

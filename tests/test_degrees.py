@@ -161,16 +161,6 @@ def test_equal_but_distinct_bundles_hit_the_memo():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def test_the_route_around_the_memo_neither_reads_nor_fills_it():
-    deg_nonneg.cache_clear()
-    v, w = B("0,-2"), B("1,-1")
-    assert deg_nonneg.__wrapped__(v, w) == deg_nonneg_oracle(v, w) == 5
-    assert deg_nonneg.cache_info() == (0, 0, None, 0)
-    deg_nonneg(v, w)
-    assert deg_nonneg.__wrapped__(v, w) == 5
-    assert deg_nonneg.cache_info() == (0, 1, None, 1)
-
-
 def test_the_triple_checks_one_after_another_hash_and_compare_no_bundle(monkeypatch):
     # The benchmark's call shape: each verify_* builds its own pool, so the later checks hit
     # the memo through equal but distinct bundles, and the keys answer for them.

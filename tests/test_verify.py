@@ -949,10 +949,11 @@ def test_a_split_that_gives_m_one_unit_too_many_fails_the_check(monkeypatch):
 
 def test_a_chain_step_builds_its_three_parts_and_the_next_member_only(monkeypatch):
     # Over the check's body: M, R and S per decomposition, the next member per step that
-    # moves on, and E_1 alone per E; no dual, since every chain member is a
-    # pool member whose dual the universe has linked.  No bundle is hashed or compared.
+    # moves on, E_1 alone per E, and the dual of a pool member at most once per member;
+    # no dual of a bundle built for one step.  No bundle is hashed or compared.
     universe = verify.Universe(SMALL_INT)
-    monkeypatch.setattr(verify, "deg_nonneg", deg_nonneg.__wrapped__)  # no memo, no hashing
+    monkeypatch.setattr(verify, "deg_nonneg",  # no memo, no hashing
+                        lambda v, w: degrees._degree.__wrapped__(v._key, w._key))
     built, calls, peels = [], Counter(), []
     settle = bundle._settle
     monkeypatch.setattr(bundle, "_settle", lambda *args: built.append(args[1]) or settle(*args))
@@ -979,17 +980,20 @@ def test_a_chain_step_builds_its_three_parts_and_the_next_member_only(monkeypatc
         return e1
 
     monkeypatch.setattr(degeneration, "build_e1", peel)
-    dual, unlinked = HNBundle.dual, []
+    dual, dualized = HNBundle.dual, []
     monkeypatch.setattr(HNBundle, "dual", lambda self: (
-        self._dual is None and unlinked.append(self)) or dual(self))
+        self._dual is None and dualized.append(self)) or dual(self))
     for name in ("__eq__", "__hash__"):
         counting(HNBundle, name)
     _, counterexamples, findings = verify.CHECKS["degeneration"][0](universe)
     assert not counterexamples and not findings
     decomposed, advanced = calls["decompose_mrs"], calls["_next_member"]
     assert decomposed > advanced > 0 and set(peels) == {1}
-    assert len(built) == 3 * decomposed + advanced + sum(peels)
-    assert unlinked == []
+    pool = {id(v) for v in universe.pool}
+    assert 0 < len({id(v) for v in dualized}) == len(dualized)
+    assert all(id(v) in pool for v in dualized)
+    # Zero is its own dual, so dualizing it builds nothing.
+    assert len(built) == 3 * decomposed + advanced + sum(peels) + sum(1 for v in dualized if v._key)
     # One ask in decompose_mrs, S against R, and per step that moves on the reduction's own
     # and the degenerating flag; one flag per E_1.
     assert calls["slopewise_dominates"] == 2 * decomposed + 2 * advanced + len(peels)
@@ -1310,36 +1314,18 @@ def test_the_relations_keep_the_rank_5_pairs():
 
 
 # ----------------------------------------------------------------------
-# a universe links the duals of its pool
+# duals across universes, and a pool that is not closed under duals
 
 ASYMMETRIC = UniverseSpec(max_rank=4, slope_min=-3, slope_max=1, max_denominator=1)
 
 
-def test_every_dual_of_a_symmetric_pool_is_a_pool_member():
-    pool = verify.Universe(TRIPLES_SHAPED).pool
-    members = {id(v) for v in pool}
-    assert all(id(v.dual()) in members for v in pool)
-    assert pool[0] is ZERO and ZERO.dual() is ZERO
-
-
 def test_linked_duals_stay_an_involution_across_universes():
     first, second = verify.Universe(TRIPLES_SHAPED), verify.Universe(TRIPLES_SHAPED)
-    # The second pool is built anew, but for the shared ZERO, and its duals are its own members.
+    # The second pool is built anew, but for the shared ZERO, and no dual crosses between pools.
     assert first.pool[1] is not second.pool[1]
     for v in (*first.pool, *second.pool, ZERO):
         assert v.dual().dual() is v
     assert all(v.dual() is not w for v in second.pool[1:] for w in first.pool)
-
-
-def test_duals_outside_an_asymmetric_pool_are_left_alone():
-    pool = verify.Universe(ASYMMETRIC).pool
-    members = {id(v) for v in pool}
-    unlinked = [v for v in pool if v._dual is None]
-    # Slopes in [-3, 1]: exactly the members with a slope below -1 have their dual outside.
-    assert 0 < len(unlinked) == sum(1 for v in pool if v._key and v._key[-1][0] < -1)
-    assert all(v._key[-1][0] < -1 for v in unlinked)
-    assert all(id(v.dual()) in members for v in pool if v._dual is not None)
-    assert all(v.dual() not in pool and v.dual().dual() is v for v in unlinked)
 
 
 def test_an_asymmetric_pool_keeps_the_triple_reports():
