@@ -44,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundle import HNBundle, InternalConsistencyError
+from .bundle import HNBundle, InternalConsistencyError, PreconditionError
+from .criteria import is_quotient
 
 __all__ = [
     "deg_nonneg",
@@ -117,11 +118,16 @@ def stratum_dim(e: HNBundle, f: HNBundle, q: HNBundle) -> int:
     """Dimension of the stratum of maps e -> f with image q.
 
     Pure arithmetic in all three arguments; the caller decides whether the
-    stratum is nonempty (see the criteria module).  A negative value cannot
-    arise for an admissible q and is reported as an internal error.
+    stratum is nonempty (see the criteria module).  A negative value means
+    that q is no image of a map e -> f: it raises :class:`PreconditionError`
+    when q is not a quotient of e.  A quotient q of e has image_term <= 0,
+    so its value is at least deg_nonneg(q, f) >= 0, whatever f; a negative
+    value there is reported as an internal error.
     """
     value = stratum_dimension(deg_nonneg(q, f), image_term(deg_nonneg(q, q), deg_nonneg(e, q)))
     if value < 0:
+        if not is_quotient(q, e):
+            raise PreconditionError(f"Q={q} is not a quotient of E={e}, so no map has image Q")
         raise InternalConsistencyError(_negative_stratum(e, f, q, value))
     return value
 

@@ -316,13 +316,13 @@ class _Table(dict):
 class _DegreeRow(dict):
     """W's row of ``Universe.degrees``: a missing V's cell is deg_nonneg(V, W), kept."""
 
-    __slots__ = ("_members", "_into")
+    __slots__ = ("_pool", "_into")
 
-    def __init__(self, members: list[HNBundle], w: int) -> None:
-        self._members, self._into = members, members[w]
+    def __init__(self, pool: list[HNBundle], w: int) -> None:
+        self._pool, self._into = pool, pool[w]
 
     def __missing__(self, v: int) -> int:
-        value = self[v] = deg_nonneg(self._members[v], self._into)
+        value = self[v] = deg_nonneg(self._pool[v], self._into)
         return value
 
 
@@ -343,14 +343,13 @@ class _TermRow(dict):
 class _StepRow(dict):
     """Q's row of ``Universe.steps``: a missing member's cell is its chain step, kept."""
 
-    __slots__ = ("_members", "_to", "_position")
+    __slots__ = ("_pool", "_to", "_position")
 
-    def __init__(self, members: list[HNBundle], position: Callable[[HNBundle], int],
-                 q: int) -> None:
-        self._members, self._to, self._position = members, members[q], position
+    def __init__(self, pool: list[HNBundle], position: Callable[[HNBundle], int], q: int) -> None:
+        self._pool, self._to, self._position = pool, pool[q], position
 
     def __missing__(self, v: int) -> ChainStep:
-        value = self[v] = _chain_step(self._members[v], self._to, self._members, self._position)
+        value = self[v] = _chain_step(self._pool[v], self._to, self._position)
         return value
 
 
@@ -359,15 +358,19 @@ class Universe:
 
     :func:`run_checks` builds one per distinct spec, outside any check's clock.
 
-    ``members`` is the pool, then any chain member outside it (only a
-    faulty engine makes one), placed by ``position(bundle)``, which
-    returns the bundle's position, found by its integer key, so a fresh
-    bundle is neither hashed nor compared; each table (see the module docstring)
-    is a dict that fills a missing key from there; a row of ``degrees``,
-    ``terms`` or ``steps`` (:class:`_DegreeRow`, :class:`_TermRow`,
-    :class:`_StepRow`) holds what its cells read and computes a missing
-    cell in its own ``__missing__``.  ``by_rank`` lists the pool positions
-    stably sorted by rank, and ``ranks`` their ranks.
+    The universe is fixed when it is built.  From E_1 on, each member of
+    the chain E = E_0, ..., E_r = Q of a reduced triple has rank(Q) and
+    only slopes of E or Q, so it is a pool member.  ``position(bundle)``
+    returns its pool position, found by its integer key, so a fresh bundle
+    is neither hashed nor compared; a bundle outside the pool (only a
+    faulty engine or enumeration makes one) raises
+    :class:`InternalConsistencyError`, which fails every chain through it.
+    Each table (see the module docstring) is a dict that fills a missing
+    key by position; a row of ``degrees``, ``terms`` or ``steps``
+    (:class:`_DegreeRow`, :class:`_TermRow`, :class:`_StepRow`) holds what
+    its cells read and computes a missing cell in its own ``__missing__``.
+    ``by_rank`` lists the pool positions stably sorted by rank, and
+    ``ranks`` their ranks.
 
     ``dominators[L]`` is an int whose bit U is set when pool member U
     slopewise dominates L, and ``dual_dominators[L]`` the same over the
@@ -376,9 +379,11 @@ class Universe:
     ``dominator_flags[L]`` and ``dual_dominator_flags[L]`` decode a mask at
     its first read into one byte per pool position, 1 where the bit is set,
     so that a test of one cell is an index, not a shift of a pool-wide int.
-    The triple stream reads dominance only from these; ``slopewise_dominates``
-    is asked by the degeneration chains alone, once per step.  The
-    ``equivalence`` check reads ``dominator_flags`` as its third route.
+    The triple stream reads dominance only from these, and so do the
+    degeneration findings: a chain step from E_i degenerates when bit E_i
+    of ``dual_dominators[E_{i+1}]`` is set.  ``slopewise_dominates`` is
+    asked by the chain steps alone.  The ``equivalence`` check reads
+    ``dominator_flags`` as its third route.
 
     The tables of conditions (iv) and (vi) are built once too, by the
     functions beside their entries in :mod:`hnbundles.degeneration`:
@@ -392,7 +397,6 @@ class Universe:
     def __init__(self, spec: UniverseSpec) -> None:
         self.spec = spec
         self.pool = pool = bundle_pool(spec)
-        self.members = members = list(pool)
         where = {bundle._key: i for i, bundle in enumerate(pool)}
         self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
         self.ranks = [pool[i].rank for i in self.by_rank]
@@ -409,15 +413,14 @@ class Universe:
         def position(bundle: HNBundle) -> int:
             i = where.get(bundle._key)
             if i is None:
-                i = where[bundle._key] = len(members)
-                members.append(bundle)
+                raise InternalConsistencyError(f"chain member {bundle} lies outside the universe")
             return i
 
-        self.degrees = degrees = _Table(partial(_DegreeRow, members))
+        self.degrees = degrees = _Table(partial(_DegreeRow, pool))
         self.terms = _Table(partial(_TermRow, degrees))
         # deg(V^{>=0}) off the key: the degrees p*m of the summands p/q with p >= 0.
-        self.nonneg = _Table(lambda v: sum([p * m for p, _, m in members[v]._key if p >= 0]))
-        self.steps = _Table(partial(_StepRow, members, position))
+        self.nonneg = _Table(lambda v: sum([p * m for p, _, m in pool[v]._key if p >= 0]))
+        self.steps = _Table(partial(_StepRow, pool, position))
         self.position = position
 
 
@@ -628,14 +631,13 @@ class ChainStep(NamedTuple):
     """One step of the chains to one Q, from one member: what the checks read of it, without F.
 
     ``problems`` are the violations of decompose_mrs(member, Q) without
-    their "step i" label; the decomposition itself is not kept, and of the
-    bundles a step builds (M, R, S and the next member) only a next member
-    outside the pool outlives it.  ``following`` is the next member's
-    position and ``degenerating`` whether dual(member) dominates the dual
-    of the member at that position, read off that member's memoized dual;
-    both are None at Q, where the chain ends, and where the engine refuses
-    to step on from a decomposition with problems, where the chain stops
-    and reports them.
+    their "step i" label; the decomposition itself is not kept, and no
+    bundle a step builds (M, R, S and the next member) outlives it.
+    ``following`` is the next member's pool position; it is None at Q,
+    where the chain ends, and where the engine refuses to step on from a
+    decomposition with problems, where the chain stops and reports them.
+    Whether the dual chain degenerates at the step is not kept here: the
+    chain reads it off the universe's dual relation.
 
     ``s_rank`` and ``s_top`` are the F-free half of the stall rule, as
     integers: rank(S), and mu_max(S) as its key's ``(p, q)``, None when S is
@@ -645,7 +647,6 @@ class ChainStep(NamedTuple):
 
     problems: tuple[str, ...]
     following: int | None
-    degenerating: bool | None
     s_rank: int
     s_top: tuple[int, int] | None
 
@@ -666,16 +667,14 @@ class ChainCheck(NamedTuple):
     findings: tuple[str, ...]
 
 
-def _chain_step(member: HNBundle, q: HNBundle, members: list[HNBundle],
-                position: Callable[[HNBundle], int]) -> ChainStep:
+def _chain_step(member: HNBundle, q: HNBundle, position: Callable[[HNBundle], int]) -> ChainStep:
     """Decompose (member, Q), check every invariant of the step that does not read F, and step on.
 
-    ``position`` names the next member, and the degenerating flag reads
-    the memoized dual of ``members`` at that position, not of the bundle
-    just built, so each member's dual is built at most once.  The step's
-    rules read the keys of the parts, and tell the member apart from Q by
-    key.  The chain functions look the engine up on its module at call
-    time, so a tracer or a test that rebinds it sees every call.
+    ``position`` names the next member by its pool position, and raises
+    for a member outside the pool.  The step's rules read the keys of the
+    parts, and tell the member apart from Q by key.  The chain functions
+    look the engine up on its module at call time, so a tracer or a test
+    that rebinds it sees every call.
     """
     triple = degeneration.decompose_mrs(member, q)
     m, rr, s = triple.common, triple.q_complement, triple.e_complement
@@ -714,30 +713,21 @@ def _chain_step(member: HNBundle, q: HNBundle, members: list[HNBundle],
         except PreconditionError:
             if not bad:
                 raise
-    if following is None:
-        return ChainStep(tuple(bad), None, None, s_rank, s_top)
-    i = position(following)
-    return ChainStep(tuple(bad), i, slopewise_dominates(member.dual(), members[i].dual()),
+    return ChainStep(tuple(bad), None if following is None else position(following),
                      s_rank, s_top)
 
 
-def _chain_start(universe: Universe, e: HNBundle) -> tuple[int, bool]:
-    """E_1's position and whether dual(E) dominates dual(E_1); raises what build_e1 raises.
-
-    As in :func:`_chain_step`, the flag reads the dual of E_1's twin among the members.
-    """
-    i = universe.position(degeneration.build_e1(e))
-    return i, slopewise_dominates(e.dual(), universe.members[i].dual())
-
-
 def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
-    """Walk the chain of (E, Q) from E_1, ``starts[ei]``, and check it without F."""
-    members = universe.members
-    e, q = members[ei], members[qi]
+    """Walk the chain of (E, Q) from E_1, ``starts[ei]``, and check it without F.
+
+    The findings read the dual relation: step i degenerates when bit E_i
+    of ``dual_dominators[E_{i+1}]`` is set.
+    """
+    pool = universe.pool
+    e, q = pool[ei], pool[qi]
     try:
-        first, degenerating = starts[ei]
         walk, walked = degeneration.walk_chain(
-            e, q, first, qi, universe.steps[qi].__getitem__, attrgetter("following"))
+            e, q, starts[ei], qi, universe.steps[qi].__getitem__, attrgetter("following"))
     except (PreconditionError, InternalConsistencyError) as exc:
         return ChainCheck((), (), None, (f"trace failed: {exc}",), ())
     positions = (ei, *walk)
@@ -745,24 +735,24 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
     # walk_chain decomposes each member once and ends at Q or at a step with problems.
     q_rank = q.rank
     for i in walk:
-        if members[i].rank != q_rank:
+        if pool[i].rank != q_rank:
             bad.append("rank plateau broken")
             break
-    notes = [] if degenerating else ["dual chain not degenerating at step 0"]
     for i, step in enumerate(walked, 1):
         for problem in step.problems:
             bad.append(f"step {i}: {problem}")
-        # False only at a step that moved on, so never at Q's own step.
-        if step.degenerating is False:
-            notes.append(f"dual chain not degenerating at step {i}")
     if walk[-1] != qi:
         return ChainCheck((), (), None, tuple(bad), ())
+    flags = universe.dual_dominator_flags
+    notes = [f"dual chain not degenerating at step {i}"
+             for i, (member, following) in enumerate(zip(positions, walk))
+             if not flags[following][member]]
     terms = universe.terms
     return ChainCheck(positions, tuple([terms[i][qi] for i in positions]), tuple(walked),
                       tuple(bad), tuple(notes))
 
 
-def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
+def _codimension_problems(pool: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
                           into_f: dict[int, int], first_drop: int) -> list[str]:
     """Compute and re-check the codimensions of the triple (E, F, Q) along its chain.
 
@@ -800,7 +790,7 @@ def _codimension_problems(members: list[HNBundle], fi: int, qi: int, checked: Ch
                 raise PreconditionError("mu_min of the zero bundle is undefined")
             p, q = step.s_top
             # a/b > -p/q exactly when a*q > -p*b, since b, q > 0.
-            if step.s_rank != sum([b * m for a, b, m in members[fi]._key if a * q > -p * b]):
+            if step.s_rank != sum([b * m for a, b, m in pool[fi]._key if a * q > -p * b]):
                 bad.append(f"step {i}: codimension stalled without the rank equality")
     return bad
 
@@ -810,9 +800,9 @@ def _degeneration(universe: Universe) -> _Outcome:
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-    # E_1 is built once per E, at E's first triple.
-    starts = _Table(lambda ei: _chain_start(universe, pool[ei]))
-    members, degrees, nonneg = universe.members, universe.degrees, universe.nonneg
+    # E_1 is built once per E, at E's first triple, and named by its pool position.
+    starts = _Table(lambda ei: universe.position(degeneration.build_e1(pool[ei])))
+    degrees, nonneg = universe.degrees, universe.nonneg
     current = None
     for ei, fi, group in _triple_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit):
         if not group:
@@ -827,7 +817,7 @@ def _degeneration(universe: Universe) -> _Outcome:
             checked = from_e[qi]
             bad, notes = checked.violations, checked.findings
             if checked.steps is not None:
-                bad = (*bad, *_codimension_problems(members, fi, qi, checked, into_f,
+                bad = (*bad, *_codimension_problems(pool, fi, qi, checked, into_f,
                                                     nonneg[fi] - nonneg[qi]))
             if bad or notes:
                 prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"

@@ -81,6 +81,15 @@ def test_dims_command(capsys):
     assert json.loads(capsys.readouterr().out) == {"hom": 5, "stratum": 3, "c": 2}
 
 
+def test_dims_of_a_q_that_is_no_quotient_blames_the_input(capsys):
+    # O(2) + O(1) is no quotient of the zero bundle: a precondition, not an internal failure.
+    assert run(["dims", "0", "0", "2,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hnb: precondition violated: Q=2,1 is not a quotient of E=0, "
+                            "so no map has image Q\n")
+
+
 def test_trace_json(capsys):
     assert run(["trace", "0,-2", "1,-1", "-1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

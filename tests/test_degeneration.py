@@ -207,6 +207,21 @@ def test_one_chain_serves_every_f():
         assert (trace.chain, trace.steps) == (chain, steps)
 
 
+@pytest.mark.parametrize("spec", [
+    UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=1),
+    UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=2),
+], ids=["integer", "denominators_2"])
+def test_chain_members_keep_rank_q_and_the_slopes_of_e_and_q(spec):
+    # So every member of an honest chain lies in any universe that holds E and Q.
+    triples = list(admissible_triples(spec, REDUCED_CONDITIONS))
+    assert len(triples) > 100
+    for e, f, q in triples:
+        slopes = set(e.slopes()) | set(q.slopes())
+        for member in degeneration_trace(e, f, q).chain[1:]:
+            assert member.rank == q.rank, (e, f, q, member)
+            assert set(member.slopes()) <= slopes, (e, f, q, member)
+
+
 def test_trace_decomposes_each_member_once(monkeypatch):
     calls = []
     original = degeneration.decompose_mrs

@@ -11,6 +11,7 @@ import pytest
 from hnbundles import (
     HNBundle,
     InternalConsistencyError,
+    PreconditionError,
     UniverseSpec,
     ZERO,
     c_value,
@@ -18,6 +19,8 @@ from hnbundles import (
     deg_nonneg_oracle,
     dim_hom,
     enumerate_bundles,
+    image_term,
+    is_quotient,
     parse_bundle,
     rank_condition,
     slopewise_dominates,
@@ -28,6 +31,7 @@ from hnbundles import (
     verify_key_inequality,
     verify_stratification_dimension,
 )
+from hnbundles import degrees
 from hnbundles.criteria import dominators
 
 B = parse_bundle
@@ -198,9 +202,23 @@ def test_stratum_dim_examples():
     assert stratum_dim(stable(0), B("1,-1"), stable(1)) == 1
 
 
-def test_stratum_dim_negative_is_internal_error():
-    with pytest.raises(InternalConsistencyError):
+def test_stratum_dim_negative_is_internal_error(monkeypatch):
+    # Only for a Q that is a quotient of E; here the image term is forced one too high.
+    assert stratum_dim(ZERO, ZERO, ZERO) == 0
+    monkeypatch.setattr(degrees, "image_term", lambda qq, eq: qq - eq + 1)
+    with pytest.raises(InternalConsistencyError, match=r"^stratum dimension formula gave -1 < 0"):
+        stratum_dim(ZERO, ZERO, ZERO)
+
+
+def test_a_negative_stratum_of_a_q_that_is_no_quotient_is_a_precondition():
+    with pytest.raises(PreconditionError,
+                       match=r"^Q=1,-1 is not a quotient of E=0, so no map has image Q$"):
         stratum_dim(ZERO, ZERO, B("1,-1"))
+    # A quotient Q of E has image term <= 0, so its stratum is never negative, whatever F.
+    pool = small_universe()
+    quotients = [(e, q) for e, q in itertools.product(pool, repeat=2) if is_quotient(q, e)]
+    assert len(quotients) > 1000
+    assert all(image_term(deg_nonneg(q, q), deg_nonneg(e, q)) <= 0 for e, q in quotients)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +238,7 @@ def test_c_value_is_hom_minus_stratum():
         e, f, q = (rng.choice(pool) for _ in range(3))
         try:
             stratum = stratum_dim(e, f, q)
-        except InternalConsistencyError:
+        except PreconditionError:
             continue
         assert c_value(e, f, q) == dim_hom(e, f) - stratum
 

@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hnbundles import InternalConsistencyError, c_value, canonicalize, deg_nonneg  # noqa: E402
+from hnbundles import PreconditionError, c_value, canonicalize, deg_nonneg  # noqa: E402
 from hnbundles import deg_nonneg_oracle, dim_hom, rank_condition  # noqa: E402
 from hnbundles import slopewise_dominates, stratum_dim  # noqa: E402
 from hnbundles.degeneration import general_violations  # noqa: E402
@@ -115,7 +115,7 @@ def test_c_value_is_dim_hom_minus_a_nonnegative_stratum():
     def law(triple):
         try:
             stratum = stratum_dim(*triple)
-        except InternalConsistencyError:
+        except PreconditionError:
             return
         e, f, _ = triple
         assert c_value(*triple) == dim_hom(e, f) - stratum

@@ -683,10 +683,38 @@ def test_a_member_outside_the_pool_is_reported_as_by_the_reference(monkeypatch):
     monkeypatch.setattr(degeneration, "_next_member", leaving)
     through = {f"E={e2} F={f} Q={q2}" for e2, f, q2 in triples
                if outside in degeneration_trace(e2, f, q2).chain}
-    assert through
+    assert len(through) == 3
+    # The universe does not grow: each chain through the stray fails with one line, and
+    # every other triple reports what its own trace reports.
+    count, cex, findings = _degeneration_outcome(verify_degeneration(SMALL_INT))
+    ref_count, ref_cex, ref_findings = _reference_degeneration(SMALL_INT)
+    assert count == ref_count
+
+    def split(lines):
+        """The lines of the triples through the stray, and the others."""
+        ours = [line for line in lines if line.split(": ", 1)[0] in through]
+        return ours, [line for line in lines if line not in ours]
+
+    assert str(outside) == "-9:2"
+    assert split(cex)[0] == sorted(
+        f"{prefix}: trace failed: chain member -9:2 lies outside the universe" for prefix in through)
+    assert split(cex)[1] == split(ref_cex)[1]
+    assert list(findings) == split(ref_findings)[1]
+
+
+def test_a_dual_chain_that_does_not_degenerate_is_a_finding_as_by_the_reference(monkeypatch):
+    # Honest chains yield no finding.  From E_1 = O(-1) toward Q = O(2) the chain detours
+    # through O(-2), and dual(O(-1)) = O(1) does not dominate dual(O(-2)) = O(2).
+    detour = degeneration.decompose_mrs(B("-1"), B("2"))
+    original = degeneration._next_member
+    monkeypatch.setattr(degeneration, "_next_member",
+                        lambda step: B("-2") if step == detour else original(step))
     outcome = _degeneration_outcome(verify_degeneration(SMALL_INT))
     assert outcome == _reference_degeneration(SMALL_INT)
-    assert {line.split(": ", 1)[0] for line in outcome[1]} >= through
+    findings = outcome[2]
+    assert len(findings) == 7
+    assert all(line.startswith("E=0,-1 ") and " Q=2: " in line
+               and line.endswith(": dual chain not degenerating at step 1") for line in findings)
 
 
 def _q_reached_by_chains_of_different_lengths():
@@ -857,10 +885,10 @@ def test_a_chain_step_compares_slopes_as_fractions_do(monkeypatch):
             expected = _reference_step_slope_problems(m, rr, s)
         except PreconditionError as exc:
             with pytest.raises(PreconditionError, match=str(exc)):
-                verify._chain_step(member, q, [ZERO], lambda bundle: 0)
+                verify._chain_step(member, q, lambda bundle: 0)
             raised += 1
             continue
-        problems = verify._chain_step(member, q, [ZERO], lambda bundle: 0).problems
+        problems = verify._chain_step(member, q, lambda bundle: 0).problems
         assert [p for p in problems if p.startswith("mu_")] == expected
         checked += 1
     assert checked and raised
@@ -994,9 +1022,9 @@ def test_a_chain_step_builds_its_three_parts_and_the_next_member_only(monkeypatc
     assert all(id(v) in pool for v in dualized)
     # Zero is its own dual, so dualizing it builds nothing.
     assert len(built) == 3 * decomposed + advanced + sum(peels) + sum(1 for v in dualized if v._key)
-    # One ask in decompose_mrs, S against R, and per step that moves on the reduction's own
-    # and the degenerating flag; one flag per E_1.
-    assert calls["slopewise_dominates"] == 2 * decomposed + 2 * advanced + len(peels)
+    # One ask in decompose_mrs, S against R, and per step that moves on the reduction's own;
+    # the degenerating flags are read off the dual relation, not asked.
+    assert calls["slopewise_dominates"] == 2 * decomposed + advanced
     assert calls["__eq__"] == calls["__hash__"] == 0
 
 
