@@ -31,6 +31,10 @@ deg_nonneg values it reads:
 * ``codimension(ef, term, qf)`` = ef + term - qf, the codimension of that
   locus inside Hom(E, F), for ef = deg_nonneg(E, F).
 
+The three are linear, so they also accept packed operands: ints holding
+one value per lane of a fixed bit width (``verify._Lanes``), on which one
+call evaluates the formula in every lane at once, exactly.
+
 The bundle forms read the degrees and apply them: ``dim_hom(E, F)`` =
 deg_nonneg(E, F), the dimension of the space of maps E -> F, and
 ``stratum_dim(E, F, Q)`` and ``c_value(E, F, Q)``, so that c_value =

@@ -12,8 +12,8 @@ Checks:
 * equivalence     - the rank-filtration condition, slopewise dominance
                     and the universe's bulk dominance relation agree on
                     every ordered pair;
-* oracles         - the cross-product degree calculus agrees with the
-                    tensor-expansion route on every ordered pair;
+* oracles         - the cross-product degree calculus, the tensor-expansion
+                    route and the packed lanes agree on every ordered pair;
 * key-inequality  - every admissible triple (five named conditions, with
                     rank(Q) < rank(E)) has strictly positive codimension;
 * degeneration    - every reduced triple traces to Q within the step bound
@@ -47,13 +47,30 @@ computes a cell in one frame:
 spec and hands it to every check body on that spec, so a run asks each of
 these questions once, whichever checks read the answer; it times each body
 and builds its report.  ``verify_X(spec)`` is ``run_checks([X], spec)[0]``.
-The three triple checks read one stream, :func:`_triple_groups`, each with
-its own conditions; it reads the dominance conditions (i), (ii) and (iii)
-off the universe's relations, and (iv), (v) and (vi) off their bulk forms
-(a slope-sharing relation, the rank order and an integral mask), and asks
-only the conditions on E, once per E.  So per triple only table lookups
-and the integer codimension formulas of :mod:`hnbundles.degrees` remain,
-and no value is computed that a per-triple check would not compute.
+The three triple checks read one stream, each with its own conditions; it
+reads the dominance conditions (i), (ii) and (iii) off the universe's
+relations, and (iv), (v) and (vi) off their bulk forms (a slope-sharing
+relation, the rank order and an integral mask), and asks only the
+conditions on E, once per E (:func:`_admitted`).  Degeneration reads it as
+:func:`_triple_groups`, a list of Q positions per (E, F), and reads the
+tables above per triple.
+
+Key-inequality and stratification read it as :func:`_lane_groups`, one lane
+mask per (E, F), and evaluate the integer formulas of
+:mod:`hnbundles.degrees` once per (E, F) on packed rows, one lane per pool
+position (``Universe.lanes``, a :class:`_Lanes`): deg_nonneg(., F) and
+deg_nonneg(E, .) are sums of k packed multiplicity rows, k the number of
+distinct slopes, since deg_nonneg is additive in each argument.  A bias
+folded into the image term makes each clause one sign-bit mask, which the
+group's mask must be inside: key-inequality's c > 0, and stratification's
+dim >= 0, c = dim hom - dim >= 0, c > 0 below rank(E), and Q = E in the
+group with c = 0; ``int.bit_count`` counts the triples.  A group that fails
+a lane test is rerun one triple at a time, through the per-cell tables, so
+each counterexample keeps its one statement; a group that the rerun passes
+is reported as one on which the two routes disagree.  A sampled
+key-inequality run is the stream's first N triples, which may cut a group,
+so it runs per triple.  The lanes are one more fast degree route: the
+``oracles`` check compares them with ``deg_nonneg`` and the tensor route.
 """
 
 from __future__ import annotations
@@ -65,13 +82,13 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
-from math import floor
+from functools import cached_property, partial
+from math import ceil, floor
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
-                     _as_slope, _dual_key, _sum_key)
+                     _as_slope, _dual_key, _sum_key, _trusted)
 from .criteria import dominators, rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -292,6 +309,7 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
 
 
 _BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTES_TO_SIGNS = bytes.maketrans(b"\0\1", b"\0\x80")
 
 
 def _flags(mask: int, size: int) -> bytes:
@@ -353,6 +371,119 @@ class _StepRow(dict):
         return value
 
 
+class _Lanes:
+    """Rows over one pool packed into ints, one lane of ``width`` bits per pool position.
+
+    A packed int holds x_i * 2**(i * width) summed over the positions i, x_i
+    being its lane i.  Packed ints add, subtract and scale lane by lane,
+    exactly, so one call of an integer formula of :mod:`hnbundles.degrees`
+    on packed operands evaluates it in every lane at once.
+
+    The width is a multiple of 8, fixed at build from a bound computed over
+    the pool.  deg_nonneg(V, W) <= rank(V) * rank(W) * (largest slope -
+    smallest slope), so with R the largest rank, ``bound`` = R * R *
+    (ceil(slope span) + 1) exceeds every degree and multiplicity, and
+    2**(width - 1) > 4 * bound + 4 keeps every value a lane check tests (a
+    sum of at most four degrees, less one) inside [-2**(width - 1),
+    2**(width - 1)).  Adding ``bias``, 2**(width - 1) in every lane, then
+    makes every lane nonnegative without a carry between lanes, so the top
+    bit of a lane, its sign bit, is set exactly when the lane is >= 0.  A
+    lane mask has the sign bit of each lane in it set, so ``bias`` is also
+    the mask of every lane, ANDing a biased value with a mask keeps the
+    lanes of the mask that are >= 0, and ``mask.bit_count()`` counts the
+    lanes of a mask.  ``ones`` holds 1 in every lane, so ``v * ones`` holds
+    v in every lane.
+
+    * ``multiplicities`` - by slope (p, q), M_s: lane Q holds the
+                           multiplicity of p/q in Q;
+    * ``diagonal``       - deg_nonneg(Q, Q) in lane Q;
+    * ``into[F]``        - deg_nonneg(., F), which is additive in its first
+                           argument: the sum over slopes s of
+                           deg_nonneg(O(s), F) * M_s;
+    * ``outof[E]``       - deg_nonneg(E, .), the sum over s of
+                           deg_nonneg(E, O(s)) * M_s;
+    * ``below[r]``       - the mask of the lanes of rank < r;
+    * ``dominated[F]``   - the mask of the Q that F slopewise dominates:
+                           column F of the relation ``dominating``, whose
+                           entry L has bit U set when U dominates L;
+    * ``quotients(E)``   - the mask of the Q that are quotients of E: column
+                           E of ``dual_dominating``.
+
+    A column is a slice of a byte matrix with a row per Q and a byte per
+    bundle.  deg_nonneg(O(p/q), F) and deg_nonneg(E, O(p/q)) are at most
+    q * R * (ceil(slope span) + 1), so a row built from such values has its
+    lanes in [0, bound]; a row that reads a value past that cap, or a
+    diagonal with a lane outside [0, bound] (only a faulty degree route
+    makes one), is None, and a check reruns every group that reads it one
+    triple at a time.  The fills look ``deg_nonneg`` up on this module at
+    call time, so a test or tracer that rebinds it sees every call.
+    """
+
+    def __init__(self, pool: list[HNBundle], dominating: list[int],
+                 dual_dominating: list[int]) -> None:
+        size = len(pool)
+        ranks = [v.rank for v in pool]
+        top = max(ranks, default=0)
+        slopes = {(p, q): None for v in pool for p, q, _ in v._key}
+        span = (max(Fraction(p, q) for p, q in slopes) - min(Fraction(p, q) for p, q in slopes)
+                if slopes else 0)
+        reach = ceil(span) + 1
+        self.bound = bound = top * top * reach
+        width = 8
+        while 1 << width - 1 <= 4 * bound + 4:
+            width += 8
+        step = width // 8
+        self.width = width
+        self.ones = int.from_bytes((b"\1" + bytes(step - 1)) * size, "little")
+        self.bias = self.ones << width - 1
+        lane = (1 << width) - 1
+
+        # These close over locals, not over self, so the tables form no cycle.
+        def at(row: int, i: int) -> int:
+            """Lane i of a packed row whose lanes are all nonnegative."""
+            return row >> i * width & lane
+
+        def spread(flags: bytes) -> int:
+            """The lane mask of the lanes whose byte in ``flags`` is 1."""
+            lanes = bytearray(size * step)
+            lanes[step - 1::step] = flags.translate(_BYTES_TO_SIGNS)
+            return int.from_bytes(lanes, "little")
+
+        def positions(mask: int) -> list[int]:
+            """The positions of a lane mask's lanes, ascending."""
+            return list(itertools.compress(range(size),
+                                           mask.to_bytes(size * step, "little")[step - 1::step]))
+
+        columns = {slope: bytearray(size * step) for slope in slopes}
+        for i, v in enumerate(pool):
+            for p, q, m in v._key:
+                columns[p, q][i * step:(i + 1) * step] = m.to_bytes(step, "little")
+        self.multiplicities = packs = {slope: int.from_bytes(column, "little")
+                                       for slope, column in columns.items()}
+        # Each slope's line bundle O(p/q), and the cap on its degrees with or into a member.
+        lines = [_trusted(((p, q, 1),)) for p, q in packs]
+        caps = [q * top * reach for _, q in packs]
+
+        def row(profile: list[int]) -> int | None:
+            """The sum of profile[s] * M_s, or None when a value passes its cap."""
+            if all(0 <= h <= cap for h, cap in zip(profile, caps)):
+                return sum([h * packed for h, packed in zip(profile, packs.values())])
+            return None
+
+        degrees = [deg_nonneg(v, v) for v in pool]
+        self.diagonal = (int.from_bytes(b"".join([d.to_bytes(step, "little") for d in degrees]),
+                                        "little")
+                         if all(0 <= d <= bound for d in degrees) else None)
+        self.into = _Table(lambda f: row([deg_nonneg(line, pool[f]) for line in lines]))
+        self.outof = _Table(lambda e: row([deg_nonneg(pool[e], line) for line in lines]))
+        self.below = [spread(bytes([rank < r for rank in ranks])) for r in range(top + 2)]
+        above = b"".join([_flags(entry, size) for entry in dominating])
+        quotient_of = b"".join([_flags(entry, size) for entry in dual_dominating])
+        self.dominated = _Table(lambda u: spread(above[u::size]))
+        self.quotients = lambda e: spread(quotient_of[e::size])
+        self.at, self.spread, self.positions = at, spread, positions
+
+
 class Universe:
     """The pool of one spec, its dominance relations, and every table the checks on it share.
 
@@ -392,6 +523,15 @@ class Universe:
 
     The ``degrees`` fills look ``deg_nonneg`` up on this module at call
     time, so a test or tracer that rebinds it sees every call.
+
+    ``lanes`` (:class:`_Lanes`) holds what the key-inequality and
+    stratification checks read: the lane width and ``ones``, the packed
+    multiplicity row of each slope, the packed diagonal deg_nonneg(Q, Q),
+    the rank masks, both relations transposed into lane masks (the Q each
+    F dominates, the Q that are quotients of E), and the tables of packed
+    rows deg_nonneg(., F) by F and deg_nonneg(E, .) by E, which both checks
+    share in one run.  It is built at its first read, so a run of the other
+    checks alone pays nothing for it; ``oracles`` reads its rows too.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
@@ -422,6 +562,11 @@ class Universe:
         self.nonneg = _Table(lambda v: sum([p * m for p, _, m in pool[v]._key if p >= 0]))
         self.steps = _Table(partial(_StepRow, pool, position))
         self.position = position
+
+    @cached_property
+    def lanes(self) -> _Lanes:
+        """The pool's packed rows and lane masks, built at their first read."""
+        return _Lanes(self.pool, self.dominators, self.dual_dominators)
 
 
 @dataclass(frozen=True)
@@ -519,45 +664,48 @@ def verify_equivalence(spec: UniverseSpec) -> VerificationReport:
 
 def _oracles(universe: Universe) -> _Outcome:
     cex: list[str] = []
-    pool = universe.pool
+    pool, lanes = universe.pool, universe.lanes
+    into, at = lanes.into, lanes.at
     count, pairs = _samples(universe, 2, "ordered pairs")
     for vi, wi in pairs:
         v, w = pool[vi], pool[wi]
         fast = deg_nonneg(v, w)
         slow = deg_nonneg_oracle(v, w)
-        if fast != slow:
-            cex.append(f"V={v} W={w}: cross-product={fast} tensor-route={slow}")
+        row = into[wi]
+        packed = None if row is None else at(row, vi)
+        if not fast == slow == packed:
+            route = ("lanes" if fast == slow else "tensor-route" if fast == packed
+                     else "cross-product" if slow == packed else "every route")
+            cex.append(f"V={v} W={w}: {route} disagrees: cross-product={fast} "
+                       f"tensor-route={slow} lanes={packed}")
     return count, cex, []
 
 
 def verify_oracles(spec: UniverseSpec) -> VerificationReport:
-    """Cross-product degree calculus agrees with the tensor route on all pairs."""
+    """Cross-product degree calculus, the tensor route and the lanes agree on all pairs.
+
+    The lane value of (V, W) is lane V of the universe's packed row
+    deg_nonneg(., W), the row the key-inequality and stratification checks
+    read.
+    """
     return run_checks(["oracles"], spec)[0]
 
 
-def _triple_groups(
-    universe: Universe, conditions: ConditionSet, limit: int | None = None,
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Every (E, F) meeting the E and (E, F) conditions, with the Q that complete its triples.
+def _admitted(universe: Universe, conditions: ConditionSet
+              ) -> Iterator[tuple[int, int, int, int, int]]:
+    """Per E meeting the conditions on E: (E, its F mask, the Q rank span low..high, Q mask).
 
-    E, F and Q are named by pool position.  E and F run over the pool in
-    its order and Q over its rank order, so the flattened groups are the
-    triples meeting every condition of ``conditions``, and (i), (ii) and
-    (iii), in a fixed order.
-    Only the conditions on E are asked, through their tests, once per E, in
-    entry order up to the first that fails.  Every other condition is read
-    in bulk, never asked of a pair: the F of E are the set bits of
-    ``dominators[E]`` (i), ANDed with each (E, F) condition's ``admits``
-    mask, such as the complement of ``sharing[E]`` for (iv); the Q
-    candidates of E are the slice of the rank order that (ii), which forces
-    rank(Q) <= rank(E), and each (E, Q) condition's ``ranks`` admit, such
-    as rank(Q) < rank(E) for (v), kept where bit E of
-    ``dual_dominators[Q]`` (ii) and each (E, Q) ``admits`` mask are set;
-    and the group of (E, F) is the candidates Q with bit F of
-    ``dominators[Q]`` (iii).  Every admissible (E, F) is yielded, with an
-    empty group when no Q completes it; the groups hold at most ``limit``
-    triples in all.  The conditions are read once per call, so a caller
-    that rebinds a condition set or one of its entries sees every read.
+    E runs over the pool in its order, and each E is yielded when some F
+    is admitted.  Only the conditions on E are asked, through their tests,
+    once per E, in entry order up to the first that fails.  Every other
+    condition is read in bulk, never asked of a pair: the F mask is
+    ``dominators[E]`` (i) ANDed with each (E, F) condition's ``admits``
+    mask, such as the complement of ``sharing[E]`` for (iv); the rank span
+    is what (ii), which forces rank(Q) <= rank(E), and each (E, Q)
+    condition's ``ranks`` admit, such as rank(Q) < rank(E) for (v); and the
+    Q mask is the AND of each (E, Q) condition's ``admits`` mask.  The
+    conditions are read once per call, so a caller that rebinds a condition
+    set or one of its entries sees every read.
     """
     e_tests = [c.test for c in conditions.on_e]
     for c in (*conditions.on_pair, *conditions.on_quotient):
@@ -566,15 +714,9 @@ def _triple_groups(
     pair_masks = [c.admits for c in conditions.on_pair]
     quotient_masks = [c.admits for c in conditions.on_quotient if c.admits is not None]
     quotient_ranks = [c.ranks for c in conditions.on_quotient if c.ranks is not None]
-    pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
-    dominating, dominating_flags = universe.dominators, universe.dominator_flags
-    dual_dominating = universe.dual_dominator_flags
-    size = len(pool)
-    positions = range(size)
-    member_flags = _Table(lambda mask: _flags(mask, size))
-    everyone = (1 << size) - 1
-    remaining = limit
-    for ei, e in enumerate(pool):
+    dominating = universe.dominators
+    everyone = (1 << len(universe.pool)) - 1
+    for ei, e in enumerate(universe.pool):
         if not all(test(e) for test in e_tests):
             continue
         admitted = dominating[ei]
@@ -590,6 +732,32 @@ def _triple_groups(
         members = everyone
         for admits in quotient_masks:
             members &= admits(universe, ei)
+        yield ei, admitted, low, high, members
+
+
+def _triple_groups(
+    universe: Universe, conditions: ConditionSet, limit: int | None = None,
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Every (E, F) meeting the E and (E, F) conditions, with the Q that complete its triples.
+
+    E, F and Q are named by pool position.  E and F run over the pool in
+    its order and Q over its rank order, so the flattened groups are the
+    triples meeting every condition of ``conditions``, and (i), (ii) and
+    (iii), in a fixed order.  The conditions are read by :func:`_admitted`;
+    the Q candidates of E are the slice of the rank order in its rank span,
+    kept where bit E of ``dual_dominators[Q]`` (ii) and the Q mask are set,
+    and the group of (E, F) is the candidates Q with bit F of
+    ``dominators[Q]`` (iii).  Every admissible (E, F) is yielded, with an
+    empty group when no Q completes it; the groups hold at most ``limit``
+    triples in all.
+    """
+    pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
+    dominating_flags, dual_dominating = universe.dominator_flags, universe.dual_dominator_flags
+    size = len(pool)
+    positions = range(size)
+    member_flags = _Table(lambda mask: _flags(mask, size))
+    remaining = limit
+    for ei, admitted, low, high, members in _admitted(universe, conditions):
         kept = member_flags[members]
         quotients = [qi for qi in by_rank[bisect_left(ranks, low):bisect_left(ranks, high)]
                      if dual_dominating[qi][ei] and kept[qi]]
@@ -605,20 +773,72 @@ def _triple_groups(
                 return
 
 
+def _lane_groups(universe: Universe, conditions: ConditionSet) -> Iterator[tuple[int, int, int]]:
+    """The (E, F) of :func:`_triple_groups`, in its order, each with its group as a lane mask.
+
+    The candidates of E are the lanes of its rank span, ANDed with the
+    quotients of E (ii) and, when a condition restricts Q, its Q mask; the
+    group of (E, F) is the candidates that F dominates (iii).  Per (E, F)
+    that is one AND of two lane masks.
+    """
+    lanes = universe.lanes
+    below, dominated, size = lanes.below, lanes.dominated, len(universe.pool)
+    positions = range(size)
+    everyone = (1 << size) - 1
+    for ei, admitted, low, high, members in _admitted(universe, conditions):
+        candidates = lanes.quotients(ei) & below[high] & ~below[low]
+        if members != everyone:
+            candidates &= lanes.spread(_flags(members, size))
+        for fi in itertools.compress(positions, _flags(admitted, size)):
+            yield ei, fi, candidates & dominated[fi]
+
+
+def _disagreement(pool: list[HNBundle], ei: int, fi: int) -> str:
+    """The line of a group that the lane route fails and the per-triple route passes."""
+    return f"E={pool[ei]} F={pool[fi]}: the lane route fails this group, the per-triple route passes it"
+
+
+def _codimension_lines(universe: Universe, ei: int, fi: int, group: list[int]) -> list[str]:
+    """The per-triple key inequality on one group: a line per Q whose codimension is <= 0."""
+    pool, into_f, from_e = universe.pool, universe.degrees[fi], universe.terms[ei]
+    ef_degree = into_f[ei]
+    lines = []
+    for qi in group:
+        c = codimension(ef_degree, from_e[qi], into_f[qi])
+        if c <= 0:
+            lines.append(f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}: c={c}")
+    return lines
+
+
 def _key_inequality(universe: Universe) -> _Outcome:
-    pool, degrees, terms = universe.pool, universe.degrees, universe.terms
     cex: list[str] = []
     count = 0
-    for ei, fi, group in _triple_groups(universe, GENERAL_CONDITIONS, universe.spec.sample_limit):
+    limit = universe.spec.sample_limit
+    if limit is not None:
+        # A sample is the stream's first ``limit`` triples, cut inside a group: per triple.
+        for ei, fi, group in _triple_groups(universe, GENERAL_CONDITIONS, limit):
+            count += len(group)
+            cex += _codimension_lines(universe, ei, fi, group)
+        return count, cex, []
+    lanes = universe.lanes
+    into, outof, diagonal, ones, bias = lanes.into, lanes.outof, lanes.diagonal, lanes.ones, lanes.bias
+    at = lanes.at
+    current = term = None
+    for ei, fi, group in _lane_groups(universe, GENERAL_CONDITIONS):
         if not group:
             continue
-        into_f, from_e = degrees[fi], terms[ei]
-        ef_degree = into_f[ei]
-        count += len(group)
-        for qi in group:
-            c = codimension(ef_degree, from_e[qi], into_f[qi])
-            if c <= 0:
-                cex.append(f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}: c={c}")
+        count += group.bit_count()
+        if ei != current:
+            from_e = outof[ei]
+            current = ei
+            # The biased term, so that codimension gives c - 1 + bias: its sign bits say c > 0.
+            term = (None if from_e is None or diagonal is None
+                    else image_term(diagonal, from_e) + bias - ones)
+        into_f = into[fi]
+        if (term is None or into_f is None
+                or codimension(at(into_f, ei) * ones, term, into_f) & group != group):
+            cex += (_codimension_lines(universe, ei, fi, lanes.positions(group))
+                    or [_disagreement(universe.pool, ei, fi)])
     return count, cex, []
 
 
@@ -836,37 +1056,67 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
     return run_checks(["degeneration"], spec)[0]
 
 
+def _stratum_lines(universe: Universe, ei: int, fi: int, group: list[int]) -> list[str]:
+    """The per-triple stratification clauses on one (E, F) and its candidates."""
+    pool, into_f, from_e = universe.pool, universe.degrees[fi], universe.terms[ei]
+    e, f = pool[ei], pool[fi]
+    full = into_f[ei]
+    e_rank = e.rank
+    best = None
+    lines = []
+    for qi in group:
+        dim = stratum_dimension(into_f[qi], from_e[qi])
+        if dim < 0:
+            lines.append(f"E={e} F={f} Q={pool[qi]}: {_negative_stratum(e, f, pool[qi], dim)}")
+            continue
+        if best is None or dim > best:
+            best = dim
+        # Q = E has rank(E), so at most one of the two clauses applies.
+        if qi == ei:
+            if dim != full:
+                lines.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
+        elif dim >= full and pool[qi].rank < e_rank:
+            lines.append(f"E={e} F={f} Q={pool[qi]}: smaller-rank stratum {dim} "
+                         f"reaches dim hom {full}")
+    if best != full:
+        lines.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
+    return lines
+
+
 def _stratification(universe: Universe) -> _Outcome:
-    pool, degrees, terms = universe.pool, universe.degrees, universe.terms
+    pool = universe.pool
     # Built at call time, so a test that rebinds a condition tuple sees every call.
     conditions = ConditionSet((), PAIR_CONDITIONS, ())
+    lanes = universe.lanes
+    into, outof, diagonal, ones, bias = lanes.into, lanes.outof, lanes.diagonal, lanes.ones, lanes.bias
+    at, below, width = lanes.at, lanes.below, lanes.width
+    half = 1 << width - 1
     cex: list[str] = []
     count = 0
-    for ei, fi, group in itertools.islice(_triple_groups(universe, conditions),
+    current = term = None
+    for ei, fi, group in itertools.islice(_lane_groups(universe, conditions),
                                           universe.spec.sample_limit):
         count += 1
-        e, f = pool[ei], pool[fi]
-        into_f, from_e = degrees[fi], terms[ei]
-        full = into_f[ei]
-        e_rank = e.rank
-        best = None
-        for qi in group:
-            dim = stratum_dimension(into_f[qi], from_e[qi])
-            if dim < 0:
-                cex.append(f"E={e} F={f} Q={pool[qi]}: "
-                           f"{_negative_stratum(e, f, pool[qi], dim)}")
+        if ei != current:
+            from_e = outof[ei]
+            current, at_e = ei, half << ei * width
+            if from_e is not None and diagonal is not None:
+                # Biased, so that stratum_dimension gives dim + bias; c = dim hom - dim then
+                # follows as c + bias, less 1 on the lanes of rank below rank(E).
+                term = image_term(diagonal, from_e) - bias
+                shift = 2 * bias - (below[pool[ei].rank] >> width - 1)
+            else:
+                term = None
+        into_f = into[fi]
+        if term is not None and into_f is not None:
+            full = at(into_f, ei)
+            dim = stratum_dimension(into_f, term)
+            # On the group dim >= 0, c >= 0, and c >= 1 below rank(E); Q = E is in it, with c = 0.
+            if (group & dim & (full * ones + shift - dim) == group and group & at_e
+                    and at(dim, ei) == full + half):
                 continue
-            if best is None or dim > best:
-                best = dim
-            # Q = E has rank(E), so at most one of the two clauses applies.
-            if qi == ei:
-                if dim != full:
-                    cex.append(f"E={e} F={f}: stratum at Q=E is {dim}, dim hom is {full}")
-            elif dim >= full and pool[qi].rank < e_rank:
-                cex.append(f"E={e} F={f} Q={pool[qi]}: smaller-rank stratum {dim} "
-                           f"reaches dim hom {full}")
-        if best != full:
-            cex.append(f"E={e} F={f}: top stratum {best} != dim hom {full}")
+        cex += (_stratum_lines(universe, ei, fi, lanes.positions(group))
+                or [_disagreement(pool, ei, fi)])
     return count, cex, []
 
 

@@ -15,6 +15,8 @@ its third route and fails on the same universe.
 codimension, stratum and image-term formulas, ``slopewise_dominates``, the
 enumeration and the dual dominance relation alone.  A row rebinds the
 route on each module it names and runs all six checks on ``SMALL_INT``.
+A formula mutant acts on every lane of a packed call, as on a single
+value.
 """
 
 from __future__ import annotations
@@ -146,20 +148,52 @@ def _doubled_from_rank_3(deg_nonneg):
     return lambda v, w: deg_nonneg(v, w) * (2 if v.rank >= 3 else 1)
 
 
+# The formula rows act on every lane.  The key-inequality and stratification checks call the
+# formulas of hnbundles.degrees on packed rows, one lane per pool position (``verify._Lanes``),
+# and everything else calls them on single values, so a mutant tells the two apart and moves
+# each lane of a packed call as it moves a single value: "+1" on a packed call adds 1 to every
+# lane, not to lane 0 alone.
+
+LANES = verify.Universe(SMALL_INT).lanes
+
+
+def _packed(*operands):
+    """Whether a formula call is on packed rows of ``LANES``.
+
+    Every value a single-value call passes is a degree of SMALL_INT or a sum of a few, well
+    below a lane's sign bit, and every packed call passes a biased operand or the diagonal
+    row, which reach past it.
+    """
+    return any(abs(x) >> LANES.width - 1 for x in operands)
+
+
+def _one(*operands):
+    """1 in every lane of the call."""
+    return LANES.ones if _packed(*operands) else 1
+
+
+def _one_where_greater(x, y, *operands):
+    """1 in each lane of the call where x > y, else 0."""
+    if not _packed(x, y, *operands):
+        return int(x > y)
+    # x - y - 1 >= 0 where the biased difference keeps its sign bit.
+    return (x - y - LANES.ones + LANES.bias & LANES.bias) >> LANES.width - 1
+
+
 def _codimension_plus_one(codimension):
-    return lambda ef, term, qf: codimension(ef, term, qf) + 1
+    return lambda ef, term, qf: codimension(ef, term, qf) + _one(ef, term, qf)
 
 
 def _codimension_minus_one_when_ef_exceeds_qf(codimension):
-    return lambda ef, term, qf: codimension(ef, term, qf) - (ef > qf)
+    return lambda ef, term, qf: codimension(ef, term, qf) - _one_where_greater(ef, qf, term)
 
 
 def _stratum_plus_one(stratum_dimension):
-    return lambda qf, term: stratum_dimension(qf, term) + 1
+    return lambda qf, term: stratum_dimension(qf, term) + _one(qf, term)
 
 
 def _image_term_plus_one(image_term):
-    return lambda qq, eq: image_term(qq, eq) + 1
+    return lambda qq, eq: image_term(qq, eq) + _one(qq, eq)
 
 
 def _dominates_from_rank(slopewise_dominates):
@@ -194,10 +228,15 @@ def _dual_relation_drops_every_seventh_bit(dominators):
 # mutant -> (the modules whose binding it replaces, the name, its maker from the original,
 #            the checks that fail on SMALL_INT)
 ROUTE_ROWS = {
+    # The lanes read deg_nonneg on line bundles and on the diagonal, so the mutant moves their
+    # rows otherwise than the cells that the per-triple rerun of a failing group reads: the two
+    # lane checks fail on groups where the routes disagree.
     "deg_nonneg + 1 at slope gap 4": ((verify,), "deg_nonneg", _plus_one_at_slope_gap_4,
-                                      {"oracles", "invariance"}),
+                                      {"oracles", "invariance", "key-inequality",
+                                       "stratification"}),
     "deg_nonneg doubled from rank 3": ((verify,), "deg_nonneg", _doubled_from_rank_3,
-                                       {"oracles", "degeneration"}),
+                                       {"oracles", "degeneration", "key-inequality",
+                                        "stratification"}),
     "codimension + 1": ((verify,), "codimension", _codimension_plus_one, {"degeneration"}),
     "codimension - 1 when ef > qf": ((verify,), "codimension",
                                      _codimension_minus_one_when_ef_exceeds_qf,
@@ -239,3 +278,17 @@ def test_each_route_mutant_fails_the_checks_its_row_names(monkeypatch, row):
         assert all(mutated[check].instances_checked >= honest[check].instances_checked
                    for check in ALL_CHECKS)
         assert mutated["equivalence"].instances_checked > honest["equivalence"].instances_checked
+
+
+def test_the_formula_mutants_tell_packed_calls_from_single_values(monkeypatch):
+    calls = []
+    for name in ("codimension", "stratum_dimension", "image_term"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *args, original=original: calls.append(args) or original(*args))
+    assert all(report.passed for report in run_checks(["key-inequality", "stratification"],
+                                                      SMALL_INT))
+    assert calls and all(_packed(*args) for args in calls)
+    calls.clear()
+    assert run_checks(["degeneration"], SMALL_INT)[0].passed
+    assert calls and not any(_packed(*args) for args in calls)

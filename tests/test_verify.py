@@ -14,6 +14,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -1054,12 +1055,27 @@ def _once_each(*roles):
     return Counter(set().union(*roles))
 
 
-def _key_inequality_degree_reads():
-    triples = list(admissible_triples(SMALL_INT, GENERAL_CONDITIONS))
-    assert len({(q, f) for _, f, q in triples}) < len(triples)
-    return _once_each(
-        [(e, f) for e, f, _ in triples], [(q, f) for _, f, q in triples],
-        [(q, q) for _, _, q in triples], [(e, q) for e, _, q in triples])
+def _lines(pool):
+    """O(s) for every slope s of the pool: the lanes read each row through them."""
+    return [stable(s) for s in {s for v in pool for s in v.slopes()}]
+
+
+def _lane_degree_reads(*names):
+    """What the lane route of the named checks asks of deg_nonneg in one run on SMALL_INT.
+
+    deg_nonneg(Q, Q) once per pool member, for the diagonal row, and, over the slopes s of the
+    pool, deg_nonneg(O(s), F) once per F and deg_nonneg(E, O(s)) once per E of a nonempty
+    group of any of the checks, for the rows deg_nonneg(., F) and deg_nonneg(E, .).  The three
+    are separate tables, so a pair that is read in two roles is asked twice.
+    """
+    universe = verify.Universe(SMALL_INT)
+    pool = universe.pool
+    pairs = {(pool[ei], pool[fi]) for name in names
+             for ei, fi, group in verify._triple_groups(universe, ASKED_CONDITIONS[name]) if group}
+    lines = _lines(pool)
+    return (Counter((q, q) for q in pool)
+            + Counter((line, f) for f in {f for _, f in pairs} for line in lines)
+            + Counter((e, line) for e in {e for e, _ in pairs} for line in lines))
 
 
 def _degeneration_degree_reads():
@@ -1071,27 +1087,18 @@ def _degeneration_degree_reads():
     return _once_each(into_f, [(v, q) for (e, q), chain in chains.items() for v in chain])
 
 
-def _stratification_degree_reads():
-    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
-    pairs = _stratification_pairs(pool)
-    candidates = {(e, f): _candidate_images(pool, e, f) for e, f in pairs}
-    expected = _once_each(
-        pairs, [(q, f) for (e, f), qs in candidates.items() for q in qs],
-        [(q, q) for qs in candidates.values() for q in qs],
-        [(e, q) for (e, f), qs in candidates.items() for q in qs])
-    assert len(expected) < sum(map(len, candidates.values()))
-    return expected
-
-
 DEGREE_READS = {
-    "key-inequality": _key_inequality_degree_reads,
+    "key-inequality": partial(_lane_degree_reads, "key-inequality"),
     "degeneration": _degeneration_degree_reads,
-    "stratification": _stratification_degree_reads,
+    "stratification": partial(_lane_degree_reads, "stratification"),
 }
 
 
 def test_key_inequality_reads_each_pair_once(monkeypatch):
-    expected = _key_inequality_degree_reads()
+    # Each row is one table entry, so each of its deg_nonneg reads is asked once, and far fewer
+    # than the four per triple of the per-triple route.
+    expected = _lane_degree_reads("key-inequality")
+    assert sum(expected.values()) < len(list(admissible_triples(SMALL_INT, GENERAL_CONDITIONS)))
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_key_inequality(SMALL_INT).passed
     assert calls == expected
@@ -1105,7 +1112,7 @@ def test_degeneration_reads_each_pair_once(monkeypatch):
 
 
 def test_stratification_reads_each_pair_once(monkeypatch):
-    expected = _stratification_degree_reads()
+    expected = _lane_degree_reads("stratification")
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_stratification_dimension(SMALL_INT).passed
     assert calls == expected
@@ -1159,10 +1166,11 @@ def _outcome(report):
 def test_one_run_shares_its_universe_between_the_triple_checks(monkeypatch):
     names = list(DEGREE_READS)
     alone = {name: _outcome(run_checks([name], SMALL_INT)[0]) for name in names}
-    # Each check's expected set, and their union: what the run asks, since the checks overlap.
-    per_check_reads = [set(reads()) for reads in DEGREE_READS.values()]
-    degree_reads = set().union(*per_check_reads)
-    assert len(degree_reads) < sum(map(len, per_check_reads))
+    # The two lane checks share the lane tables, and degeneration reads its own cells.
+    lane_reads = _lane_degree_reads("key-inequality", "stratification")
+    assert sum(lane_reads.values()) < sum(sum(DEGREE_READS[name]().values())
+                                          for name in ("key-inequality", "stratification"))
+    degree_reads = lane_reads + DEGREE_READS["degeneration"]()
     enumerate_bundles = verify.enumerate_bundles
     for order in itertools.permutations(names):
         enumerated = []
@@ -1173,7 +1181,7 @@ def test_one_run_shares_its_universe_between_the_triple_checks(monkeypatch):
         reports = run_checks(order, SMALL_INT)
         monkeypatch.undo()
         assert len(enumerated) == 1
-        assert degree_calls == Counter(degree_reads)
+        assert degree_calls == degree_reads
         # The dominance relation over the pool and the one over its duals, once each.
         assert len(built) == 2
         assert [_outcome(report) for report in reports] == [alone[name] for name in order]
@@ -1323,6 +1331,10 @@ def test_the_relations_keep_the_stream(spec, name):
     for limit in (None, 1, 7, 100):
         streamed = list(verify._triple_groups(universe, conditions, limit))
         assert streamed == list(_scanned_groups(universe, conditions, limit))
+    # The lane stream holds the same groups, as lane masks.
+    assert [(ei, fi, universe.lanes.positions(group))
+            for ei, fi, group in verify._lane_groups(universe, conditions)] == [
+        (ei, fi, sorted(group)) for ei, fi, group in verify._triple_groups(universe, conditions)]
 
 
 def test_the_relations_keep_the_rank_5_pairs():
@@ -1407,9 +1419,23 @@ def test_each_bulk_form_agrees_with_its_condition(spec):
                     condition.requirement, e, f)
 
 
-def _key_inequality_reads():
-    return {f"E={e} F={f} Q={q}": {(e, f), (q, q), (e, q), (q, f)}
-            for e, f, q in admissible_triples(SMALL_INT, GENERAL_CONDITIONS)}
+def _lane_reads(name):
+    """Each (E, F) of a lane check, by its lines' prefix: the deg_nonneg pairs its rows read.
+
+    Its group reads the diagonal at each candidate Q, the row deg_nonneg(., F) through the
+    lines O(s) and the row deg_nonneg(E, .) through them too.
+    """
+    pool = verify.bundle_pool(SMALL_INT)
+    if name == "key-inequality":
+        groups = {}
+        for e, f, q in admissible_triples(SMALL_INT, GENERAL_CONDITIONS):
+            groups.setdefault((e, f), []).append(q)
+    else:
+        groups = {(e, f): _candidate_images(pool, e, f) for e, f in _stratification_pairs(pool)}
+    lines = _lines(pool)
+    return {f"E={e} F={f}": ({(q, q) for q in qs} | {(line, f) for line in lines}
+                             | {(e, line) for line in lines})
+            for (e, f), qs in groups.items()}
 
 
 def _degeneration_reads():
@@ -1421,51 +1447,58 @@ def _degeneration_reads():
     return reads
 
 
-def _stratification_reads():
-    pool = list(enumerate_bundles(SMALL_INT, include_zero=True))
-    reads = {}
-    for e, f in _stratification_pairs(pool):
-        candidates = _candidate_images(pool, e, f)
-        reads[f"E={e} F={f}"] = ({(e, f)} | {(q, f) for q in candidates}
-                                 | {(q, q) for q in candidates} | {(e, q) for q in candidates})
-    return reads
-
-
 FAULTS = {
-    # check -> (the deg_nonneg pairs each instance reads, the per-instance reference, and the
-    # sign of a fault that every such read turns into a counterexample)
-    "key-inequality": (_key_inequality_reads, _reference_key_inequality, 1),
-    "degeneration": (_degeneration_reads, _reference_degeneration, 1),
-    "stratification": (_stratification_reads, _reference_stratification, -1),
+    # check -> (the deg_nonneg pairs each instance reads, by the prefix of its lines, and the
+    # per-instance reference)
+    "key-inequality": (partial(_lane_reads, "key-inequality"), _reference_key_inequality),
+    "degeneration": (_degeneration_reads, _reference_degeneration),
+    "stratification": (partial(_lane_reads, "stratification"), _reference_stratification),
 }
+
+
+def _prefix(line, width):
+    return " ".join(line.split(": ", 1)[0].split()[:width])
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
 def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch, name):
-    reads_of, reference, sign = FAULTS[name]
-    # A (Q, F) of a reduced triple that share a slope, with rank(F) > rank(Q).  Sharing a slope
-    # keeps it from being an admissible pair (E, F), and the ranks keep it from being read as
-    # deg(E, Q) or deg(Q, Q): each remaining read moves a codimension the way the sign says.
-    q0, f0 = next((q, f) for _, f, q in admissible_triples(SMALL_INT, REDUCED_CONDITIONS)
-                  if not q.is_zero and f.rank > q.rank
-                  and not q.slope_pairs.isdisjoint(f.slope_pairs))
+    reads_of, reference = FAULTS[name]
+    if name == "degeneration":
+        # A (Q, F) of a reduced triple that share a slope, with rank(F) > rank(Q).  Sharing a
+        # slope keeps it from being an admissible pair (E, F), and the ranks keep it from being
+        # read as deg(E, Q) or deg(Q, Q): each remaining read lowers a codimension.
+        v0, w0 = next((q, f) for _, f, q in admissible_triples(SMALL_INT, REDUCED_CONDITIONS)
+                      if not q.is_zero and f.rank > q.rank
+                      and not q.slope_pairs.isdisjoint(f.slope_pairs))
+        width = 3
+    else:
+        # A line O(s) into an F0 of rank 2 with slope s, so F0 is no line and no E of a pair
+        # with F0 has slope s: only the row deg_nonneg(., F0) reads the pair, which the fault
+        # pushes past its cap, so every group of F0 reruns one triple at a time.
+        w0 = next(f for _, f, _ in admissible_triples(SMALL_INT, GENERAL_CONDITIONS) if f.rank >= 2)
+        v0 = stable(w0.mu_max)
+        width = 2
     reads = reads_of()
-    readers = {instance for instance, pairs in reads.items() if (q0, f0) in pairs}
+    readers = {instance for instance, pairs in reads.items() if (v0, w0) in pairs}
     assert 0 < len(readers) < len(reads)
 
     original = degrees.deg_nonneg
 
     def faulty(v, w):
-        return original(v, w) + (sign * 10**6 if (v, w) == (q0, f0) else 0)
+        return original(v, w) + (10**6 if (v, w) == (v0, w0) else 0)
 
     _patch_deg_nonneg(monkeypatch, faulty)
     report = run_checks([name], SMALL_INT)[0]
-    width = 2 if name == "stratification" else 3
-    reported = {" ".join(line.split(": ", 1)[0].split()[:width]) for line in report.counterexamples}
-    assert reported == readers
-    assert (report.instances_checked, report.counterexamples) == reference(SMALL_INT)[:2]
-    if name == "stratification":
-        assert any("stratum dimension formula gave" in line for line in report.counterexamples)
+    assert {_prefix(line, width) for line in report.counterexamples} == readers
+    count, lines = reference(SMALL_INT)[:2]
+    if name != "degeneration":
+        # The per-triple route reads the pair at Q = O(s) alone, so a rerun group without it
+        # passes there and is reported as a group the two routes disagree on.
+        assert lines
+        lines = tuple(sorted([*lines, *(
+            f"{prefix}: the lane route fails this group, the per-triple route passes it"
+            for prefix in readers - {_prefix(line, 2) for line in lines})]))
+    assert (report.instances_checked, report.counterexamples) == (count, lines)
 
 
 # ----------------------------------------------------------------------
@@ -1528,18 +1561,18 @@ def test_sampled_degeneration_makes_rows_only_for_the_f_it_reads():
 
 def test_stratification_samples_the_first_pairs_with_their_whole_groups(monkeypatch):
     calls = []
-    stream, stratum = verify._triple_groups, verify.stratum_dimension
+    stream, stratum = verify._lane_groups, verify.stratum_dimension
 
     def pairs(*args):
         for ei, fi, group in stream(*args):
-            calls.append(("pair", ei, fi))
+            calls.append(("pair", ei, fi, group))
             yield ei, fi, group
 
     def strata(*degrees):
         calls.append(("stratum", *degrees))
         return stratum(*degrees)
 
-    monkeypatch.setattr(verify, "_triple_groups", pairs)
+    monkeypatch.setattr(verify, "_lane_groups", pairs)
     monkeypatch.setattr(verify, "stratum_dimension", strata)
     samples = 100
     assert verify_stratification_dimension(SMALL).instances_checked > samples
@@ -1550,7 +1583,19 @@ def test_stratification_samples_the_first_pairs_with_their_whole_groups(monkeypa
     assert sampled.passed and sampled.instances_checked == samples
     assert calls == expected
     # A cut inside a Q group would show: some of these pairs have several candidates.
-    assert max(b - a for a, b in zip(pair_starts, pair_starts[1:samples + 1])) > 2
+    assert max(call[3].bit_count() for call in calls if call[0] == "pair") > 2
+
+
+def test_sampled_key_inequality_checks_the_first_triples_of_the_stream():
+    # A sample may end inside a group, so it keeps the per-triple route: its prefix of the
+    # stream, each triple once.
+    universe = verify.Universe(SMALL_INT)
+    for samples in (1, 7, 100, 1000):
+        spec = replace(SMALL_INT, sample_limit=samples)
+        report = verify_key_inequality(spec)
+        triples = sum(len(group) for _, _, group in
+                      verify._triple_groups(universe, GENERAL_CONDITIONS, samples))
+        assert report.passed and report.instances_checked == triples == samples
 
 
 # ----------------------------------------------------------------------
