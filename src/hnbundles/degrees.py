@@ -32,7 +32,7 @@ deg_nonneg values it reads:
   locus inside Hom(E, F), for ef = deg_nonneg(E, F).
 
 The three are linear, so they also accept packed operands: ints holding
-one value per lane of a fixed bit width (``verify._Lanes``), on which one
+one value per lane of a fixed bit width (``lanes._Lanes``), on which one
 call evaluates the formula in every lane at once, exactly.
 
 The bundle forms read the degrees and apply them: ``dim_hom(E, F)`` =

@@ -1,0 +1,149 @@
+"""Rows over one fixed pool of bundles, by pool position.
+
+* :class:`_Table` - a dict that fills a missing key on its first read and
+  keeps it;
+* :func:`_flags`  - the bits of a mask over the pool as one byte each;
+* :class:`_Lanes` - rows packed into ints, one lane per pool position,
+  on which one call of an integer formula of :mod:`hnbundles.degrees`
+  evaluates it at every position at once.
+
+:mod:`hnbundles.verify` builds its universe's tables from these.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import ceil
+from typing import Callable
+
+from .bundle import HNBundle, _trusted
+
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTES_TO_SIGNS = bytes.maketrans(b"\0\1", b"\0\x80")
+
+
+def _flags(mask: int, size: int) -> bytes:
+    """Bits 0, ..., size - 1 of ``mask`` as one byte each: 1 where the bit is set, else 0."""
+    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS_TO_BYTES)
+
+
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` and keeps it, unless the fill raises."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
+class _Lanes:
+    """Rows over one pool packed into ints, one lane of ``width`` bits per pool position.
+
+    A packed int holds x_i * 2**(i * width) summed over the positions i, x_i
+    being its lane i.  Packed ints add, subtract and scale lane by lane,
+    exactly.
+
+    The width is a multiple of 8, fixed at build from a bound computed over
+    the pool.  deg_nonneg(V, W) <= rank(V) * rank(W) * (largest slope -
+    smallest slope), so with R the largest rank, ``bound`` = R * R *
+    (ceil(slope span) + 1) exceeds every degree and multiplicity, and
+    2**(width - 1) > 4 * bound + 4 keeps every value a lane check tests (a
+    sum of at most four degrees, less one) inside [-2**(width - 1),
+    2**(width - 1)).  Adding ``bias``, 2**(width - 1) in every lane, then
+    makes every lane nonnegative without a carry between lanes, so the top
+    bit of a lane, its sign bit, is set exactly when the lane is >= 0.  A
+    lane mask has the sign bit of each of its lanes set, so ``bias`` is
+    also the mask of every lane, ANDing a biased value with a mask keeps
+    the lanes of the mask that are >= 0, and ``mask.bit_count()`` counts
+    the lanes of a mask.  ``ones`` holds 1 in every lane.
+
+    ``degree`` is the deg_nonneg the rows are built from; it is additive in
+    each argument, so with M_s the packed multiplicity of the slope s (lane
+    Q holds the multiplicity of s in Q):
+
+    * ``diagonal``     - deg(Q, Q) in lane Q;
+    * ``into[F]``      - deg(., F), the sum over s of deg(O(s), F) * M_s;
+    * ``outof[E]``     - deg(E, .), the sum over s of deg(E, O(s)) * M_s;
+    * ``below[r]``     - the mask of the lanes of rank < r;
+    * ``dominated[F]`` - the mask of the Q that F slopewise dominates:
+                         column F of the relation ``dominating``, whose
+                         entry L has bit U set when U dominates L;
+    * ``quotients(E)`` - the mask of the Q that are quotients of E: column
+                         E of ``dual_dominating``.
+
+    A column is a slice of a byte matrix, built at its first read, with a
+    row per Q and a byte per bundle.  deg(O(p/q), F) and deg(E, O(p/q))
+    are at most q * R * (ceil(slope span) + 1), so a row built from such
+    values has its lanes in [0, bound]; a row that reads a value past that
+    cap, or a diagonal with a lane outside [0, bound] (only a faulty degree
+    route makes one), is None.
+    """
+
+    def __init__(self, pool: list[HNBundle], dominating: list[int], dual_dominating: list[int],
+                 degree: Callable[[HNBundle, HNBundle], int]) -> None:
+        size = len(pool)
+        ranks = [v.rank for v in pool]
+        top = max(ranks, default=0)
+        slopes = {(p, q): None for v in pool for p, q, _ in v._key}
+        span = (max(Fraction(p, q) for p, q in slopes) - min(Fraction(p, q) for p, q in slopes)
+                if slopes else 0)
+        reach = ceil(span) + 1
+        self.bound = bound = top * top * reach
+        width = 8
+        while 1 << width - 1 <= 4 * bound + 4:
+            width += 8
+        step = width // 8
+        self.width = width
+        self.ones = int.from_bytes((b"\1" + bytes(step - 1)) * size, "little")
+        self.bias = self.ones << width - 1
+        lane = (1 << width) - 1
+
+        # These close over locals, not over self, so the tables form no cycle.
+        def at(row: int, i: int) -> int:
+            """Lane i of a packed row whose lanes are all nonnegative."""
+            return row >> i * width & lane
+
+        def spread(flags: bytes) -> int:
+            """The lane mask of the lanes whose byte in ``flags`` is 1."""
+            lanes = bytearray(size * step)
+            lanes[step - 1::step] = flags.translate(_BYTES_TO_SIGNS)
+            return int.from_bytes(lanes, "little")
+
+        def positions(mask: int) -> list[int]:
+            """The positions of a lane mask's lanes, ascending."""
+            return list(itertools.compress(range(size),
+                                           mask.to_bytes(size * step, "little")[step - 1::step]))
+
+        columns = {slope: bytearray(size * step) for slope in slopes}
+        for i, v in enumerate(pool):
+            for p, q, m in v._key:
+                columns[p, q][i * step:(i + 1) * step] = m.to_bytes(step, "little")
+        packs = [int.from_bytes(column, "little") for column in columns.values()]
+        # Each slope's line bundle O(p/q), and the cap on its degrees with or into a member.
+        lines = [_trusted(((p, q, 1),)) for p, q in columns]
+        caps = [q * top * reach for _, q in columns]
+
+        def row(profile: list[int]) -> int | None:
+            """The sum of profile[s] * M_s, or None when a value passes its cap."""
+            if all(0 <= h <= cap for h, cap in zip(profile, caps)):
+                return sum([h * packed for h, packed in zip(profile, packs)])
+            return None
+
+        degrees = [degree(v, v) for v in pool]
+        self.diagonal = (int.from_bytes(b"".join([d.to_bytes(step, "little") for d in degrees]),
+                                        "little")
+                         if all(0 <= d <= bound for d in degrees) else None)
+        self.into = _Table(lambda f: row([degree(line, pool[f]) for line in lines]))
+        self.outof = _Table(lambda e: row([degree(pool[e], line) for line in lines]))
+        self.below = [spread(bytes([rank < r for rank in ranks])) for r in range(top + 2)]
+        relations = (dominating, dual_dominating)
+        matrices = _Table(lambda k: b"".join([_flags(entry, size) for entry in relations[k]]))
+        self.dominated = _Table(lambda u: spread(matrices[0][u::size]))
+        self.quotients = lambda e: spread(matrices[1][e::size])
+        self.at, self.spread, self.positions = at, spread, positions

@@ -58,19 +58,22 @@ tables above per triple.
 Key-inequality and stratification read it as :func:`_lane_groups`, one lane
 mask per (E, F), and evaluate the integer formulas of
 :mod:`hnbundles.degrees` once per (E, F) on packed rows, one lane per pool
-position (``Universe.lanes``, a :class:`_Lanes`): deg_nonneg(., F) and
-deg_nonneg(E, .) are sums of k packed multiplicity rows, k the number of
-distinct slopes, since deg_nonneg is additive in each argument.  A bias
-folded into the image term makes each clause one sign-bit mask, which the
-group's mask must be inside: key-inequality's c > 0, and stratification's
-dim >= 0, c = dim hom - dim >= 0, c > 0 below rank(E), and Q = E in the
-group with c = 0; ``int.bit_count`` counts the triples.  A group that fails
-a lane test is rerun one triple at a time, through the per-cell tables, so
-each counterexample keeps its one statement; a group that the rerun passes
-is reported as one on which the two routes disagree.  A sampled
-key-inequality run is the stream's first N triples, which may cut a group,
-so it runs per triple.  The lanes are one more fast degree route: the
-``oracles`` check compares them with ``deg_nonneg`` and the tensor route.
+position (``Universe.lanes``, a :class:`hnbundles.lanes._Lanes`):
+deg_nonneg(., F) and deg_nonneg(E, .) are sums of k packed multiplicity
+rows, k the number of distinct slopes, since deg_nonneg is additive in each
+argument.  A bias folded into the image term makes each clause one sign-bit
+mask, which the group's mask must be inside: key-inequality's c > 0, and
+stratification's dim >= 0, c = dim hom - dim >= 0, c > 0 below rank(E),
+and Q = E in the group with c = 0; ``int.bit_count`` counts the triples.
+Each (E, F) also reads deg_nonneg(E, F) from ``degrees``, and its lanes
+answer only when lane E of the row into F and lane F of the row out of E
+equal it.  A group that fails a lane test or that comparison is rerun one
+triple at a time, through the per-cell tables, so each counterexample keeps
+its one statement; a group that the rerun passes is reported as one on
+which the two routes disagree.  A sampled key-inequality run is the
+stream's first N triples, which may cut a group, so it runs per triple.
+The ``oracles`` check compares every lane of the rows with ``deg_nonneg``
+and the tensor route on its own spec.
 """
 
 from __future__ import annotations
@@ -83,12 +86,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from math import ceil, floor
+from math import floor
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
-                     _as_slope, _dual_key, _sum_key, _trusted)
+                     _as_slope, _dual_key, _sum_key)
 from .criteria import dominators, rank_condition, slopewise_dominates
 from . import degeneration
 from .degeneration import (
@@ -105,6 +108,7 @@ from .degrees import (
     _negative_stratum, c_value, codimension, deg_nonneg, deg_nonneg_oracle, image_term,
     stratum_dimension,
 )
+from .lanes import _Lanes, _Table, _flags
 
 __all__ = [
     "UniverseSpec",
@@ -308,29 +312,6 @@ def enumerate_candidate_images(e: HNBundle, f: HNBundle, spec: UniverseSpec) -> 
             yield q
 
 
-_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
-_BYTES_TO_SIGNS = bytes.maketrans(b"\0\1", b"\0\x80")
-
-
-def _flags(mask: int, size: int) -> bytes:
-    """Bits 0, ..., size - 1 of ``mask`` as one byte each: 1 where the bit is set, else 0."""
-    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS_TO_BYTES)
-
-
-class _Table(dict):
-    """A dict that fills a missing key with ``fill(key)`` and keeps it, unless the fill raises."""
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, fill: Callable) -> None:
-        super().__init__()
-        self._fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self._fill(key)
-        return value
-
-
 class _DegreeRow(dict):
     """W's row of ``Universe.degrees``: a missing V's cell is deg_nonneg(V, W), kept."""
 
@@ -369,119 +350,6 @@ class _StepRow(dict):
     def __missing__(self, v: int) -> ChainStep:
         value = self[v] = _chain_step(self._pool[v], self._to, self._position)
         return value
-
-
-class _Lanes:
-    """Rows over one pool packed into ints, one lane of ``width`` bits per pool position.
-
-    A packed int holds x_i * 2**(i * width) summed over the positions i, x_i
-    being its lane i.  Packed ints add, subtract and scale lane by lane,
-    exactly, so one call of an integer formula of :mod:`hnbundles.degrees`
-    on packed operands evaluates it in every lane at once.
-
-    The width is a multiple of 8, fixed at build from a bound computed over
-    the pool.  deg_nonneg(V, W) <= rank(V) * rank(W) * (largest slope -
-    smallest slope), so with R the largest rank, ``bound`` = R * R *
-    (ceil(slope span) + 1) exceeds every degree and multiplicity, and
-    2**(width - 1) > 4 * bound + 4 keeps every value a lane check tests (a
-    sum of at most four degrees, less one) inside [-2**(width - 1),
-    2**(width - 1)).  Adding ``bias``, 2**(width - 1) in every lane, then
-    makes every lane nonnegative without a carry between lanes, so the top
-    bit of a lane, its sign bit, is set exactly when the lane is >= 0.  A
-    lane mask has the sign bit of each lane in it set, so ``bias`` is also
-    the mask of every lane, ANDing a biased value with a mask keeps the
-    lanes of the mask that are >= 0, and ``mask.bit_count()`` counts the
-    lanes of a mask.  ``ones`` holds 1 in every lane, so ``v * ones`` holds
-    v in every lane.
-
-    * ``multiplicities`` - by slope (p, q), M_s: lane Q holds the
-                           multiplicity of p/q in Q;
-    * ``diagonal``       - deg_nonneg(Q, Q) in lane Q;
-    * ``into[F]``        - deg_nonneg(., F), which is additive in its first
-                           argument: the sum over slopes s of
-                           deg_nonneg(O(s), F) * M_s;
-    * ``outof[E]``       - deg_nonneg(E, .), the sum over s of
-                           deg_nonneg(E, O(s)) * M_s;
-    * ``below[r]``       - the mask of the lanes of rank < r;
-    * ``dominated[F]``   - the mask of the Q that F slopewise dominates:
-                           column F of the relation ``dominating``, whose
-                           entry L has bit U set when U dominates L;
-    * ``quotients(E)``   - the mask of the Q that are quotients of E: column
-                           E of ``dual_dominating``.
-
-    A column is a slice of a byte matrix with a row per Q and a byte per
-    bundle.  deg_nonneg(O(p/q), F) and deg_nonneg(E, O(p/q)) are at most
-    q * R * (ceil(slope span) + 1), so a row built from such values has its
-    lanes in [0, bound]; a row that reads a value past that cap, or a
-    diagonal with a lane outside [0, bound] (only a faulty degree route
-    makes one), is None, and a check reruns every group that reads it one
-    triple at a time.  The fills look ``deg_nonneg`` up on this module at
-    call time, so a test or tracer that rebinds it sees every call.
-    """
-
-    def __init__(self, pool: list[HNBundle], dominating: list[int],
-                 dual_dominating: list[int]) -> None:
-        size = len(pool)
-        ranks = [v.rank for v in pool]
-        top = max(ranks, default=0)
-        slopes = {(p, q): None for v in pool for p, q, _ in v._key}
-        span = (max(Fraction(p, q) for p, q in slopes) - min(Fraction(p, q) for p, q in slopes)
-                if slopes else 0)
-        reach = ceil(span) + 1
-        self.bound = bound = top * top * reach
-        width = 8
-        while 1 << width - 1 <= 4 * bound + 4:
-            width += 8
-        step = width // 8
-        self.width = width
-        self.ones = int.from_bytes((b"\1" + bytes(step - 1)) * size, "little")
-        self.bias = self.ones << width - 1
-        lane = (1 << width) - 1
-
-        # These close over locals, not over self, so the tables form no cycle.
-        def at(row: int, i: int) -> int:
-            """Lane i of a packed row whose lanes are all nonnegative."""
-            return row >> i * width & lane
-
-        def spread(flags: bytes) -> int:
-            """The lane mask of the lanes whose byte in ``flags`` is 1."""
-            lanes = bytearray(size * step)
-            lanes[step - 1::step] = flags.translate(_BYTES_TO_SIGNS)
-            return int.from_bytes(lanes, "little")
-
-        def positions(mask: int) -> list[int]:
-            """The positions of a lane mask's lanes, ascending."""
-            return list(itertools.compress(range(size),
-                                           mask.to_bytes(size * step, "little")[step - 1::step]))
-
-        columns = {slope: bytearray(size * step) for slope in slopes}
-        for i, v in enumerate(pool):
-            for p, q, m in v._key:
-                columns[p, q][i * step:(i + 1) * step] = m.to_bytes(step, "little")
-        self.multiplicities = packs = {slope: int.from_bytes(column, "little")
-                                       for slope, column in columns.items()}
-        # Each slope's line bundle O(p/q), and the cap on its degrees with or into a member.
-        lines = [_trusted(((p, q, 1),)) for p, q in packs]
-        caps = [q * top * reach for _, q in packs]
-
-        def row(profile: list[int]) -> int | None:
-            """The sum of profile[s] * M_s, or None when a value passes its cap."""
-            if all(0 <= h <= cap for h, cap in zip(profile, caps)):
-                return sum([h * packed for h, packed in zip(profile, packs.values())])
-            return None
-
-        degrees = [deg_nonneg(v, v) for v in pool]
-        self.diagonal = (int.from_bytes(b"".join([d.to_bytes(step, "little") for d in degrees]),
-                                        "little")
-                         if all(0 <= d <= bound for d in degrees) else None)
-        self.into = _Table(lambda f: row([deg_nonneg(line, pool[f]) for line in lines]))
-        self.outof = _Table(lambda e: row([deg_nonneg(pool[e], line) for line in lines]))
-        self.below = [spread(bytes([rank < r for rank in ranks])) for r in range(top + 2)]
-        above = b"".join([_flags(entry, size) for entry in dominating])
-        quotient_of = b"".join([_flags(entry, size) for entry in dual_dominating])
-        self.dominated = _Table(lambda u: spread(above[u::size]))
-        self.quotients = lambda e: spread(quotient_of[e::size])
-        self.at, self.spread, self.positions = at, spread, positions
 
 
 class Universe:
@@ -524,14 +392,15 @@ class Universe:
     The ``degrees`` fills look ``deg_nonneg`` up on this module at call
     time, so a test or tracer that rebinds it sees every call.
 
-    ``lanes`` (:class:`_Lanes`) holds what the key-inequality and
-    stratification checks read: the lane width and ``ones``, the packed
-    multiplicity row of each slope, the packed diagonal deg_nonneg(Q, Q),
-    the rank masks, both relations transposed into lane masks (the Q each
-    F dominates, the Q that are quotients of E), and the tables of packed
-    rows deg_nonneg(., F) by F and deg_nonneg(E, .) by E, which both checks
-    share in one run.  It is built at its first read, so a run of the other
-    checks alone pays nothing for it; ``oracles`` reads its rows too.
+    ``lanes`` (:class:`hnbundles.lanes._Lanes`) holds what the
+    key-inequality and stratification checks read: the lane width, ``ones``
+    and ``bias``, the packed diagonal deg_nonneg(Q, Q), the rank masks, both
+    relations transposed into lane masks (the Q each F dominates, the Q that
+    are quotients of E), and the tables of packed rows deg_nonneg(., F) by
+    F and deg_nonneg(E, .) by E, which both checks share in one run.  It is
+    built at its first read from this module's ``deg_nonneg``, so a run of
+    the other checks alone pays nothing for it; ``oracles`` reads its rows
+    too.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
@@ -566,7 +435,7 @@ class Universe:
     @cached_property
     def lanes(self) -> _Lanes:
         """The pool's packed rows and lane masks, built at their first read."""
-        return _Lanes(self.pool, self.dominators, self.dual_dominators)
+        return _Lanes(self.pool, self.dominators, self.dual_dominators, deg_nonneg)
 
 
 @dataclass(frozen=True)
@@ -822,7 +691,7 @@ def _key_inequality(universe: Universe) -> _Outcome:
         return count, cex, []
     lanes = universe.lanes
     into, outof, diagonal, ones, bias = lanes.into, lanes.outof, lanes.diagonal, lanes.ones, lanes.bias
-    at = lanes.at
+    at, degrees = lanes.at, universe.degrees
     current = term = None
     for ei, fi, group in _lane_groups(universe, GENERAL_CONDITIONS):
         if not group:
@@ -835,8 +704,9 @@ def _key_inequality(universe: Universe) -> _Outcome:
             term = (None if from_e is None or diagonal is None
                     else image_term(diagonal, from_e) + bias - ones)
         into_f = into[fi]
-        if (term is None or into_f is None
-                or codimension(at(into_f, ei) * ones, term, into_f) & group != group):
+        ef = degrees[fi][ei]
+        if (term is None or into_f is None or not at(into_f, ei) == ef == at(from_e, fi)
+                or codimension(ef * ones, term, into_f) & group != group):
             cex += (_codimension_lines(universe, ei, fi, lanes.positions(group))
                     or [_disagreement(universe.pool, ei, fi)])
     return count, cex, []
@@ -1089,7 +959,7 @@ def _stratification(universe: Universe) -> _Outcome:
     conditions = ConditionSet((), PAIR_CONDITIONS, ())
     lanes = universe.lanes
     into, outof, diagonal, ones, bias = lanes.into, lanes.outof, lanes.diagonal, lanes.ones, lanes.bias
-    at, below, width = lanes.at, lanes.below, lanes.width
+    at, below, width, degrees = lanes.at, lanes.below, lanes.width, universe.degrees
     half = 1 << width - 1
     cex: list[str] = []
     count = 0
@@ -1108,8 +978,8 @@ def _stratification(universe: Universe) -> _Outcome:
             else:
                 term = None
         into_f = into[fi]
-        if term is not None and into_f is not None:
-            full = at(into_f, ei)
+        full = degrees[fi][ei]
+        if term is not None and into_f is not None and at(into_f, ei) == full == at(from_e, fi):
             dim = stratum_dimension(into_f, term)
             # On the group dim >= 0, c >= 0, and c >= 1 below rank(E); Q = E is in it, with c = 0.
             if (group & dim & (full * ones + shift - dim) == group and group & at_e

@@ -149,7 +149,7 @@ def _doubled_from_rank_3(deg_nonneg):
 
 
 # The formula rows act on every lane.  The key-inequality and stratification checks call the
-# formulas of hnbundles.degrees on packed rows, one lane per pool position (``verify._Lanes``),
+# formulas of hnbundles.degrees on packed rows, one lane per pool position (``lanes._Lanes``),
 # and everything else calls them on single values, so a mutant tells the two apart and moves
 # each lane of a packed call as it moves a single value: "+1" on a packed call adds 1 to every
 # lane, not to lane 0 alone.

@@ -1,4 +1,4 @@
-"""The packed rows of a universe (``verify._Lanes``) against the per-cell degree formulas."""
+"""The packed rows of a universe (``lanes._Lanes``) against the per-cell degree formulas."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 from hnbundles import UniverseSpec, ZERO, deg_nonneg, stable, verify
 from hnbundles.criteria import dominators
 from hnbundles.degrees import codimension, image_term, stratum_dimension
+from hnbundles.lanes import _Lanes
 
 SMALL_INT = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=1)
 SMALL = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=2)
@@ -28,7 +29,7 @@ def _unpack(lanes, packed):
 
 def _lanes(pool):
     keys = [v._key for v in pool]
-    return verify._Lanes(pool, dominators(keys), dominators([v.dual()._key for v in pool]))
+    return _Lanes(pool, dominators(keys), dominators([v.dual()._key for v in pool]), deg_nonneg)
 
 
 def _check_every_cell(pool, lanes):
@@ -103,3 +104,25 @@ def test_oracles_name_the_route_that_disagrees(monkeypatch):
     monkeypatch.setattr(verify, "deg_nonneg_oracle", lambda v, w: deg_nonneg(v, w) + 1)
     count, lines, _ = verify.CHECKS["oracles"][0](verify.Universe(spec))
     assert len(lines) == count and all("tensor-route disagrees" in line for line in lines)
+
+
+LANE_CONDITIONS = {
+    "key-inequality": verify.GENERAL_CONDITIONS,
+    "stratification": verify.ConditionSet((), verify.PAIR_CONDITIONS, ()),
+}
+
+
+@pytest.mark.parametrize("name", list(LANE_CONDITIONS))
+def test_a_lane_that_disagrees_with_its_cell_fails_its_group(name):
+    # Lane E of the row into F, one too high.  Every lane test passes with it, so only the
+    # comparison with deg_nonneg(E, F), read per cell, fails the group; the per-triple rerun
+    # passes it, so the line names the disagreement.
+    check = verify.CHECKS[name][0]
+    count = check(verify.Universe(SMALL_INT))[0]
+    universe = verify.Universe(SMALL_INT)
+    pool, lanes = universe.pool, universe.lanes
+    ei, fi = next((ei, fi) for ei, fi, group in verify._lane_groups(universe, LANE_CONDITIONS[name])
+                  if group)
+    lanes.into[fi] += 1 << ei * lanes.width
+    assert check(universe)[:2] == (count, [
+        f"E={pool[ei]} F={pool[fi]}: the lane route fails this group, the per-triple route passes it"])

@@ -1063,19 +1063,26 @@ def _lines(pool):
 def _lane_degree_reads(*names):
     """What the lane route of the named checks asks of deg_nonneg in one run on SMALL_INT.
 
-    deg_nonneg(Q, Q) once per pool member, for the diagonal row, and, over the slopes s of the
-    pool, deg_nonneg(O(s), F) once per F and deg_nonneg(E, O(s)) once per E of a nonempty
-    group of any of the checks, for the rows deg_nonneg(., F) and deg_nonneg(E, .).  The three
-    are separate tables, so a pair that is read in two roles is asked twice.
+    Returns (rows, cells).  ``rows`` counts the asks of the lane rows: deg_nonneg(Q, Q) once per
+    pool member, for the diagonal, and, over the slopes s of the pool, deg_nonneg(O(s), F) once
+    per F and deg_nonneg(E, O(s)) once per E of a nonempty group of any of the checks.
+    ``cells`` is the set of those (E, F), whose deg_nonneg(E, F) the per-cell table ``degrees``
+    is asked once each.  The tables are separate, so a pair read in two roles is asked twice.
     """
     universe = verify.Universe(SMALL_INT)
     pool = universe.pool
     pairs = {(pool[ei], pool[fi]) for name in names
              for ei, fi, group in verify._triple_groups(universe, ASKED_CONDITIONS[name]) if group}
     lines = _lines(pool)
-    return (Counter((q, q) for q in pool)
+    rows = (Counter((q, q) for q in pool)
             + Counter((line, f) for f in {f for _, f in pairs} for line in lines)
             + Counter((e, line) for e in {e for e, _ in pairs} for line in lines))
+    return rows, pairs
+
+
+def _lane_degree_asks(name):
+    rows, cells = _lane_degree_reads(name)
+    return rows + Counter(cells)
 
 
 def _degeneration_degree_reads():
@@ -1088,16 +1095,16 @@ def _degeneration_degree_reads():
 
 
 DEGREE_READS = {
-    "key-inequality": partial(_lane_degree_reads, "key-inequality"),
+    "key-inequality": partial(_lane_degree_asks, "key-inequality"),
     "degeneration": _degeneration_degree_reads,
-    "stratification": partial(_lane_degree_reads, "stratification"),
+    "stratification": partial(_lane_degree_asks, "stratification"),
 }
 
 
 def test_key_inequality_reads_each_pair_once(monkeypatch):
-    # Each row is one table entry, so each of its deg_nonneg reads is asked once, and far fewer
-    # than the four per triple of the per-triple route.
-    expected = _lane_degree_reads("key-inequality")
+    # Each row and each cell is one table entry, so each of its deg_nonneg reads is asked once,
+    # and far fewer than the four per triple of the per-triple route.
+    expected = _lane_degree_asks("key-inequality")
     assert sum(expected.values()) < len(list(admissible_triples(SMALL_INT, GENERAL_CONDITIONS)))
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_key_inequality(SMALL_INT).passed
@@ -1112,7 +1119,7 @@ def test_degeneration_reads_each_pair_once(monkeypatch):
 
 
 def test_stratification_reads_each_pair_once(monkeypatch):
-    expected = _lane_degree_reads("stratification")
+    expected = _lane_degree_asks("stratification")
     calls = _counting_deg_nonneg(monkeypatch)
     assert verify_stratification_dimension(SMALL_INT).passed
     assert calls == expected
@@ -1166,11 +1173,12 @@ def _outcome(report):
 def test_one_run_shares_its_universe_between_the_triple_checks(monkeypatch):
     names = list(DEGREE_READS)
     alone = {name: _outcome(run_checks([name], SMALL_INT)[0]) for name in names}
-    # The two lane checks share the lane tables, and degeneration reads its own cells.
-    lane_reads = _lane_degree_reads("key-inequality", "stratification")
-    assert sum(lane_reads.values()) < sum(sum(DEGREE_READS[name]().values())
-                                          for name in ("key-inequality", "stratification"))
-    degree_reads = lane_reads + DEGREE_READS["degeneration"]()
+    # The two lane checks share the lane tables, and all three share the per-cell table, so a
+    # cell that a lane check and degeneration both read is asked once.
+    rows, cells = _lane_degree_reads("key-inequality", "stratification")
+    assert sum(rows.values()) + len(cells) < sum(sum(DEGREE_READS[name]().values())
+                                                 for name in ("key-inequality", "stratification"))
+    degree_reads = rows + Counter(cells | set(DEGREE_READS["degeneration"]()))
     enumerate_bundles = verify.enumerate_bundles
     for order in itertools.permutations(names):
         enumerated = []
@@ -1448,11 +1456,12 @@ def _degeneration_reads():
 
 
 FAULTS = {
-    # check -> (the deg_nonneg pairs each instance reads, by the prefix of its lines, and the
-    # per-instance reference)
-    "key-inequality": (partial(_lane_reads, "key-inequality"), _reference_key_inequality),
-    "degeneration": (_degeneration_reads, _reference_degeneration),
-    "stratification": (partial(_lane_reads, "stratification"), _reference_stratification),
+    # check -> (the deg_nonneg pairs each instance reads, by the prefix of its lines, the
+    # per-instance reference, and the sign of a fault that every such read turns into a
+    # counterexample)
+    "key-inequality": (partial(_lane_reads, "key-inequality"), _reference_key_inequality, 1),
+    "degeneration": (_degeneration_reads, _reference_degeneration, 1),
+    "stratification": (partial(_lane_reads, "stratification"), _reference_stratification, -1),
 }
 
 
@@ -1462,7 +1471,7 @@ def _prefix(line, width):
 
 @pytest.mark.parametrize("name", list(FAULTS))
 def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch, name):
-    reads_of, reference = FAULTS[name]
+    reads_of, reference, sign = FAULTS[name]
     if name == "degeneration":
         # A (Q, F) of a reduced triple that share a slope, with rank(F) > rank(Q).  Sharing a
         # slope keeps it from being an admissible pair (E, F), and the ranks keep it from being
@@ -1474,7 +1483,8 @@ def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch,
     else:
         # A line O(s) into an F0 of rank 2 with slope s, so F0 is no line and no E of a pair
         # with F0 has slope s: only the row deg_nonneg(., F0) reads the pair, which the fault
-        # pushes past its cap, so every group of F0 reruns one triple at a time.
+        # pushes out of [0, cap], so every group of F0 reruns one triple at a time, and the
+        # rerun reads the moved cell at Q = O(s).
         w0 = next(f for _, f, _ in admissible_triples(SMALL_INT, GENERAL_CONDITIONS) if f.rank >= 2)
         v0 = stable(w0.mu_max)
         width = 2
@@ -1485,7 +1495,7 @@ def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch,
     original = degrees.deg_nonneg
 
     def faulty(v, w):
-        return original(v, w) + (10**6 if (v, w) == (v0, w0) else 0)
+        return original(v, w) + (sign * 10**6 if (v, w) == (v0, w0) else 0)
 
     _patch_deg_nonneg(monkeypatch, faulty)
     report = run_checks([name], SMALL_INT)[0]
@@ -1499,6 +1509,8 @@ def test_a_wrong_degree_is_reported_by_every_instance_that_reads_it(monkeypatch,
             f"{prefix}: the lane route fails this group, the per-triple route passes it"
             for prefix in readers - {_prefix(line, 2) for line in lines})]))
     assert (report.instances_checked, report.counterexamples) == (count, lines)
+    if name == "stratification":
+        assert any("stratum dimension formula gave" in line for line in report.counterexamples)
 
 
 # ----------------------------------------------------------------------
