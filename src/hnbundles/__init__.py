@@ -19,7 +19,7 @@ from importlib import import_module
 _EXPORTS = {
     "bundle": (
         "BundleParseError", "HNBundle", "InternalConsistencyError", "PolygonVertex",
-        "PreconditionError", "SegmentVector", "ZERO", "bundle_from_json", "bundle_to_json",
+        "PreconditionError", "ZERO", "bundle_from_json", "bundle_to_json",
         "canonicalize", "format_bundle", "parse_bundle", "stable", "summand_difference",
     ),
     "criteria": (

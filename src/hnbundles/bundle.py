@@ -54,7 +54,6 @@ __all__ = [
     "BundleParseError",
     "PreconditionError",
     "InternalConsistencyError",
-    "SegmentVector",
     "PolygonVertex",
     "HNBundle",
     "ZERO",
@@ -120,17 +119,6 @@ def _as_slope(value: SlopeLike) -> tuple[int, int]:
 def _slope_text(p: int, q: int) -> str:
     """The slope p/q as ``str(Fraction(p, q))`` prints it."""
     return f"{p}" if q == 1 else f"{p}/{q}"
-
-
-class SegmentVector(NamedTuple):
-    """One HN polygon segment as the integer vector (rank, degree)."""
-
-    rank: int
-    degree: int
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
 
 
 class PolygonVertex(NamedTuple):
@@ -327,11 +315,6 @@ class HNBundle:
 
     # ------------------------------------------------------------------
     # polygon
-
-    @property
-    def segment_vectors(self) -> tuple[SegmentVector, ...]:
-        """One (rank, degree) vector per HN segment, slope-descending, built when read."""
-        return tuple([SegmentVector(m * q, m * p) for p, q, m in self._key])
 
     @cached_property
     def polygon(self) -> tuple[PolygonVertex, ...]:

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache, cached_property, partial
 from math import ceil
 from typing import Callable
 
 from .bundle import HNBundle, _trusted
 
 _BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
-_BYTES_TO_SIGNS = bytes.maketrans(b"\0\1", b"\0\x80")
+# By bit b: the table that maps a byte to a lane's sign byte, set where the byte has bit b.
+_BIT_TO_SIGNS = [bytes([x >> b & 1 and 0x80 for x in range(256)]) for b in range(8)]
 
 
 def _flags(mask: int, size: int) -> bytes:
@@ -77,12 +79,19 @@ class _Lanes:
     * ``quotients(E)`` - the mask of the Q that are quotients of E: column
                          E of ``dual_dominating``.
 
-    A column is a slice of a byte matrix, built at its first read, with a
-    row per Q and a byte per bundle.  deg(O(p/q), F) and deg(E, O(p/q))
-    are at most q * R * (ceil(slope span) + 1), so a row built from such
-    values has its lanes in [0, bound]; a row that reads a value past that
-    cap, or a diagonal with a lane outside [0, bound] (only a faulty degree
-    route makes one), is None.
+    The degree rows are built at their first read: the diagonal, and the
+    multiplicity rows M_s with the line bundles O(s) that ``into`` and
+    ``outof`` read, so a run that reads only the masks asks no degree and
+    builds no bundle.  deg(O(p/q), F) and deg(E, O(p/q)) are at most q * R
+    * (ceil(slope span) + 1), so a row built from such values has its lanes
+    in [0, bound]; a row that reads a value past that cap, or a diagonal
+    with a lane outside [0, bound] (only a faulty degree route makes one),
+    is None.
+
+    A relation is packed at its first column read, each entry as
+    ceil(n / 8) little-endian bytes, n the pool size, the entries joined.
+    Column U is then byte U // 8 of every entry, one strided slice, whose
+    bit U % 8 a ``translate`` table turns into the sign byte of each lane.
     """
 
     def __init__(self, pool: list[HNBundle], dominating: list[int], dual_dominating: list[int],
@@ -109,41 +118,62 @@ class _Lanes:
             """Lane i of a packed row whose lanes are all nonnegative."""
             return row >> i * width & lane
 
-        def spread(flags: bytes) -> int:
-            """The lane mask of the lanes whose byte in ``flags`` is 1."""
+        def spread(flags: bytes, bit: int = 0) -> int:
+            """The lane mask of the lanes whose byte in ``flags`` has bit ``bit`` set."""
             lanes = bytearray(size * step)
-            lanes[step - 1::step] = flags.translate(_BYTES_TO_SIGNS)
+            lanes[step - 1::step] = flags.translate(_BIT_TO_SIGNS[bit])
             return int.from_bytes(lanes, "little")
 
-        def positions(mask: int) -> list[int]:
-            """The positions of a lane mask's lanes, ascending."""
-            return list(itertools.compress(range(size),
-                                           mask.to_bytes(size * step, "little")[step - 1::step]))
+        def signs(mask: int) -> bytes:
+            """The sign byte of each lane of a mask, by position: nonzero on its lanes."""
+            return mask.to_bytes(size * step, "little")[step - 1::step]
 
-        columns = {slope: bytearray(size * step) for slope in slopes}
-        for i, v in enumerate(pool):
-            for p, q, m in v._key:
-                columns[p, q][i * step:(i + 1) * step] = m.to_bytes(step, "little")
-        packs = [int.from_bytes(column, "little") for column in columns.values()]
-        # Each slope's line bundle O(p/q), and the cap on its degrees with or into a member.
-        lines = [_trusted(((p, q, 1),)) for p, q in columns]
-        caps = [q * top * reach for _, q in columns]
+        def positions(mask: int) -> list[int]:
+            """The positions of a mask's lanes, ascending."""
+            return list(itertools.compress(range(size), signs(mask)))
+
+        @cache
+        def basis() -> tuple[list[int], list[HNBundle], list[int]]:
+            """Per slope p/q of the pool: its packed multiplicities, O(p/q), and its cap."""
+            columns = {slope: bytearray(size * step) for slope in slopes}
+            for i, v in enumerate(pool):
+                for p, q, m in v._key:
+                    columns[p, q][i * step:(i + 1) * step] = m.to_bytes(step, "little")
+            return ([int.from_bytes(column, "little") for column in columns.values()],
+                    [_trusted(((p, q, 1),)) for p, q in columns],
+                    [q * top * reach for _, q in columns])
 
         def row(profile: list[int]) -> int | None:
             """The sum of profile[s] * M_s, or None when a value passes its cap."""
+            packs, _, caps = basis()
             if all(0 <= h <= cap for h, cap in zip(profile, caps)):
                 return sum([h * packed for h, packed in zip(profile, packs)])
             return None
 
-        degrees = [degree(v, v) for v in pool]
-        self.diagonal = (int.from_bytes(b"".join([d.to_bytes(step, "little") for d in degrees]),
-                                        "little")
-                         if all(0 <= d <= bound for d in degrees) else None)
-        self.into = _Table(lambda f: row([degree(line, pool[f]) for line in lines]))
-        self.outof = _Table(lambda e: row([degree(pool[e], line) for line in lines]))
+        def diagonal() -> int | None:
+            """deg(Q, Q) in lane Q, or None when a lane leaves [0, bound]."""
+            degrees = [degree(v, v) for v in pool]
+            if all(0 <= d <= bound for d in degrees):
+                return int.from_bytes(b"".join([d.to_bytes(step, "little") for d in degrees]),
+                                      "little")
+            return None
+
+        self._diagonal = diagonal
+        self.into = _Table(lambda f: row([degree(line, pool[f]) for line in basis()[1]]))
+        self.outof = _Table(lambda e: row([degree(pool[e], line) for line in basis()[1]]))
         self.below = [spread(bytes([rank < r for rank in ranks])) for r in range(top + 2)]
+        entry = (size + 7) // 8
         relations = (dominating, dual_dominating)
-        matrices = _Table(lambda k: b"".join([_flags(entry, size) for entry in relations[k]]))
-        self.dominated = _Table(lambda u: spread(matrices[0][u::size]))
-        self.quotients = lambda e: spread(matrices[1][e::size])
-        self.at, self.spread, self.positions = at, spread, positions
+        packed = _Table(lambda k: b"".join([bits.to_bytes(entry, "little") for bits in relations[k]]))
+
+        def column(k: int, u: int) -> int:
+            """Column u of relation k: the mask of the lanes whose entry has bit u set."""
+            return spread(packed[k][u >> 3::entry], u & 7)
+
+        self.dominated = _Table(partial(column, 0))
+        self.quotients = partial(column, 1)
+        self.at, self.spread, self.signs, self.positions = at, spread, signs, positions
+
+    @cached_property
+    def diagonal(self) -> int | None:
+        return self._diagonal()

@@ -31,13 +31,12 @@ false failures because extra candidates can only carry smaller strata.
 Every check reads one :class:`Universe`: the pool (:func:`bundle_pool`),
 each bundle's position in it, the dominance relations among its members,
 built once, and tables by position that compute each value at its first
-read and keep it, a row per first position.  Each row of ``degrees``,
-``terms`` and ``steps`` is a small ``dict`` subclass whose ``__missing__``
-computes a cell in one frame:
+read and keep it, a row per first position.  Each row of ``degrees`` and
+``steps`` is a small ``dict`` subclass whose ``__missing__`` computes a
+cell in one frame:
 
-* ``degrees`` - deg_nonneg(V, W), by W, then V;
-* ``terms``   - the F-free codimension term deg_nonneg(Q, Q) - deg_nonneg(V, Q),
-                by V, then Q;
+* ``degrees`` - deg_nonneg(V, W), by W, then V; the F-free codimension term
+                of (V, Q) is image_term(degrees[Q][Q], degrees[Q][V]);
 * ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule,
                 summed off V's key;
 * ``steps``   - degeneration's chain step from the member V to Q, by Q,
@@ -47,31 +46,33 @@ computes a cell in one frame:
 spec and hands it to every check body on that spec, so a run asks each of
 these questions once, whichever checks read the answer; it times each body
 and builds its report.  ``verify_X(spec)`` is ``run_checks([X], spec)[0]``.
-The three triple checks read one stream, each with its own conditions; it
-reads the dominance conditions (i), (ii) and (iii) off the universe's
+The three triple checks read one stream, :func:`_lane_groups`, each with
+its own conditions: per (E, F), the Q of its triples as one lane mask over
+the pool (``Universe.lanes``, a :class:`hnbundles.lanes._Lanes`).  It reads
+the dominance conditions (i), (ii) and (iii) off columns of the universe's
 relations, and (iv), (v) and (vi) off their bulk forms (a slope-sharing
-relation, the rank order and an integral mask), and asks only the
-conditions on E, once per E (:func:`_admitted`).  Degeneration reads it as
-:func:`_triple_groups`, a list of Q positions per (E, F), and reads the
-tables above per triple.
+relation, the rank masks and an integral mask), and asks only the
+conditions on E, once per E.  A sampled run of key-inequality or
+degeneration is the stream's first N triples, Q taken by rank and then by
+position, so the group that reaches N is cut on its mask and checked like
+any other; a sampled stratification run is the stream's first N pairs.
+Degeneration reads the tables above per triple, finding each group's Q
+among those of all of E's groups, read once per E.
 
-Key-inequality and stratification read it as :func:`_lane_groups`, one lane
-mask per (E, F), and evaluate the integer formulas of
+Key-inequality and stratification evaluate the integer formulas of
 :mod:`hnbundles.degrees` once per (E, F) on packed rows, one lane per pool
-position (``Universe.lanes``, a :class:`hnbundles.lanes._Lanes`):
-deg_nonneg(., F) and deg_nonneg(E, .) are sums of k packed multiplicity
-rows, k the number of distinct slopes, since deg_nonneg is additive in each
-argument.  A bias folded into the image term makes each clause one sign-bit
-mask, which the group's mask must be inside: key-inequality's c > 0, and
-stratification's dim >= 0, c = dim hom - dim >= 0, c > 0 below rank(E),
-and Q = E in the group with c = 0; ``int.bit_count`` counts the triples.
-Each (E, F) also reads deg_nonneg(E, F) from ``degrees``, and its lanes
-answer only when lane E of the row into F and lane F of the row out of E
-equal it.  A group that fails a lane test or that comparison is rerun one
-triple at a time, through the per-cell tables, so each counterexample keeps
-its one statement; a group that the rerun passes is reported as one on
-which the two routes disagree.  A sampled key-inequality run is the
-stream's first N triples, which may cut a group, so it runs per triple.
+position: deg_nonneg(., F) and deg_nonneg(E, .) are sums of k packed
+multiplicity rows, k the number of distinct slopes, since deg_nonneg is
+additive in each argument.  A bias folded into the image term makes each
+clause one sign-bit mask, which the group's mask must be inside:
+key-inequality's c > 0, and stratification's dim >= 0, c = dim hom - dim
+>= 0, c > 0 below rank(E), and Q = E in the group with c = 0;
+``int.bit_count`` counts the triples.  Each (E, F) also reads
+deg_nonneg(E, F) from ``degrees``, and its lanes answer only when lane E of
+the row into F and lane F of the row out of E equal it.  A group that fails
+a lane test or that comparison is rerun one triple at a time, through the
+per-cell tables, so each counterexample keeps its one statement; a group
+that the rerun passes is reported as one on which the two routes disagree.
 The ``oracles`` check compares every lane of the rows with ``deg_nonneg``
 and the tensor route on its own spec.
 """
@@ -85,9 +86,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from math import floor
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
@@ -325,20 +326,6 @@ class _DegreeRow(dict):
         return value
 
 
-class _TermRow(dict):
-    """V's row of ``Universe.terms``: a missing Q's cell is its image term, kept."""
-
-    __slots__ = ("_degrees", "_v")
-
-    def __init__(self, degrees: _Table, v: int) -> None:
-        self._degrees, self._v = degrees, v
-
-    def __missing__(self, q: int) -> int:
-        into_q = self._degrees[q]
-        value = self[q] = image_term(into_q[q], into_q[self._v])
-        return value
-
-
 class _StepRow(dict):
     """Q's row of ``Universe.steps``: a missing member's cell is its chain step, kept."""
 
@@ -365,11 +352,9 @@ class Universe:
     faulty engine or enumeration makes one) raises
     :class:`InternalConsistencyError`, which fails every chain through it.
     Each table (see the module docstring) is a dict that fills a missing
-    key by position; a row of ``degrees``, ``terms`` or ``steps``
-    (:class:`_DegreeRow`, :class:`_TermRow`, :class:`_StepRow`) holds what
-    its cells read and computes a missing cell in its own ``__missing__``.
-    ``by_rank`` lists the pool positions stably sorted by rank, and
-    ``ranks`` their ranks.
+    key by position; a row of ``degrees`` or ``steps`` (:class:`_DegreeRow`,
+    :class:`_StepRow`) holds what its cells read and computes a missing cell
+    in its own ``__missing__``.
 
     ``dominators[L]`` is an int whose bit U is set when pool member U
     slopewise dominates L, and ``dual_dominators[L]`` the same over the
@@ -378,9 +363,10 @@ class Universe:
     ``dominator_flags[L]`` and ``dual_dominator_flags[L]`` decode a mask at
     its first read into one byte per pool position, 1 where the bit is set,
     so that a test of one cell is an index, not a shift of a pool-wide int.
-    The triple stream reads dominance only from these, and so do the
-    degeneration findings: a chain step from E_i degenerates when bit E_i
-    of ``dual_dominators[E_{i+1}]`` is set.  ``slopewise_dominates`` is
+    The triple stream reads dominance only from the two relations, through
+    their columns in ``lanes``, and the degeneration findings only from the
+    dual one: a chain step from E_i degenerates when bit E_i of
+    ``dual_dominators[E_{i+1}]`` is set.  ``slopewise_dominates`` is
     asked by the chain steps alone.  The ``equivalence`` check reads
     ``dominator_flags`` as its third route.
 
@@ -392,23 +378,22 @@ class Universe:
     The ``degrees`` fills look ``deg_nonneg`` up on this module at call
     time, so a test or tracer that rebinds it sees every call.
 
-    ``lanes`` (:class:`hnbundles.lanes._Lanes`) holds what the
-    key-inequality and stratification checks read: the lane width, ``ones``
-    and ``bias``, the packed diagonal deg_nonneg(Q, Q), the rank masks, both
-    relations transposed into lane masks (the Q each F dominates, the Q that
-    are quotients of E), and the tables of packed rows deg_nonneg(., F) by
-    F and deg_nonneg(E, .) by E, which both checks share in one run.  It is
-    built at its first read from this module's ``deg_nonneg``, so a run of
-    the other checks alone pays nothing for it; ``oracles`` reads its rows
-    too.
+    ``lanes`` (:class:`hnbundles.lanes._Lanes`) is read by all three
+    triple checks: the stream reads its rank masks and both relations
+    transposed into lane masks (the Q each F dominates, the Q that are
+    quotients of E), and key-inequality and stratification also read the
+    lane width, ``ones`` and ``bias``, the packed diagonal deg_nonneg(Q, Q)
+    and the tables of packed rows deg_nonneg(., F) by F and deg_nonneg(E, .)
+    by E, which both share in one run.  It is built at its first read, and
+    its degree rows, from this module's ``deg_nonneg``, at theirs, so a run
+    of the other checks alone pays nothing for it and degeneration nothing
+    for its rows; ``oracles`` reads its rows too.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
         self.spec = spec
         self.pool = pool = bundle_pool(spec)
         where = {bundle._key: i for i, bundle in enumerate(pool)}
-        self.by_rank = sorted(range(len(pool)), key=lambda i: pool[i].rank)
-        self.ranks = [pool[i].rank for i in self.by_rank]
         keys = [bundle._key for bundle in pool]
         self.dominators = dominating = dominators(keys)
         self.dual_dominators = dual_dominating = dominators([_dual_key(key) for key in keys])
@@ -425,8 +410,7 @@ class Universe:
                 raise InternalConsistencyError(f"chain member {bundle} lies outside the universe")
             return i
 
-        self.degrees = degrees = _Table(partial(_DegreeRow, pool))
-        self.terms = _Table(partial(_TermRow, degrees))
+        self.degrees = _Table(partial(_DegreeRow, pool))
         # deg(V^{>=0}) off the key: the degrees p*m of the summands p/q with p >= 0.
         self.nonneg = _Table(lambda v: sum([p * m for p, _, m in pool[v]._key if p >= 0]))
         self.steps = _Table(partial(_StepRow, pool, position))
@@ -560,21 +544,29 @@ def verify_oracles(spec: UniverseSpec) -> VerificationReport:
     return run_checks(["oracles"], spec)[0]
 
 
-def _admitted(universe: Universe, conditions: ConditionSet
-              ) -> Iterator[tuple[int, int, int, int, int]]:
-    """Per E meeting the conditions on E: (E, its F mask, the Q rank span low..high, Q mask).
+def _lane_groups(universe: Universe, conditions: ConditionSet, limit: int | None = None
+                 ) -> Iterator[tuple[int, int, int]]:
+    """Every (E, F) meeting the E and (E, F) conditions, with the Q of its triples as a lane mask.
 
-    E runs over the pool in its order, and each E is yielded when some F
-    is admitted.  Only the conditions on E are asked, through their tests,
+    E, F and Q are named by pool position, and E and F run over the pool in
+    its order.  Only the conditions on E are asked, through their tests,
     once per E, in entry order up to the first that fails.  Every other
-    condition is read in bulk, never asked of a pair: the F mask is
+    condition is read in bulk, never asked of a pair: the F of E are
     ``dominators[E]`` (i) ANDed with each (E, F) condition's ``admits``
-    mask, such as the complement of ``sharing[E]`` for (iv); the rank span
-    is what (ii), which forces rank(Q) <= rank(E), and each (E, Q)
-    condition's ``ranks`` admit, such as rank(Q) < rank(E) for (v); and the
-    Q mask is the AND of each (E, Q) condition's ``admits`` mask.  The
-    conditions are read once per call, so a caller that rebinds a condition
-    set or one of its entries sees every read.
+    mask, such as the complement of ``sharing[E]`` for (iv).  The
+    candidates of E are the lanes of the rank span that (ii), which forces
+    rank(Q) <= rank(E), and each (E, Q) condition's ``ranks`` admit, such
+    as rank(Q) < rank(E) for (v), ANDed with the quotients of E (ii) and
+    each (E, Q) condition's ``admits`` mask; the group of (E, F) is the
+    candidates that F dominates (iii), one AND of two lane masks.  An E
+    without candidates reads no column.  Every admissible (E, F) is
+    yielded, with an empty group when no Q completes it.  The conditions
+    are read once per call, so a caller that rebinds a condition set or one
+    of its entries sees every read.
+
+    With ``limit``, the stream is its first ``limit`` triples, Q taken by
+    rank and then by position, and it ends at the group that reaches the
+    limit.
     """
     e_tests = [c.test for c in conditions.on_e]
     for c in (*conditions.on_pair, *conditions.on_quotient):
@@ -583,9 +575,12 @@ def _admitted(universe: Universe, conditions: ConditionSet
     pair_masks = [c.admits for c in conditions.on_pair]
     quotient_masks = [c.admits for c in conditions.on_quotient if c.admits is not None]
     quotient_ranks = [c.ranks for c in conditions.on_quotient if c.ranks is not None]
-    dominating = universe.dominators
-    everyone = (1 << len(universe.pool)) - 1
-    for ei, e in enumerate(universe.pool):
+    pool, dominating, lanes = universe.pool, universe.dominators, universe.lanes
+    below, dominated, size = lanes.below, lanes.dominated, len(pool)
+    positions = range(size)
+    everyone = (1 << size) - 1
+    remaining = limit
+    for ei, e in enumerate(pool):
         if not all(test(e) for test in e_tests):
             continue
         admitted = dominating[ei]
@@ -593,73 +588,27 @@ def _admitted(universe: Universe, conditions: ConditionSet
             admitted &= admits(universe, ei)
         if not admitted:
             continue
-        rank = e.rank
-        low, high = 0, rank + 1
+        low, high = 0, e.rank + 1
         for admitted_ranks in quotient_ranks:
-            span = admitted_ranks(rank)
+            span = admitted_ranks(e.rank)
             low, high = max(low, span.start), min(high, span.stop)
         members = everyone
         for admits in quotient_masks:
             members &= admits(universe, ei)
-        yield ei, admitted, low, high, members
-
-
-def _triple_groups(
-    universe: Universe, conditions: ConditionSet, limit: int | None = None,
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Every (E, F) meeting the E and (E, F) conditions, with the Q that complete its triples.
-
-    E, F and Q are named by pool position.  E and F run over the pool in
-    its order and Q over its rank order, so the flattened groups are the
-    triples meeting every condition of ``conditions``, and (i), (ii) and
-    (iii), in a fixed order.  The conditions are read by :func:`_admitted`;
-    the Q candidates of E are the slice of the rank order in its rank span,
-    kept where bit E of ``dual_dominators[Q]`` (ii) and the Q mask are set,
-    and the group of (E, F) is the candidates Q with bit F of
-    ``dominators[Q]`` (iii).  Every admissible (E, F) is yielded, with an
-    empty group when no Q completes it; the groups hold at most ``limit``
-    triples in all.
-    """
-    pool, by_rank, ranks = universe.pool, universe.by_rank, universe.ranks
-    dominating_flags, dual_dominating = universe.dominator_flags, universe.dual_dominator_flags
-    size = len(pool)
-    positions = range(size)
-    member_flags = _Table(lambda mask: _flags(mask, size))
-    remaining = limit
-    for ei, admitted, low, high, members in _admitted(universe, conditions):
-        kept = member_flags[members]
-        quotients = [qi for qi in by_rank[bisect_left(ranks, low):bisect_left(ranks, high)]
-                     if dual_dominating[qi][ei] and kept[qi]]
-        # Each Q's flags by F, looked up once per E.
-        above = [dominating_flags[qi] for qi in quotients]
+        candidates = lanes.quotients(ei) & below[high] & ~below[low] if low < high else 0
+        if candidates and members != everyone:
+            candidates &= lanes.spread(_flags(members, size))
         for fi in itertools.compress(positions, _flags(admitted, size)):
-            group = list(itertools.compress(quotients, map(itemgetter(fi), above)))
+            group = candidates and candidates & dominated[fi]
             if remaining is not None:
-                group = group[:remaining]
-                remaining -= len(group)
+                if group.bit_count() > remaining:
+                    # The cut falls in this group: its first Q by rank, then by position.
+                    first = sorted(lanes.positions(group), key=lambda qi: pool[qi].rank)
+                    group = sum([1 << (qi + 1) * lanes.width - 1 for qi in first[:remaining]])
+                remaining -= group.bit_count()
             yield ei, fi, group
             if remaining == 0:
                 return
-
-
-def _lane_groups(universe: Universe, conditions: ConditionSet) -> Iterator[tuple[int, int, int]]:
-    """The (E, F) of :func:`_triple_groups`, in its order, each with its group as a lane mask.
-
-    The candidates of E are the lanes of its rank span, ANDed with the
-    quotients of E (ii) and, when a condition restricts Q, its Q mask; the
-    group of (E, F) is the candidates that F dominates (iii).  Per (E, F)
-    that is one AND of two lane masks.
-    """
-    lanes = universe.lanes
-    below, dominated, size = lanes.below, lanes.dominated, len(universe.pool)
-    positions = range(size)
-    everyone = (1 << size) - 1
-    for ei, admitted, low, high, members in _admitted(universe, conditions):
-        candidates = lanes.quotients(ei) & below[high] & ~below[low]
-        if members != everyone:
-            candidates &= lanes.spread(_flags(members, size))
-        for fi in itertools.compress(positions, _flags(admitted, size)):
-            yield ei, fi, candidates & dominated[fi]
 
 
 def _disagreement(pool: list[HNBundle], ei: int, fi: int) -> str:
@@ -669,11 +618,13 @@ def _disagreement(pool: list[HNBundle], ei: int, fi: int) -> str:
 
 def _codimension_lines(universe: Universe, ei: int, fi: int, group: list[int]) -> list[str]:
     """The per-triple key inequality on one group: a line per Q whose codimension is <= 0."""
-    pool, into_f, from_e = universe.pool, universe.degrees[fi], universe.terms[ei]
+    pool, degrees = universe.pool, universe.degrees
+    into_f = degrees[fi]
     ef_degree = into_f[ei]
     lines = []
     for qi in group:
-        c = codimension(ef_degree, from_e[qi], into_f[qi])
+        into_q = degrees[qi]
+        c = codimension(ef_degree, image_term(into_q[qi], into_q[ei]), into_f[qi])
         if c <= 0:
             lines.append(f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}: c={c}")
     return lines
@@ -682,18 +633,11 @@ def _codimension_lines(universe: Universe, ei: int, fi: int, group: list[int]) -
 def _key_inequality(universe: Universe) -> _Outcome:
     cex: list[str] = []
     count = 0
-    limit = universe.spec.sample_limit
-    if limit is not None:
-        # A sample is the stream's first ``limit`` triples, cut inside a group: per triple.
-        for ei, fi, group in _triple_groups(universe, GENERAL_CONDITIONS, limit):
-            count += len(group)
-            cex += _codimension_lines(universe, ei, fi, group)
-        return count, cex, []
     lanes = universe.lanes
-    into, outof, diagonal, ones, bias = lanes.into, lanes.outof, lanes.diagonal, lanes.ones, lanes.bias
-    at, degrees = lanes.at, universe.degrees
+    into, outof, ones, bias, at = lanes.into, lanes.outof, lanes.ones, lanes.bias, lanes.at
+    degrees = universe.degrees
     current = term = None
-    for ei, fi, group in _lane_groups(universe, GENERAL_CONDITIONS):
+    for ei, fi, group in _lane_groups(universe, GENERAL_CONDITIONS, universe.spec.sample_limit):
         if not group:
             continue
         count += group.bit_count()
@@ -701,8 +645,8 @@ def _key_inequality(universe: Universe) -> _Outcome:
             from_e = outof[ei]
             current = ei
             # The biased term, so that codimension gives c - 1 + bias: its sign bits say c > 0.
-            term = (None if from_e is None or diagonal is None
-                    else image_term(diagonal, from_e) + bias - ones)
+            term = (None if from_e is None or lanes.diagonal is None
+                    else image_term(lanes.diagonal, from_e) + bias - ones)
         into_f = into[fi]
         ef = degrees[fi][ei]
         if (term is None or into_f is None or not at(into_f, ei) == ef == at(from_e, fi)
@@ -837,9 +781,9 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
     notes = [f"dual chain not degenerating at step {i}"
              for i, (member, following) in enumerate(zip(positions, walk))
              if not flags[following][member]]
-    terms = universe.terms
-    return ChainCheck(positions, tuple([terms[i][qi] for i in positions]), tuple(walked),
-                      tuple(bad), tuple(notes))
+    into_q = universe.degrees[qi]
+    return ChainCheck(positions, tuple([image_term(into_q[qi], into_q[i]) for i in positions]),
+                      tuple(walked), tuple(bad), tuple(notes))
 
 
 def _codimension_problems(pool: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
@@ -886,33 +830,38 @@ def _codimension_problems(pool: list[HNBundle], fi: int, qi: int, checked: Chain
 
 
 def _degeneration(universe: Universe) -> _Outcome:
-    pool = universe.pool
+    pool, lanes = universe.pool, universe.lanes
     cex: list[str] = []
     findings: list[str] = []
     count = 0
     # E_1 is built once per E, at E's first triple, and named by its pool position.
     starts = _Table(lambda ei: universe.position(degeneration.build_e1(pool[ei])))
     degrees, nonneg = universe.degrees, universe.nonneg
-    current = None
-    for ei, fi, group in _triple_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit):
-        if not group:
+    stream = _lane_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit)
+    for ei, triples in itertools.groupby(stream, itemgetter(0)):
+        # The stream yields every group of one E before the next and never comes back, so only
+        # this E's chains, keyed by Q, are kept.  Each group's positions are found among those
+        # of the union of E's groups, read once per E, not among the pool's.
+        groups = [(fi, group) for _, fi, group in triples if group]
+        if not groups:
             continue
-        count += len(group)
-        if ei != current:
-            # The stream yields every group of one E before the next and never comes back,
-            # so only the current E's chains, keyed by Q, are kept.
-            current, from_e = ei, _Table(partial(_chain, universe, starts, ei))
-        into_f = degrees[fi]
-        for qi in group:
-            checked = from_e[qi]
-            bad, notes = checked.violations, checked.findings
-            if checked.steps is not None:
-                bad = (*bad, *_codimension_problems(pool, fi, qi, checked, into_f,
-                                                    nonneg[fi] - nonneg[qi]))
-            if bad or notes:
-                prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
-                cex.extend(f"{prefix}: {item}" for item in bad)
-                findings.extend(f"{prefix}: {item}" for item in notes)
+        from_e = _Table(partial(_chain, universe, starts, ei))
+        among = lanes.positions(reduce(or_, [group for _, group in groups]))
+        # The repeated first position keeps the getter's answer a tuple; compress stops at among.
+        at_among = itemgetter(*among, among[0])
+        for fi, group in groups:
+            count += group.bit_count()
+            into_f = degrees[fi]
+            for qi in itertools.compress(among, at_among(lanes.signs(group))):
+                checked = from_e[qi]
+                bad, notes = checked.violations, checked.findings
+                if checked.steps is not None:
+                    bad = (*bad, *_codimension_problems(pool, fi, qi, checked, into_f,
+                                                        nonneg[fi] - nonneg[qi]))
+                if bad or notes:
+                    prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
+                    cex.extend(f"{prefix}: {item}" for item in bad)
+                    findings.extend(f"{prefix}: {item}" for item in notes)
     return count, cex, findings
 
 
@@ -928,14 +877,16 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
 
 def _stratum_lines(universe: Universe, ei: int, fi: int, group: list[int]) -> list[str]:
     """The per-triple stratification clauses on one (E, F) and its candidates."""
-    pool, into_f, from_e = universe.pool, universe.degrees[fi], universe.terms[ei]
+    pool, degrees = universe.pool, universe.degrees
+    into_f = degrees[fi]
     e, f = pool[ei], pool[fi]
     full = into_f[ei]
     e_rank = e.rank
     best = None
     lines = []
     for qi in group:
-        dim = stratum_dimension(into_f[qi], from_e[qi])
+        into_q = degrees[qi]
+        dim = stratum_dimension(into_f[qi], image_term(into_q[qi], into_q[ei]))
         if dim < 0:
             lines.append(f"E={e} F={f} Q={pool[qi]}: {_negative_stratum(e, f, pool[qi], dim)}")
             continue
@@ -958,8 +909,8 @@ def _stratification(universe: Universe) -> _Outcome:
     # Built at call time, so a test that rebinds a condition tuple sees every call.
     conditions = ConditionSet((), PAIR_CONDITIONS, ())
     lanes = universe.lanes
-    into, outof, diagonal, ones, bias = lanes.into, lanes.outof, lanes.diagonal, lanes.ones, lanes.bias
-    at, below, width, degrees = lanes.at, lanes.below, lanes.width, universe.degrees
+    into, outof, ones, bias, at = lanes.into, lanes.outof, lanes.ones, lanes.bias, lanes.at
+    below, width, degrees = lanes.below, lanes.width, universe.degrees
     half = 1 << width - 1
     cex: list[str] = []
     count = 0
@@ -970,10 +921,10 @@ def _stratification(universe: Universe) -> _Outcome:
         if ei != current:
             from_e = outof[ei]
             current, at_e = ei, half << ei * width
-            if from_e is not None and diagonal is not None:
+            if from_e is not None and lanes.diagonal is not None:
                 # Biased, so that stratum_dimension gives dim + bias; c = dim hom - dim then
                 # follows as c + bias, less 1 on the lanes of rank below rank(E).
-                term = image_term(diagonal, from_e) - bias
+                term = image_term(lanes.diagonal, from_e) - bias
                 shift = 2 * bias - (below[pool[ei].rank] >> width - 1)
             else:
                 term = None

@@ -523,7 +523,7 @@ def test_no_bundle_holds_a_fraction():
         if not value.is_zero:
             value.slope, value.mu_max, value.mu_min
         value.summands, value.slopes(), value.rank, value.degree, value.polygon
-        value.segment_vectors, value.slope_pairs, value.has_integer_slopes(), str(value)
+        value.slope_pairs, value.has_integer_slopes(), str(value)
         value.multiplicity("3/2"), value.dual().dual(), hash(value)
         assert _fractions_held(value, set()) == [], repr(value)
         assert set(vars(value)) <= {"_key", "_dual", "rank", "degree", "polygon", "slope_pairs"}

@@ -134,7 +134,7 @@ def test_the_kernels_read_only_the_key_at_rank_10_12():
         assert slopewise_dominates(w, v) == rank_condition(v, w), (w, v)
         assert deg_nonneg(v, w) == deg_nonneg_oracle(v, w), (v, w)
     assert deg_nonneg.cache_info().misses == len(bundles) ** 2
-    assert not any("segment_vectors" in vars(v) for v in bundles)
+    assert not any("polygon" in vars(v) for v in bundles)
 
 
 def test_the_dominance_relation_reads_only_the_key_at_rank_10_12():

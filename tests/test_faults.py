@@ -25,7 +25,7 @@ import itertools
 
 import pytest
 
-from hnbundles import UniverseSpec, criteria, degeneration, run_checks, verify
+from hnbundles import UniverseSpec, criteria, degeneration, parse_bundle, run_checks, verify
 
 SMALL_INT = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=1)
 SMALL = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=2)
@@ -148,6 +148,12 @@ def _doubled_from_rank_3(deg_nonneg):
     return lambda v, w: deg_nonneg(v, w) * (2 if v.rank >= 3 else 1)
 
 
+def _plus_a_million_at_one_cell(deg_nonneg):
+    """deg_nonneg(2,1, 2:2,-1) alone, 10**6 too high."""
+    cell = (parse_bundle("2,1")._key, parse_bundle("2:2,-1")._key)
+    return lambda v, w: deg_nonneg(v, w) + 10**6 * ((v._key, w._key) == cell)
+
+
 # The formula rows act on every lane.  The key-inequality and stratification checks call the
 # formulas of hnbundles.degrees on packed rows, one lane per pool position (``lanes._Lanes``),
 # and everything else calls them on single values, so a mutant tells the two apart and moves
@@ -237,6 +243,10 @@ ROUTE_ROWS = {
     "deg_nonneg doubled from rank 3": ((verify,), "deg_nonneg", _doubled_from_rank_3,
                                        {"oracles", "degeneration", "key-inequality",
                                         "stratification"}),
+    # A known gap: key-inequality and stratification read this (Q, F) cell only through the
+    # lanes, which are built from line bundles and the diagonal, so both pass it.
+    "deg_nonneg + 10**6 at one cell": ((verify,), "deg_nonneg", _plus_a_million_at_one_cell,
+                                       {"oracles", "degeneration", "invariance"}),
     "codimension + 1": ((verify,), "codimension", _codimension_plus_one, {"degeneration"}),
     "codimension - 1 when ef > qf": ((verify,), "codimension",
                                      _codimension_minus_one_when_ef_exceeds_qf,

@@ -1072,7 +1072,7 @@ def _lane_degree_reads(*names):
     universe = verify.Universe(SMALL_INT)
     pool = universe.pool
     pairs = {(pool[ei], pool[fi]) for name in names
-             for ei, fi, group in verify._triple_groups(universe, ASKED_CONDITIONS[name]) if group}
+             for ei, fi, group in verify._lane_groups(universe, ASKED_CONDITIONS[name]) if group}
     lines = _lines(pool)
     rows = (Counter((q, q) for q in pool)
             + Counter((line, f) for f in {f for _, f in pairs} for line in lines)
@@ -1287,7 +1287,7 @@ def test_the_stream_asks_no_pair_and_each_e_condition_once_per_e(monkeypatch, na
 def test_a_pair_condition_without_a_bulk_form_is_refused():
     bare = degeneration.Condition("(x)", "anything", lambda e, f: True)
     with pytest.raises(ValueError, match=r"condition \(x\) has no bulk form"):
-        next(verify._triple_groups(verify.Universe(TINY), ConditionSet((), (bare,), ())))
+        next(verify._lane_groups(verify.Universe(TINY), ConditionSet((), (bare,), ())))
 
 
 def test_dominance_keeps_no_memo_across_the_triple_checks():
@@ -1334,15 +1334,15 @@ def _scanned_groups(universe, conditions, limit=None):
 @pytest.mark.parametrize("spec", [SMALL_INT, TRIPLES_SHAPED], ids=["small-int", "triples"])
 @pytest.mark.parametrize("name", list(ASKED_CONDITIONS))
 def test_the_relations_keep_the_stream(spec, name):
+    # The stream holds the scan's groups as lane masks: with each group's Q in rank order, a
+    # sample's cut falls where the scan's does.
     universe = verify.Universe(spec)
+    pool, positions = universe.pool, universe.lanes.positions
     conditions = ASKED_CONDITIONS[name]
     for limit in (None, 1, 7, 100):
-        streamed = list(verify._triple_groups(universe, conditions, limit))
+        streamed = [(ei, fi, sorted(positions(group), key=lambda qi: pool[qi].rank))
+                    for ei, fi, group in verify._lane_groups(universe, conditions, limit)]
         assert streamed == list(_scanned_groups(universe, conditions, limit))
-    # The lane stream holds the same groups, as lane masks.
-    assert [(ei, fi, universe.lanes.positions(group))
-            for ei, fi, group in verify._lane_groups(universe, conditions)] == [
-        (ei, fi, sorted(group)) for ei, fi, group in verify._triple_groups(universe, conditions)]
 
 
 def test_the_relations_keep_the_rank_5_pairs():
@@ -1357,7 +1357,7 @@ def test_the_relations_keep_the_rank_5_pairs():
                 (ei, fi) for ei, e in enumerate(pool) if all(c.test(e) for c in conditions.on_e)
                 for fi, f in enumerate(pool)
                 if slopewise_dominates(f, e) and all(c.test(e, f) for c in conditions.on_pair)]
-        streamed = [(ei, fi) for ei, fi, _ in verify._triple_groups(universe, conditions)]
+        streamed = [(ei, fi) for ei, fi, _ in verify._lane_groups(universe, conditions)]
         assert streamed == scanned[groups]
 
 
@@ -1557,13 +1557,15 @@ def test_stratification_counts_a_pair_without_a_candidate():
 # ----------------------------------------------------------------------
 # sampled runs: memory and which instances they check
 
-def test_sampled_degeneration_makes_rows_only_for_the_f_it_reads():
-    # 1,716 pool bundles: one full pool-by-pool table of cells is 1,716^2 * 8 bytes = 23.6 MB.
+@pytest.mark.parametrize("name", ["degeneration", "key-inequality", "stratification"])
+def test_a_sampled_triple_check_makes_rows_only_for_the_f_it_reads(name):
+    # 1,716 pool bundles: one full pool-by-pool table of cells is 1,716^2 * 8 bytes = 23.6 MB,
+    # and a byte per pair of either relation 2.9 MB.
     spec = UniverseSpec(max_rank=6, slope_min=-3, slope_max=3, max_denominator=1, sample_limit=10)
     assert len(verify.bundle_pool(spec)) == 1716
     tracemalloc.start()
     try:
-        report = verify_degeneration(spec)
+        (report,) = run_checks([name], spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1599,14 +1601,14 @@ def test_stratification_samples_the_first_pairs_with_their_whole_groups(monkeypa
 
 
 def test_sampled_key_inequality_checks_the_first_triples_of_the_stream():
-    # A sample may end inside a group, so it keeps the per-triple route: its prefix of the
-    # stream, each triple once.
+    # A sample may end inside a group; the stream cuts that group's lane mask, so the sample is
+    # its prefix of the stream, each triple once.
     universe = verify.Universe(SMALL_INT)
     for samples in (1, 7, 100, 1000):
         spec = replace(SMALL_INT, sample_limit=samples)
         report = verify_key_inequality(spec)
-        triples = sum(len(group) for _, _, group in
-                      verify._triple_groups(universe, GENERAL_CONDITIONS, samples))
+        triples = sum(group.bit_count() for _, _, group in
+                      verify._lane_groups(universe, GENERAL_CONDITIONS, samples))
         assert report.passed and report.instances_checked == triples == samples
 
 

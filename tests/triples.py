@@ -6,7 +6,7 @@ from typing import Iterator
 
 from hnbundles import HNBundle, UniverseSpec
 from hnbundles.degeneration import ConditionSet
-from hnbundles.verify import Universe, _triple_groups
+from hnbundles.verify import Universe, _lane_groups
 
 
 def admissible_triples(
@@ -14,11 +14,11 @@ def admissible_triples(
 ) -> Iterator[tuple[HNBundle, HNBundle, HNBundle]]:
     """The triples of the universe meeting every condition of ``conditions``, one by one.
 
-    The same stream as ``verify._triple_groups`` (which the checks read),
-    with the positions resolved to bundles.
+    The same stream as ``verify._lane_groups`` (which the checks read), with
+    each group's Q in rank order and the positions resolved to bundles.
     """
     universe = Universe(spec)
-    pool = universe.pool
-    for ei, fi, group in _triple_groups(universe, conditions):
-        for qi in group:
+    pool, positions = universe.pool, universe.lanes.positions
+    for ei, fi, group in _lane_groups(universe, conditions):
+        for qi in sorted(positions(group), key=lambda qi: pool[qi].rank):
             yield pool[ei], pool[fi], pool[qi]
