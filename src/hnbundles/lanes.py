@@ -5,7 +5,9 @@
 * :func:`_flags`  - the bits of a mask over the pool as one byte each;
 * :class:`_Lanes` - rows packed into ints, one lane per pool position,
   on which one call of an integer formula of :mod:`hnbundles.degrees`
-  evaluates it at every position at once.
+  evaluates it at every position at once;
+* :class:`_Sublanes` - rows packed the same way over some of the pool's
+  positions, read cell by cell.
 
 :mod:`hnbundles.verify` builds its universe's tables from these.
 """
@@ -53,10 +55,12 @@ class _Lanes:
 
     The width is a multiple of 8, fixed at build from a bound computed over
     the pool.  deg_nonneg(V, W) <= rank(V) * rank(W) * (largest slope -
-    smallest slope), so with R the largest rank, ``bound`` = R * R *
-    (ceil(slope span) + 1) exceeds every degree and multiplicity, and
-    2**(width - 1) > 4 * bound + 4 keeps every value a lane check tests (a
-    sum of at most four degrees, less one) inside [-2**(width - 1),
+    smallest slope), so with R the largest rank, ``bound``, the larger of R
+    * R * (ceil(slope span) + 1) and every deg(V^{>=0}), exceeds every
+    degree, multiplicity and rank, and 2**(width - 1) > 4 * bound + 4 keeps
+    every value a lane check tests (at most 4 * bound + 1 in size: a sum
+    of at most four degrees, less one, or a difference of two codimensions
+    less deg(F^{>=0}) - deg(Q^{>=0})) inside [-2**(width - 1),
     2**(width - 1)).  Adding ``bias``, 2**(width - 1) in every lane, then
     makes every lane nonnegative without a carry between lanes, so the top
     bit of a lane, its sign bit, is set exactly when the lane is >= 0.  A
@@ -73,6 +77,10 @@ class _Lanes:
     * ``into[F]``      - deg(., F), the sum over s of deg(O(s), F) * M_s;
     * ``outof[E]``     - deg(E, .), the sum over s of deg(E, O(s)) * M_s;
     * ``below[r]``     - the mask of the lanes of rank < r;
+    * ``nonneg``       - deg(V^{>=0}) in lane V, the degrees p * m of V's
+                         summands p/q with p >= 0, off the keys;
+    * ``above[p, q]``  - rank(V^{>p/q}) in lane V, the ranks q' * m of V's
+                         summands p'/q' > p/q, off the keys;
     * ``dominated[F]`` - the mask of the Q that F slopewise dominates:
                          column F of the relation ``dominating``, whose
                          entry L has bit U set when U dominates L;
@@ -103,7 +111,8 @@ class _Lanes:
         span = (max(Fraction(p, q) for p, q in slopes) - min(Fraction(p, q) for p, q in slopes)
                 if slopes else 0)
         reach = ceil(span) + 1
-        self.bound = bound = top * top * reach
+        nonneg = [sum([p * m for p, _, m in v._key if p >= 0]) for v in pool]
+        self.bound = bound = max([top * top * reach, *nonneg])
         width = 8
         while 1 << width - 1 <= 4 * bound + 4:
             width += 8
@@ -114,6 +123,10 @@ class _Lanes:
         lane = (1 << width) - 1
 
         # These close over locals, not over self, so the tables form no cycle.
+        def pack(values: list[int]) -> int:
+            """The packed row with values[i] in lane i, each in [0, 2**width)."""
+            return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in values]), "little")
+
         def at(row: int, i: int) -> int:
             """Lane i of a packed row whose lanes are all nonnegative."""
             return row >> i * width & lane
@@ -153,15 +166,16 @@ class _Lanes:
         def diagonal() -> int | None:
             """deg(Q, Q) in lane Q, or None when a lane leaves [0, bound]."""
             degrees = [degree(v, v) for v in pool]
-            if all(0 <= d <= bound for d in degrees):
-                return int.from_bytes(b"".join([d.to_bytes(step, "little") for d in degrees]),
-                                      "little")
-            return None
+            return pack(degrees) if all(0 <= d <= bound for d in degrees) else None
 
         self._diagonal = diagonal
         self.into = _Table(lambda f: row([degree(line, pool[f]) for line in basis()[1]]))
         self.outof = _Table(lambda e: row([degree(pool[e], line) for line in basis()[1]]))
         self.below = [spread(bytes([rank < r for rank in ranks])) for r in range(top + 2)]
+        self.nonneg = pack(nonneg)
+        # a/b > p/q exactly when a*q > p*b, since b, q > 0.
+        self.above = _Table(lambda t: pack([
+            sum([b * m for a, b, m in v._key if a * t[1] > t[0] * b]) for v in pool]))
         entry = (size + 7) // 8
         relations = (dominating, dual_dominating)
         packed = _Table(lambda k: b"".join([bits.to_bytes(entry, "little") for bits in relations[k]]))
@@ -177,3 +191,54 @@ class _Lanes:
     @cached_property
     def diagonal(self) -> int | None:
         return self._diagonal()
+
+
+class _Sublanes:
+    """Rows over some positions of a pool, lane k for ``fs[k]``, as wide as its ``_Lanes``.
+
+    Every value a lane check of the pool tests fits in a lane here too.
+    ``cells[F][V]`` is a table of single values by pool position, and
+    ``reads`` gives, by V, the lanes whose cells V's row holds, as an int of
+    flags, one byte per lane, nonzero where read.  ``rows[V]`` packs
+    cells[F][V] on those lanes, each read once, and 0 elsewhere; V has no row
+    when one of its cells lies outside [0, bound].  ``biased[t]`` holds t +
+    bias in every lane, and from the pool's rows off the keys:
+
+    * ``nonneg``               - deg(F^{>=0}) in lane F; ``nonneg_of(V)`` is
+                                 deg(V^{>=0}) for any pool position V;
+    * ``gaps[r, (p, q)]``      - r - rank(F^{>-p/q}) + bias, the stall rule's
+                                 rank(S) - rank(F^{>mu_min(dual(S))}) for an
+                                 S of rank r with mu_max(S) = p/q; 0 in every
+                                 lane when there is no S or r lies outside
+                                 [0, bound], so that no lane passes.
+    """
+
+    def __init__(self, lanes: _Lanes, fs: list[int], cells: dict, reads: dict[int, int]) -> None:
+        width, bound, at = lanes.width, lanes.bound, lanes.at
+        half = 1 << width - 1
+        self.fs = fs
+        self.ones = ones = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * len(fs), "little")
+        self.bias = bias = ones << width - 1
+        self.biased = _Table(lambda t: t * ones + bias)
+        self.nonneg_of = partial(at, lanes.nonneg)
+        self.nonneg = sum([at(lanes.nonneg, fi) << k * width for k, fi in enumerate(fs)])
+        shifted = list(zip(range(0, len(fs) * width, width), [cells[fi] for fi in fs]))
+        self.rows = rows = {}
+        for vi, wanted in reads.items():
+            row = 0
+            for shift, into_f in itertools.compress(shifted, wanted.to_bytes(len(fs), "little")):
+                value = into_f[vi]
+                if not 0 <= value <= bound:
+                    break
+                row |= value << shift
+            else:
+                rows[vi] = row
+
+        def gap(key: tuple[int, tuple[int, int] | None]) -> int:
+            r, top = key
+            if top is None or not 0 <= r <= bound:
+                return 0
+            above = lanes.above[-top[0], top[1]]
+            return sum([r + half - at(above, fi) << k * width for k, fi in enumerate(fs)])
+
+        self.gaps = _Table(gap)

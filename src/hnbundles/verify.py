@@ -37,8 +37,6 @@ cell in one frame:
 
 * ``degrees`` - deg_nonneg(V, W), by W, then V; the F-free codimension term
                 of (V, Q) is image_term(degrees[Q][Q], degrees[Q][V]);
-* ``nonneg``  - deg(V^{>=0}), by V, for degeneration's first-drop rule,
-                summed off V's key;
 * ``steps``   - degeneration's chain step from the member V to Q, by Q,
                 then V.
 
@@ -56,8 +54,6 @@ conditions on E, once per E.  A sampled run of key-inequality or
 degeneration is the stream's first N triples, Q taken by rank and then by
 position, so the group that reaches N is cut on its mask and checked like
 any other; a sampled stratification run is the stream's first N pairs.
-Degeneration reads the tables above per triple, finding each group's Q
-among those of all of E's groups, read once per E.
 
 Key-inequality and stratification evaluate the integer formulas of
 :mod:`hnbundles.degrees` once per (E, F) on packed rows, one lane per pool
@@ -75,6 +71,20 @@ per-cell tables, so each counterexample keeps its one statement; a group
 that the rerun passes is reported as one on which the two routes disagree.
 The ``oracles`` check compares every lane of the rows with ``deg_nonneg``
 and the tensor route on its own spec.
+
+Degeneration evaluates its rules once per (E, Q) chain, on packed rows with
+one lane per F of E (a :class:`hnbundles.lanes._Sublanes`).  Per E, a byte-matrix transpose
+of the stream's groups (a cut one included) gives each Q the mask of its F.
+Each chain member V gets a row deg_nonneg(V, F) over the lanes its chains
+read, each cell read from ``degrees``, so deg_nonneg is still asked once per
+cell and run.  The chain's codimensions are one packed ``codimension`` call
+per member, with the bias folded into the term, and each rule of
+:func:`_codimension_problems` is one sign-bit mask that the F mask must be
+inside; deg(F^{>=0}) and rank(F^{>t}) come from packed rows summed off the
+keys (``_Lanes.nonneg`` and ``_Lanes.above``).  A chain that fails a rule,
+that a lane cannot hold, or that has violations or findings is rerun one F
+at a time, so each counterexample keeps its one statement; a chain that the
+rerun passes is reported as one on which the two routes disagree.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from math import floor
-from operator import attrgetter, itemgetter, or_
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import (HNBundle, InternalConsistencyError, PreconditionError, ZERO, _DESCENDING,
@@ -109,7 +119,7 @@ from .degrees import (
     _negative_stratum, c_value, codimension, deg_nonneg, deg_nonneg_oracle, image_term,
     stratum_dimension,
 )
-from .lanes import _Lanes, _Table, _flags
+from .lanes import _Lanes, _Sublanes, _Table, _flags
 
 __all__ = [
     "UniverseSpec",
@@ -387,7 +397,9 @@ class Universe:
     by E, which both share in one run.  It is built at its first read, and
     its degree rows, from this module's ``deg_nonneg``, at theirs, so a run
     of the other checks alone pays nothing for it and degeneration nothing
-    for its rows; ``oracles`` reads its rows too.
+    for its rows; ``oracles`` reads its rows too.  Degeneration reads the
+    width, ``bound`` and the key rows ``nonneg`` and ``above``, and packs
+    its own rows over the F of each E from the cells of ``degrees``.
     """
 
     def __init__(self, spec: UniverseSpec) -> None:
@@ -411,8 +423,6 @@ class Universe:
             return i
 
         self.degrees = _Table(partial(_DegreeRow, pool))
-        # deg(V^{>=0}) off the key: the degrees p*m of the summands p/q with p >= 0.
-        self.nonneg = _Table(lambda v: sum([p * m for p, _, m in pool[v]._key if p >= 0]))
         self.steps = _Table(partial(_StepRow, pool, position))
         self.position = position
 
@@ -787,11 +797,12 @@ def _chain(universe: Universe, starts: _Table, ei: int, qi: int) -> ChainCheck:
 
 
 def _codimension_problems(pool: list[HNBundle], fi: int, qi: int, checked: ChainCheck,
-                          into_f: dict[int, int], first_drop: int) -> list[str]:
+                          into_f: dict[int, int]) -> list[str]:
     """Compute and re-check the codimensions of the triple (E, F, Q) along its chain.
 
     ``into_f`` is F's row of the universe's ``degrees``, deg_nonneg(V, F)
-    by V's position, and ``first_drop`` is deg(F^{>=0}) - deg(Q^{>=0}).
+    by V's position.  The first drop, deg(F^{>=0}) - deg(Q^{>=0}), is summed
+    off the keys of F and Q.
 
     The stall rule, rank(dual(S)) = rank(F^{>mu_min(dual(S))}) wherever the
     codimension stalls at a member other than Q, reads the step's
@@ -801,6 +812,9 @@ def _codimension_problems(pool: list[HNBundle], fi: int, qi: int, checked: Chain
     """
     steps = checked.steps
     qf_degree = into_f[qi]
+    # deg(V^{>=0}): the degrees p*m of V's summands p/q with p >= 0.
+    first_drop = (sum([p * m for p, _, m in pool[fi]._key if p >= 0])
+                  - sum([p * m for p, _, m in pool[qi]._key if p >= 0]))
     c = []
     for i, term in zip(checked.positions, checked.terms):
         c.append(codimension(into_f[i], term, qf_degree))
@@ -829,39 +843,103 @@ def _codimension_problems(pool: list[HNBundle], fi: int, qi: int, checked: Chain
     return bad
 
 
+def _chain_passes(lanes: _Sublanes, checked: ChainCheck, qi: int, mask: int) -> bool:
+    """Whether every rule of :func:`_codimension_problems` holds on each lane F of ``mask``.
+
+    ``lanes`` are the F of the chain's E, with a row for each member.  The
+    chain has no violations or findings and its terms lie in [-bound,
+    bound].  Each c_i is one packed ``codimension`` call, with the bias
+    folded into its term, and each rule is a biased value whose sign bits
+    must cover the mask; their AND is tested once.  A stalled lane whose S
+    the lanes cannot hold fails, and the per-triple rerun then raises for
+    it or reports it.
+    """
+    bias, biased, ones = lanes.bias, lanes.biased, lanes.ones
+    twice = bias << 1
+    rows = [lanes.rows[i] for i in checked.positions]
+    # Lane F of c[i] is c_i + bias; Q is the chain's last member.
+    c = [codimension(row, biased[term], rows[-1]) for row, term in zip(rows, checked.terms)]
+    r = len(c) - 1
+    # falls[i]: c_i - c_{i+1} + bias; drop: c_0 - c_1 less deg(F^{>=0}) - deg(Q^{>=0}), biased.
+    falls = [c[i] - c[i + 1] + bias for i in range(r)]
+    drop = falls[0] - lanes.nonneg + lanes.nonneg_of(qi) * ones
+    # c_r = 0, c_0 > 0, never increasing, the first-drop equality; then c_0 > c_2.
+    holding = reduce(and_, falls, c[-1] & twice - c[-1] & c[0] - ones & drop & twice - drop)
+    if r >= 2:
+        holding &= c[0] - c[2] + bias - ones
+    if holding & mask != mask:
+        return False
+    for i in range(1, r):
+        # Where c_i >= c_{i+1} holds, the lanes with c_{i+1} >= c_i too stall.
+        stalled = twice - falls[i] & mask
+        if stalled and checked.positions[i] != qi:
+            step = checked.steps[i - 1]
+            gap = lanes.gaps[step.s_rank, step.s_top]
+            if gap & twice - gap & stalled != stalled:
+                return False
+    return True
+
+
 def _degeneration(universe: Universe) -> _Outcome:
-    pool, lanes = universe.pool, universe.lanes
+    pool, lanes, degrees = universe.pool, universe.lanes, universe.degrees
+    signs, positions, bound, step = lanes.signs, lanes.positions, lanes.bound, lanes.width // 8
     cex: list[str] = []
     findings: list[str] = []
     count = 0
-    # E_1 is built once per E, at E's first triple, and named by its pool position.
+    # E_1 is built once per E, at E's first chain, and named by its pool position.
     starts = _Table(lambda ei: universe.position(degeneration.build_e1(pool[ei])))
-    degrees, nonneg = universe.degrees, universe.nonneg
+
+    def report(ei: int, checked: ChainCheck, qi: int, fs: list[int], clean: bool) -> None:
+        # Rerun one triple at a time, so each counterexample keeps its one statement; a clean
+        # chain that the rerun passes is one on which the two routes disagree.
+        failed = len(cex)
+        for fi in fs:
+            bad, notes = checked.violations, checked.findings
+            if checked.steps is not None:
+                bad = (*bad, *_codimension_problems(pool, fi, qi, checked, degrees[fi]))
+            prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
+            cex.extend(f"{prefix}: {item}" for item in bad)
+            findings.extend(f"{prefix}: {item}" for item in notes)
+        if clean and len(cex) == failed:
+            cex.append(f"E={pool[ei]} Q={pool[qi]}: the lane route fails this chain, "
+                       "the per-triple route passes it")
+
     stream = _lane_groups(universe, REDUCED_CONDITIONS, universe.spec.sample_limit)
     for ei, triples in itertools.groupby(stream, itemgetter(0)):
-        # The stream yields every group of one E before the next and never comes back, so only
-        # this E's chains, keyed by Q, are kept.  Each group's positions are found among those
-        # of the union of E's groups, read once per E, not among the pool's.
+        # The stream yields every group of one E before the next and never comes back.
         groups = [(fi, group) for _, fi, group in triples if group]
         if not groups:
             continue
-        from_e = _Table(partial(_chain, universe, starts, ei))
-        among = lanes.positions(reduce(or_, [group for _, group in groups]))
-        # The repeated first position keeps the getter's answer a tuple; compress stops at among.
+        fs = [fi for fi, _ in groups]
+        among = positions(reduce(or_, [group for _, group in groups]))
+        # The repeated first position keeps the getter's answer a tuple.
         at_among = itemgetter(*among, among[0])
-        for fi, group in groups:
-            count += group.bit_count()
-            into_f = degrees[fi]
-            for qi in itertools.compress(among, at_among(lanes.signs(group))):
-                checked = from_e[qi]
-                bad, notes = checked.violations, checked.findings
-                if checked.steps is not None:
-                    bad = (*bad, *_codimension_problems(pool, fi, qi, checked, into_f,
-                                                        nonneg[fi] - nonneg[qi]))
-                if bad or notes:
-                    prefix = f"E={pool[ei]} F={pool[fi]} Q={pool[qi]}"
-                    cex.extend(f"{prefix}: {item}" for item in bad)
-                    findings.extend(f"{prefix}: {item}" for item in notes)
+        stride = len(among) + 1
+        # Row k of the matrix is the sign byte of each Q of E in the group of F_k, so column Q,
+        # one strided slice, is the sign byte of each F_k whose group holds Q: the F of (E, Q).
+        count += sum([group.bit_count() for _, group in groups])
+        columns = b"".join([bytes(at_among(signs(group))) for _, group in groups])
+        chains = []
+        reads: dict[int, int] = {}
+        for j, qi in enumerate(among):
+            flags = columns[j::stride]
+            checked = _chain(universe, starts, ei, qi)
+            clean = checked.steps is not None and not (checked.violations or checked.findings)
+            if clean and -bound <= min(checked.terms) and max(checked.terms) <= bound:
+                chains.append((checked, qi, flags))
+                wanted = int.from_bytes(flags, "little")
+                for vi in checked.positions:
+                    reads[vi] = reads.get(vi, 0) | wanted
+            else:
+                report(ei, checked, qi, list(itertools.compress(fs, flags)), clean)
+        chain_lanes = _Sublanes(lanes, fs, degrees, reads)
+        rows = chain_lanes.rows
+        mask = bytearray(len(fs) * step)
+        for checked, qi, flags in chains:
+            mask[step - 1::step] = flags
+            if not ((len(rows) == len(reads) or all([vi in rows for vi in checked.positions]))
+                    and _chain_passes(chain_lanes, checked, qi, int.from_bytes(mask, "little"))):
+                report(ei, checked, qi, list(itertools.compress(fs, flags)), True)
     return count, cex, findings
 
 
@@ -870,7 +948,8 @@ def verify_degeneration(spec: UniverseSpec) -> VerificationReport:
 
     The chain of a triple (E, F, Q) does not read F, so it is assembled once
     per (E, Q), and each step once per (member, Q), shared by every chain
-    that reaches it.
+    that reaches it; its codimension rules are checked once per chain, on
+    packed rows with one lane per F.
     """
     return run_checks(["degeneration"], spec)[0]
 

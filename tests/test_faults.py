@@ -13,7 +13,8 @@ its third route and fails on the same universe.
 
 ``ROUTE_ROWS`` mutate the other fast routes: ``deg_nonneg``, the
 codimension, stratum and image-term formulas, ``slopewise_dominates``, the
-enumeration and the dual dominance relation alone.  A row rebinds the
+enumeration, the dual dominance relation alone, and the two steps of the
+chain engine (``decompose_mrs`` and ``_next_member``).  A row rebinds the
 route on each module it names and runs all six checks on ``SMALL_INT``.
 A formula mutant acts on every lane of a packed call, as on a single
 value.
@@ -231,6 +232,19 @@ def _dual_relation_drops_every_seventh_bit(dominators):
                          else _every_seventh_set_bit_dropped(keys))
 
 
+def _r_and_s_swapped(decompose_mrs):
+    """The decomposition with its two complements in each other's place."""
+    def swapped(e_i, q):
+        triple = decompose_mrs(e_i, q)
+        return type(triple)(triple.common, triple.e_complement, triple.q_complement)
+    return swapped
+
+
+def _own_member(_next_member):
+    """The next member is the one decomposed: dual(M + S), so the chain never moves."""
+    return lambda triple: triple.common.direct_sum(triple.e_complement).dual()
+
+
 # mutant -> (the modules whose binding it replaces, the name, its maker from the original,
 #            the checks that fail on SMALL_INT)
 ROUTE_ROWS = {
@@ -264,6 +278,12 @@ ROUTE_ROWS = {
     "dual relation drops every 7th bit": ((verify,), "dominators",
                                           _dual_relation_drops_every_seventh_bit,
                                           {"stratification"}),
+    # Every step fails its reassembly of the duals, which stops the chain there.
+    "decompose_mrs with R and S swapped": ((degeneration,), "decompose_mrs", _r_and_s_swapped,
+                                           {"degeneration"}),
+    # Every chain that moves at all runs past its step bound.
+    "next member is its own member": ((degeneration,), "_next_member", _own_member,
+                                      {"degeneration"}),
 }
 
 
@@ -294,11 +314,14 @@ def test_the_formula_mutants_tell_packed_calls_from_single_values(monkeypatch):
     calls = []
     for name in ("codimension", "stratum_dimension", "image_term"):
         original = getattr(verify, name)
-        monkeypatch.setattr(verify, name,
-                            lambda *args, original=original: calls.append(args) or original(*args))
+        monkeypatch.setattr(verify, name, lambda *args, name=name, original=original: (
+            calls.append((name, _packed(*args))) or original(*args)))
     assert all(report.passed for report in run_checks(["key-inequality", "stratification"],
                                                       SMALL_INT))
-    assert calls and all(_packed(*args) for args in calls)
+    assert calls and all(packed for _, packed in calls)
     calls.clear()
+    # Degeneration evaluates each chain's codimensions on packed rows over its F, and takes the
+    # chain's terms, which do not read F, one member at a time.
     assert run_checks(["degeneration"], SMALL_INT)[0].passed
-    assert calls and not any(_packed(*args) for args in calls)
+    assert {name for name, _ in calls} == {"codimension", "image_term"}
+    assert all(packed == (name == "codimension") for name, packed in calls)

@@ -8,7 +8,7 @@ import pytest
 
 from hnbundles import UniverseSpec, ZERO, deg_nonneg, stable, verify
 from hnbundles.criteria import dominators
-from hnbundles.degrees import codimension, image_term, stratum_dimension
+from hnbundles.degrees import c_value, codimension, image_term, stratum_dimension
 from hnbundles.lanes import _Lanes
 
 SMALL_INT = UniverseSpec(max_rank=3, slope_min=-2, slope_max=2, max_denominator=1)
@@ -126,3 +126,54 @@ def test_a_lane_that_disagrees_with_its_cell_fails_its_group(name):
     lanes.into[fi] += 1 << ei * lanes.width
     assert check(universe)[:2] == (count, [
         f"E={pool[ei]} F={pool[fi]}: the lane route fails this group, the per-triple route passes it"])
+
+
+@pytest.mark.parametrize("spec", list(SPECS.values()), ids=list(SPECS))
+def test_every_packed_codimension_of_a_chain_equals_the_per_triple_one(monkeypatch, spec):
+    # The check's own packed values: the first codimension calls of each chain's lane test are
+    # c_0, ..., c_r, one per member, biased, with one lane per F of E, of which the chain's
+    # mask holds its own F.
+    universe = verify.Universe(spec)
+    pool, width = universe.pool, universe.lanes.width
+    chains, values = [], []
+    passes, codimension_ = verify._chain_passes, verify.codimension
+
+    def recording_passes(lanes, checked, qi, mask):
+        fs = [fi for k, fi in enumerate(lanes.fs) if mask >> (k + 1) * width - 1 & 1]
+        chains.append((checked, qi, lanes, fs, len(values)))
+        return passes(lanes, checked, qi, mask)
+
+    monkeypatch.setattr(verify, "_chain_passes", recording_passes)
+    monkeypatch.setattr(verify, "codimension",
+                        lambda *args: values.append(codimension_(*args)) or values[-1])
+    count, lines, findings = verify.CHECKS["degeneration"][0](universe)
+    assert not lines and not findings
+    assert len({(checked.positions[0], qi) for checked, qi, _, _, _ in chains}) == len(chains)
+    assert sum(len(fs) for _, _, _, fs, _ in chains) == count > 0
+    for checked, qi, lanes, fs, first in chains:
+        lane_of = {fi: k for k, fi in enumerate(lanes.fs)}
+        for i, vi in enumerate(checked.positions):
+            biased = values[first + i]
+            c = [(biased >> lane_of[fi] * width & (1 << width) - 1) - (1 << width - 1)
+                 for fi in fs]
+            assert c == [c_value(pool[vi], pool[fi], pool[qi]) for fi in fs]
+
+
+def test_a_chain_that_only_its_lanes_fail_is_named_by_one_line():
+    # Lane F of the packed deg(F^{>=0}) row, one too high: the first-drop rule fails on that lane
+    # of every chain whose F it is, and of every chain whose Q it is.  The per-triple rerun sums
+    # deg(F^{>=0}) off the keys and passes each of them, so each is one line naming its chain.
+    check = verify.CHECKS["degeneration"][0]
+    universe = verify.Universe(SMALL_INT)
+    pool, lanes = universe.pool, universe.lanes
+    triples = [(ei, fi, qi) for ei, fi, group in verify._lane_groups(universe,
+                                                                      verify.REDUCED_CONDITIONS)
+               for qi in lanes.positions(group)]
+    pushed = triples[0][1]
+    lanes.nonneg += 1 << pushed * lanes.width
+    expected = sorted({f"E={pool[ei]} Q={pool[qi]}: the lane route fails this chain, "
+                       "the per-triple route passes it"
+                       for ei, fi, qi in triples if pushed in (fi, qi)})
+    count, lines, findings = check(universe)
+    assert (count, sorted(lines), findings) == (len(triples), expected, [])
+    assert 0 < len(expected) < len({(ei, qi) for ei, _, qi in triples})
